@@ -2,10 +2,13 @@
 
 Two deformations of the variable-permutation action of the symmetric group on
 polynomials: a q-commutator family built from divided differences, and a
-monomial-sorting family with transition weight q.  Both preserve the ideal
-generated by positive-degree symmetric functions, act on each graded piece of
-the quotient in the Schubert basis, and share a graded character given by a
-closed combinatorial weight sum.  Everything is computed exactly in Z[q].
+monomial-sorting family with transition weight q.  The q-commutator action
+preserves the ideal generated by positive-degree symmetric functions and acts
+on each graded piece of the quotient in the Schubert basis.  The sorting
+action does not preserve that ideal; on the quotient only its compressed word
+images and its traces derived from the full polynomial components are used.
+Both share a graded character given by a closed combinatorial weight sum.
+Everything is computed exactly in Z[q].
 """
 
 from .polyring import (
@@ -15,8 +18,6 @@ from .polyring import (
     QPoly,
     act_variable_permutation,
     is_i_symmetric,
-    parse_mpoly,
-    parse_qpoly,
     specialize_q,
 )
 from .perm import (
@@ -33,16 +34,12 @@ from .perm import (
     valley_weight,
 )
 from .operators import (
-    GeneratorOp,
+    InvariantViolation,
     a_minus_r_factor,
-    apply_generator,
     apply_partial_w,
-    apply_word,
     check_relations,
     commutation_suite,
     divided_difference,
-    format_word,
-    parse_word,
 )
 from .schubert import (
     CoinvariantVector,

@@ -9,11 +9,9 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .perm import partition_str, partitions_of, perm_str
@@ -33,57 +31,44 @@ patience (the table has n! entries).  verify/scan-b accept n <= 6; the
 full verify suite takes about a second at n=4 and half a minute at n=5."""
 
 
-@dataclass
-class RunConfig:
-    """Validated run parameters shared by all subcommands."""
-
-    n: int
-    q: Fraction | None  # None means symbolic
-    degree_bound: int
-    output: str
-    seed: int
-    jobs: int
-
-    def __post_init__(self):
-        if self.degree_bound < 0:
-            raise SystemExit2("degree bound must be nonnegative")
-        if self.jobs < 1:
-            raise SystemExit2("jobs must be at least 1")
-
-
 class SystemExit2(SystemExit):
     def __init__(self, message: str):
         print(f"error: {message}", file=sys.stderr)
         super().__init__(2)
 
 
-def _parse_q(text: str) -> Fraction | None:
+def _q_value(text: str) -> Fraction | None:
+    """--q: None means symbolic."""
     if text == "symbolic":
         return None
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise SystemExit2(f"--q must be 'symbolic' or a rational like 1 or -2/3, got {text!r}")
+        raise argparse.ArgumentTypeError(
+            f"--q must be 'symbolic' or a rational like 1 or -2/3, got {text!r}")
 
 
-def _build_config(args) -> RunConfig:
-    return RunConfig(
-        n=args.n,
-        q=_parse_q(args.q),
-        degree_bound=args.degree_bound,
-        output=args.output,
-        seed=args.seed,
-        jobs=args.jobs,
-    )
+def _degree_bound(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError("degree bound must be nonnegative")
+    return value
 
 
-def _require_n(config: RunConfig, low: int, high: int, what: str):
-    if config.n < low:
+def _jobs(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("jobs must be at least 1")
+    return value
+
+
+def _require_n(n: int, low: int, high: int, what: str):
+    if n < low:
         raise SystemExit2(f"{what} needs n >= {low}")
-    if config.n > high:
-        estimate = math.factorial(config.n)
+    if n > high:
+        estimate = math.factorial(n)
         raise SystemExit2(
-            f"{what} is capped at n <= {high}; n={config.n} would mean "
+            f"{what} is capped at n <= {high}; n={n} would mean "
             f"{estimate} basis permutations"
         )
 
@@ -97,18 +82,17 @@ def _render_value(v: QPoly, q: Fraction | None) -> str:
 # --- subcommands -------------------------------------------------------------
 
 
-def cmd_schubert(config: RunConfig) -> int:
-    _require_n(config, 1, MAX_N_TABLES, "schubert")
-    table = schubert_table_strings(config.n)
+def cmd_schubert(args) -> int:
+    _require_n(args.n, 1, MAX_N_TABLES, "schubert")
+    table = schubert_table_strings(args.n)
     keys = sorted(table, key=lambda s: tuple(int(v) for v in s.split(",")))
-    if config.output == "json":
+    if args.output == "json":
         print(json.dumps({k: table[k] for k in keys}))
-    elif config.output == "csv":
-        out = _csv_writer()
+    elif args.output == "csv":
+        out = csv.writer(sys.stdout, lineterminator="\n")
         out.writerow(["w", "schubert"])
         for k in keys:
             out.writerow([k, table[k]])
-        _flush_csv(out)
     else:
         width = max(len(k) for k in keys)
         for k in keys:
@@ -116,16 +100,17 @@ def cmd_schubert(config: RunConfig) -> int:
     return 0
 
 
-def cmd_char(config: RunConfig, action: str) -> int:
-    _require_n(config, 2, MAX_N_TABLES, "char")
-    n = config.n
+def cmd_char(args) -> int:
+    _require_n(args.n, 2, MAX_N_TABLES, "char")
+    n = args.n
+    action = args.action
     mus = partitions_of(n)
     mu_names = [partition_str(mu) for mu in mus]
     top = n * (n - 1) // 2
     failed = False
 
     if action == "all":
-        comparison = character_comparison(n, jobs=config.jobs)
+        comparison = character_comparison(n, jobs=args.jobs)
         failed = not comparison.all_agree
         rows = []
         for row in comparison.rows:
@@ -133,13 +118,13 @@ def cmd_char(config: RunConfig, action: str) -> int:
             for mu in mus:
                 cell = row["cells"][mu]
                 cells[partition_str(mu)] = {
-                    "rho1": _render_value(cell["rho1"], config.q),
-                    "rho2": _render_value(cell["rho2"], config.q),
-                    "weights": _render_value(cell["weights"], config.q),
+                    "rho1": _render_value(cell["rho1"], args.q),
+                    "rho2": _render_value(cell["rho2"], args.q),
+                    "weights": _render_value(cell["weights"], args.q),
                     "agree": cell["agree"],
                 }
             rows.append({"k": row["k"], "cells": cells})
-        if config.output == "json":
+        if args.output == "json":
             print(json.dumps({"n": n, "action": action, "mus": mu_names, "rows": rows,
                               "all_agree": comparison.all_agree}))
         else:
@@ -151,7 +136,7 @@ def cmd_char(config: RunConfig, action: str) -> int:
                 ]
                 for row in rows
             ]
-            _print_table(config, mu_names, cells_text)
+            _print_table(args.output, mu_names, cells_text)
         return 1 if failed else 0
 
     values = []
@@ -162,9 +147,9 @@ def cmd_char(config: RunConfig, action: str) -> int:
                 v = weight_character(mu, k, n).value
             else:
                 v = graded_character(action, mu, k, n).value
-            row.append(_render_value(v, config.q))
+            row.append(_render_value(v, args.q))
         values.append(row)
-    if config.output == "json":
+    if args.output == "json":
         print(json.dumps({
             "n": n,
             "action": action,
@@ -172,17 +157,16 @@ def cmd_char(config: RunConfig, action: str) -> int:
             "rows": [{"k": k, "values": row} for k, row in enumerate(values)],
         }))
     else:
-        _print_table(config, mu_names, values)
+        _print_table(args.output, mu_names, values)
     return 0
 
 
-def _print_table(config: RunConfig, mu_names: list[str], rows: list[list[str]]):
-    if config.output == "csv":
-        out = _csv_writer()
+def _print_table(output: str, mu_names: list[str], rows: list[list[str]]):
+    if output == "csv":
+        out = csv.writer(sys.stdout, lineterminator="\n")
         out.writerow(["k"] + mu_names)
         for k, row in enumerate(rows):
             out.writerow([k] + row)
-        _flush_csv(out)
     else:
         widths = [
             max(len(name), max((len(row[j]) for row in rows), default=0))
@@ -193,25 +177,25 @@ def _print_table(config: RunConfig, mu_names: list[str], rows: list[list[str]]):
             print(f"{k}  " + "  ".join(f"{cell:<{w}}" for cell, w in zip(row, widths)))
 
 
-def cmd_matrix(config: RunConfig, action: str, i: int, k: int) -> int:
-    _require_n(config, 2, MAX_N_TABLES, "matrix")
-    table = build_schubert_table(config.n)
-    if not 1 <= i < config.n:
+def cmd_matrix(args) -> int:
+    _require_n(args.n, 2, MAX_N_TABLES, "matrix")
+    action, i, k = args.action, args.i, args.k
+    table = build_schubert_table(args.n)
+    if not 1 <= i < args.n:
         raise SystemExit2(f"generator index must satisfy 1 <= i < n, got {i}")
     if not 0 <= k <= table.max_degree:
         raise SystemExit2(f"degree must satisfy 0 <= k <= {table.max_degree}, got {k}")
     matrix = generator_matrix(action, i, k, table)
     basis = [perm_str(w) for w in matrix.basis]
-    entries = [[_render_value(c, config.q) for c in row] for row in matrix.entries]
-    if config.output == "json":
-        print(json.dumps({"n": config.n, "action": action, "i": i, "k": k,
+    entries = [[_render_value(c, args.q) for c in row] for row in matrix.entries]
+    if args.output == "json":
+        print(json.dumps({"n": args.n, "action": action, "i": i, "k": k,
                           "basis": basis, "entries": entries}))
-    elif config.output == "csv":
-        out = _csv_writer()
+    elif args.output == "csv":
+        out = csv.writer(sys.stdout, lineterminator="\n")
         out.writerow(["z\\w"] + basis)
         for name, row in zip(basis, entries):
             out.writerow([name] + row)
-        _flush_csv(out)
     else:
         width = max(len(c) for row in entries for c in row) if entries else 1
         print(f"action={action} i={i} k={k} basis={' '.join(basis)}")
@@ -220,14 +204,14 @@ def cmd_matrix(config: RunConfig, action: str, i: int, k: int) -> int:
     return 0
 
 
-def cmd_verify(config: RunConfig, suites: list[str]) -> int:
-    _require_n(config, 2, MAX_N_VERIFY, "verify")
-    results = run_suites(suites, config.n, config.degree_bound, config.seed, config.jobs)
+def cmd_verify(args) -> int:
+    _require_n(args.n, 2, MAX_N_VERIFY, "verify")
+    results = run_suites(args.suite or ["all"], args.n, args.degree_bound, args.seed, args.jobs)
     all_passed = all(r.passed for r in results)
-    if config.output == "json":
+    if args.output == "json":
         print(json.dumps({
-            "n": config.n,
-            "seed": config.seed,
+            "n": args.n,
+            "seed": args.seed,
             "suites": [
                 {"name": r.name, "passed": r.passed, "detail": r.lines,
                  "failures": r.failures}
@@ -242,14 +226,14 @@ def cmd_verify(config: RunConfig, suites: list[str]) -> int:
     return 0 if all_passed else 1
 
 
-def cmd_scan_b(config: RunConfig) -> int:
-    _require_n(config, 2, MAX_N_VERIFY, "scan-b")
-    scan = bc_scan(config.n, config.jobs)
+def cmd_scan_b(args) -> int:
+    _require_n(args.n, 2, MAX_N_VERIFY, "scan-b")
+    scan = bc_scan(args.n, args.jobs)
     hist = scan.b_histogram()
     outliers = scan.b_outliers()
-    if config.output == "json":
+    if args.output == "json":
         print(json.dumps({
-            "n": config.n,
+            "n": args.n,
             "entries": [
                 {"i": i, "w": perm_str(w), "z": perm_str(z), "b": b, "c": c}
                 for i, w, z, b, c in scan.entries
@@ -261,12 +245,11 @@ def cmd_scan_b(config: RunConfig) -> int:
             ],
             "structural_violations": scan.structural_violations,
         }))
-    elif config.output == "csv":
-        out = _csv_writer()
+    elif args.output == "csv":
+        out = csv.writer(sys.stdout, lineterminator="\n")
         out.writerow(["i", "w", "z", "b", "c"])
         for i, w, z, b, c in scan.entries:
             out.writerow([i, perm_str(w), perm_str(z), b, c])
-        _flush_csv(out)
         print(f"# b-values observed: {hist}; conjecture violations: "
               f"{len(outliers) or 0}")
     else:
@@ -283,28 +266,6 @@ def cmd_scan_b(config: RunConfig) -> int:
     return 1 if scan.structural_violations else 0
 
 
-class _Csv:
-    """CSV accumulator flushed to stdout in one write, for stable output."""
-
-    def __init__(self):
-        self.buffer = io.StringIO()
-        self.writer = csv.writer(self.buffer, lineterminator="\n")
-
-    def writerow(self, row):
-        self.writer.writerow(row)
-
-    def flush(self):
-        sys.stdout.write(self.buffer.getvalue())
-
-
-def _csv_writer() -> _Csv:
-    return _Csv()
-
-
-def _flush_csv(out: _Csv):
-    out.flush()
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qschub",
@@ -315,39 +276,40 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def subcommand(name, run, summary, q=False, jobs=False):
+        """A subparser with --n and --output, plus --q/--jobs where read."""
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(run=run)
         p.add_argument("--n", type=int, required=True, help="symmetric group size")
-        p.add_argument("--q", default="symbolic",
-                       help="'symbolic' (default) or an exact rational like 1 or -2/3")
-        p.add_argument("--degree-bound", type=int, default=4,
-                       help="monomial degree bound for operator identity checks")
         p.add_argument("--output", choices=("json", "csv", "text"), default="text")
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                       help="seed for the randomized property checks")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="worker processes for matrix building")
+        if q:
+            p.add_argument("--q", type=_q_value, default="symbolic",
+                           help="'symbolic' (default) or an exact rational like 1 or -2/3")
+        if jobs:
+            p.add_argument("--jobs", type=_jobs, default=1,
+                           help="worker processes, at most one per CPU")
+        return p
 
-    p = sub.add_parser("schubert", help="print all Schubert polynomials of S_n")
-    common(p)
+    subcommand("schubert", cmd_schubert, "print all Schubert polynomials of S_n")
 
-    p = sub.add_parser("char", help="graded character table")
-    common(p)
+    p = subcommand("char", cmd_char, "graded character table", q=True, jobs=True)
     p.add_argument("--action", choices=("rho1", "rho2", "weights", "all"), default="all")
 
-    p = sub.add_parser("matrix", help="one generator matrix in the Schubert basis")
-    common(p)
+    p = subcommand("matrix", cmd_matrix, "one generator matrix in the Schubert basis", q=True)
     p.add_argument("--action", choices=("rho1", "rho2", "symq1"), required=True)
     p.add_argument("--i", type=int, required=True, help="generator index")
     p.add_argument("--k", type=int, required=True, help="degree of the component")
 
-    p = sub.add_parser("verify", help="run verification suites")
-    common(p)
+    p = subcommand("verify", cmd_verify, "run verification suites", jobs=True)
+    p.add_argument("--degree-bound", type=_degree_bound, default=4,
+                   help="monomial degree bound for operator identity checks")
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED,
+                   help="seed for the randomized property checks")
     p.add_argument("--suite", action="append", default=None,
                    choices=tuple(SUITES) + ("all",),
                    help="suite name; repeatable; default all")
 
-    p = sub.add_parser("scan-b", help="ledger of the (b, c) descent-column splits")
-    common(p)
+    subcommand("scan-b", cmd_scan_b, "ledger of the (b, c) descent-column splits", jobs=True)
 
     return parser
 
@@ -355,20 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = _build_config(args)
-        if args.command == "schubert":
-            return cmd_schubert(config)
-        if args.command == "char":
-            return cmd_char(config, args.action)
-        if args.command == "matrix":
-            return cmd_matrix(config, args.action, args.i, args.k)
-        if args.command == "verify":
-            return cmd_verify(config, args.suite or ["all"])
-        if args.command == "scan-b":
-            return cmd_scan_b(config)
-        raise SystemExit2(f"unknown command {args.command!r}")
-    except SystemExit:
-        raise
+        return args.run(args)
     except ValueError as exc:
         raise SystemExit2(str(exc))
 

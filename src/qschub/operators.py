@@ -1,10 +1,6 @@
 """Linear operators on the polynomial ring: s_i, divided differences,
 multiplication operators, the q-commutator families A_i and B_i, and the
 randomized pair R_i / R*_i, plus exhaustive relation-checking harnesses.
-
-Operators are plain data (GeneratorOp) rather than closures so that words of
-them can be printed, hashed and replayed.  A word acts right to left:
-``apply_word([g1, g2], f) == g1(g2(f))``.
 """
 
 from __future__ import annotations
@@ -22,55 +18,21 @@ from .polyring import (
     swap_variables,
 )
 
-KINDS = ("s", "partial", "x", "a", "b", "r", "rstar")
-_KIND_TOKEN = {"s": "S", "partial": "D", "x": "X", "a": "A", "b": "B", "r": "R", "rstar": "Rs"}
-_TOKEN_KIND = {v: k for k, v in _KIND_TOKEN.items()}
 
+class InvariantViolation(AssertionError):
+    """A structural identity of the construction failed: a bug, not bad input.
 
-@dataclass(frozen=True)
-class GeneratorOp:
-    """One generator operator; index range is 1 <= i < n (1 <= i <= n for x)."""
-
-    kind: str
-    index: int
-
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown operator kind: {self.kind}")
-        if self.index < 1:
-            raise ValueError(f"operator index must be positive: {self.index}")
-
-    def __str__(self) -> str:
-        return f"{_KIND_TOKEN[self.kind]}{self.index}"
-
-
-OpWord = tuple[GeneratorOp, ...]
-
-
-def format_word(word) -> str:
-    """Serialize a word, leftmost factor applied last: 'A1.A2.R1'."""
-    return ".".join(str(g) for g in word)
-
-
-def parse_word(s: str) -> OpWord:
-    out = []
-    if s:
-        for tok in s.split("."):
-            for prefix in ("Rs", "S", "D", "X", "A", "B", "R"):
-                if tok.startswith(prefix) and tok[len(prefix):].isdigit():
-                    out.append(GeneratorOp(_TOKEN_KIND[prefix], int(tok[len(prefix):])))
-                    break
-            else:
-                raise ValueError(f"bad operator token: {tok!r}")
-    return tuple(out)
+    Raised explicitly so the check also runs under ``python -O``; it is not a
+    ValueError, so callers that report bad input never absorb it.
+    """
 
 
 def divided_difference(f: MPoly, i: int) -> MPoly:
     """(f - s_i f) / (x_i - x_{i+1}), by synthetic division along powers of x_i.
 
     The numerator vanishes at x_i = x_{i+1}, so the division is exact; a
-    nonempty residue at x_i-degree 0 means corrupted input and is asserted
-    against.
+    nonempty residue at x_i-degree 0 means corrupted input and raises
+    InvariantViolation.
     """
     n = f.n
     if not 1 <= i < n:
@@ -97,7 +59,8 @@ def divided_difference(f: MPoly, i: int) -> MPoly:
                 carry[ce] = acc
             else:
                 carry.pop(ce, None)
-    assert not levels.get(0), "divided difference left a nonzero remainder"
+    if levels.get(0):
+        raise InvariantViolation("divided difference left a nonzero remainder")
     return MPoly(n, quotient)
 
 
@@ -170,28 +133,7 @@ def op_rstar(f: MPoly, i: int) -> MPoly:
     return _sorted_pairwise(f, i, (QP_ZERO, 1), (ONE_MINUS_Q, Q))
 
 
-_APPLY = {
-    "s": op_s,
-    "partial": divided_difference,
-    "x": mul_x,
-    "a": op_a,
-    "b": op_b,
-    "r": op_r,
-    "rstar": op_rstar,
-}
-
 FAMILY_OPS = {"S": op_s, "A": op_a, "B": op_b, "R": op_r, "Rstar": op_rstar}
-
-
-def apply_generator(g: GeneratorOp, f: MPoly) -> MPoly:
-    return _APPLY[g.kind](f, g.index)
-
-
-def apply_word(word, f: MPoly) -> MPoly:
-    """Apply a word of generators right to left."""
-    for g in reversed(word):
-        f = apply_generator(g, f)
-    return f
 
 
 def apply_partial_w(w: Perm, f: MPoly) -> MPoly:
@@ -322,9 +264,10 @@ def a_minus_r_factor(i: int, f: MPoly) -> tuple[MPoly, MPoly]:
     """(A_i - R_i)(f) together with its exact quotient by (1-q).
 
     The difference is always i-symmetric with every coefficient divisible by
-    1-q; both facts are asserted because a violation means an operator bug.
+    1-q; both facts are checked because a violation means an operator bug.
     """
     diff = op_a(f, i) - op_r(f, i)
-    assert is_i_symmetric(i, diff), "A-R difference must be i-symmetric"
+    if not is_i_symmetric(i, diff):
+        raise InvariantViolation("A-R difference must be i-symmetric")
     witness = MPoly(f.n, {e: c.divide_one_minus_q() for e, c in diff.terms.items()})
     return diff, witness

@@ -35,13 +35,6 @@ def identity(n: int) -> Perm:
     return tuple(range(1, n + 1))
 
 
-def check_perm(w: Perm) -> Perm:
-    w = tuple(w)
-    if sorted(w) != list(range(1, len(w) + 1)):
-        raise ValueError(f"not a permutation of 1..{len(w)}: {w}")
-    return w
-
-
 def length(w: Perm) -> int:
     """Number of inversions of w."""
     n = len(w)
@@ -69,10 +62,6 @@ def mult_right_s(w: Perm, i: int) -> Perm:
 def mult_left_s(w: Perm, i: int) -> Perm:
     """s_i * w: swap values i and i+1."""
     return tuple(i + 1 if v == i else i if v == i + 1 else v for v in w)
-
-
-def right_descents(w: Perm) -> list[int]:
-    return [i for i in range(1, len(w)) if w[i - 1] > w[i]]
 
 
 def has_left_descent(w: Perm, i: int) -> bool:
@@ -335,13 +324,5 @@ def perm_str(w: Perm) -> str:
     return ",".join(str(v) for v in w)
 
 
-def parse_perm(s: str) -> Perm:
-    return check_perm(tuple(int(v) for v in s.split(",")))
-
-
 def partition_str(mu) -> str:
     return "+".join(str(p) for p in mu)
-
-
-def parse_partition(s: str, n: int) -> Partition:
-    return check_partition(tuple(int(v) for v in s.split("+")), n)

@@ -12,12 +12,11 @@ a sparse map from exponent tuples to nonzero QPoly values:
 All values are immutable after construction and every operation is pure, so
 they can be shared freely between workers.  Equality is structural; terms are
 printed in decreasing lexicographic order of exponent vectors, which makes
-``str`` deterministic and ``parse_mpoly(str(f), f.n) == f`` a round trip.
+``str`` deterministic.
 """
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from typing import Iterator
 
@@ -32,10 +31,6 @@ class QPoly:
         while c and c[-1] == 0:
             c = c[:-1]
         self.c = c
-
-    @classmethod
-    def const(cls, k: int) -> "QPoly":
-        return cls((k,))
 
     @classmethod
     def q_power(cls, d: int, coeff: int = 1) -> "QPoly":
@@ -408,11 +403,9 @@ def is_i_symmetric(i: int, f: MPoly) -> bool:
     return True
 
 
-RationalPoly = dict  # exponent tuple -> Fraction, zero values omitted
-
-
-def specialize_q(f: MPoly, r) -> RationalPoly:
-    """Evaluate every coefficient at q = r; exact rational arithmetic."""
+def specialize_q(f: MPoly, r) -> dict:
+    """Evaluate every coefficient at q = r; exact rational arithmetic.
+    Maps exponent tuples to Fractions, zero values omitted."""
     r = Fraction(r)
     out = {}
     for e, c in f.terms.items():
@@ -420,148 +413,3 @@ def specialize_q(f: MPoly, r) -> RationalPoly:
         if v:
             out[e] = v
     return out
-
-
-def rational_add(a: RationalPoly, b: RationalPoly) -> RationalPoly:
-    out = dict(a)
-    for e, v in b.items():
-        acc = out.get(e, Fraction(0)) + v
-        if acc:
-            out[e] = acc
-        else:
-            out.pop(e, None)
-    return out
-
-
-def rational_mul(a: RationalPoly, b: RationalPoly) -> RationalPoly:
-    out: RationalPoly = {}
-    for e1, v1 in a.items():
-        for e2, v2 in b.items():
-            e = tuple(x + y for x, y in zip(e1, e2))
-            acc = out.get(e, Fraction(0)) + v1 * v2
-            if acc:
-                out[e] = acc
-            else:
-                out.pop(e, None)
-    return out
-
-
-# --- text format ------------------------------------------------------------
-#
-#   poly   := ['-'] term (('+'|'-') term)*
-#   term   := factor ('*' factor)*
-#   factor := INT | 'q' ['^' INT] | 'x'INT ['^' INT] | '(' poly ')'
-
-_TOKEN = re.compile(r"\s*(?:(\d+)|x(\d+)|(q)|(\^)|(\*)|(\+)|(-)|(\()|(\)))")
-
-
-def _tokenize(s: str) -> list:
-    tokens = []
-    pos = 0
-    while pos < len(s):
-        m = _TOKEN.match(s, pos)
-        if not m:
-            if s[pos:].strip():
-                raise ValueError(f"bad character in polynomial at: {s[pos:]!r}")
-            break
-        pos = m.end()
-        if m.group(1) is not None:
-            tokens.append(("int", int(m.group(1))))
-        elif m.group(2) is not None:
-            tokens.append(("var", int(m.group(2))))
-        elif m.group(3):
-            tokens.append(("q", None))
-        elif m.group(4):
-            tokens.append(("pow", None))
-        elif m.group(5):
-            tokens.append(("mul", None))
-        elif m.group(6):
-            tokens.append(("plus", None))
-        elif m.group(7):
-            tokens.append(("minus", None))
-        elif m.group(8):
-            tokens.append(("open", None))
-        else:
-            tokens.append(("close", None))
-    return tokens
-
-
-class _Parser:
-    def __init__(self, tokens: list, n: int):
-        self.tokens = tokens
-        self.pos = 0
-        self.n = n
-
-    def peek(self):
-        return self.tokens[self.pos][0] if self.pos < len(self.tokens) else None
-
-    def take(self, kind=None):
-        if self.pos >= len(self.tokens):
-            raise ValueError("unexpected end of polynomial text")
-        tok = self.tokens[self.pos]
-        if kind and tok[0] != kind:
-            raise ValueError(f"expected {kind}, found {tok[0]}")
-        self.pos += 1
-        return tok
-
-    def parse_poly(self) -> MPoly:
-        negate = False
-        if self.peek() == "minus":
-            self.take()
-            negate = True
-        acc = self.parse_term()
-        if negate:
-            acc = -acc
-        while self.peek() in ("plus", "minus"):
-            op = self.take()[0]
-            t = self.parse_term()
-            acc = acc + (-t if op == "minus" else t)
-        return acc
-
-    def parse_term(self) -> MPoly:
-        acc = self.parse_factor()
-        while self.peek() == "mul":
-            self.take()
-            acc = acc * self.parse_factor()
-        return acc
-
-    def parse_factor(self) -> MPoly:
-        kind, val = self.take()
-        if kind == "int":
-            return MPoly.const(self.n, val)
-        if kind == "q":
-            d = self._opt_power()
-            return MPoly.const(self.n, QPoly.q_power(d))
-        if kind == "var":
-            if not 1 <= val <= self.n:
-                raise ValueError(f"variable x{val} out of range for n={self.n}")
-            d = self._opt_power()
-            e = [0] * self.n
-            e[val - 1] = d
-            return MPoly.monomial(self.n, e)
-        if kind == "open":
-            inner = self.parse_poly()
-            self.take("close")
-            return inner
-        raise ValueError(f"unexpected token {kind} in polynomial text")
-
-    def _opt_power(self) -> int:
-        if self.peek() == "pow":
-            self.take()
-            return self.take("int")[1]
-        return 1
-
-
-def parse_mpoly(s: str, n: int) -> MPoly:
-    """Parse the textual polynomial format back into an MPoly with n variables."""
-    parser = _Parser(_tokenize(s), n)
-    out = parser.parse_poly()
-    if parser.pos != len(parser.tokens):
-        raise ValueError(f"trailing tokens in polynomial text: {s!r}")
-    return out
-
-
-def parse_qpoly(s: str) -> QPoly:
-    """Parse an element of Z[q] (no x variables allowed)."""
-    f = parse_mpoly(s, 0)
-    return f.constant_coefficient()

@@ -20,10 +20,11 @@ the upstairs operators satisfy the Hecke relations exactly.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .operators import apply_partial_w, monomials_up_to, op_a, op_r, op_s
+from .operators import InvariantViolation, apply_partial_w, monomials_up_to, op_a, op_r, op_s
 from .perm import (
     Partition,
     Perm,
@@ -99,9 +100,6 @@ class RepMatrix:
         """Entries evaluated at q = r, as nested lists of exact numbers."""
         return [[c.evaluate(r) for c in row] for row in self.entries]
 
-    def text_entries(self) -> list[list[str]]:
-        return [[str(c) for c in row] for row in self.entries]
-
 
 def identity_matrix(k: int, basis: tuple[Perm, ...]) -> RepMatrix:
     size = len(basis)
@@ -118,7 +116,7 @@ def generator_matrix(action: str, i: int, k: int, table: SchubertTable) -> RepMa
     """Matrix of the i-th generator of the given action on the degree-k
     component, in the Schubert basis.
 
-    For the two deformed actions the structural facts are asserted during the
+    For the two deformed actions the structural facts are checked during the
     build: ascent columns are unit columns and descent diagonals equal -q.
     """
     if action not in ACTIONS:
@@ -136,7 +134,7 @@ def generator_matrix(action: str, i: int, k: int, table: SchubertTable) -> RepMa
     for w in basis:
         vec = expand_homogeneous(op(table[w], i), k, table)
         if action != "symq1":
-            _assert_column_shape(i, w, vec)
+            _check_column_shape(i, w, vec)
         columns.append(tuple(vec[z] for z in basis))
     rows = tuple(tuple(col[zi] for col in columns) for zi in range(len(basis)))
     out = RepMatrix(action, k, basis, rows)
@@ -144,11 +142,12 @@ def generator_matrix(action: str, i: int, k: int, table: SchubertTable) -> RepMa
     return out
 
 
-def _assert_column_shape(i: int, w: Perm, vec: CoinvariantVector):
+def _check_column_shape(i: int, w: Perm, vec: CoinvariantVector):
     if length(mult_right_s(w, i)) > length(w):
-        assert vec.coords == {w: QP_ONE}, f"ascent column at {w} is not a unit column"
-    else:
-        assert vec[w] == MINUS_Q, f"descent diagonal at {w} is not -q"
+        if vec.coords != {w: QP_ONE}:
+            raise InvariantViolation(f"ascent column at {w} is not a unit column")
+    elif vec[w] != MINUS_Q:
+        raise InvariantViolation(f"descent diagonal at {w} is not -q")
 
 
 def apply_action_word(action: str, word, f: MPoly) -> MPoly:
@@ -547,6 +546,12 @@ def bc_scan(n: int, jobs: int = 1) -> BCScan:
 # --- parallel construction of generator matrices ------------------------------
 
 
+def worker_count(jobs: int, tasks: int) -> int:
+    """Processes worth starting: no more than asked for, than CPUs, or than
+    tasks."""
+    return min(jobs, os.cpu_count() or 1, tasks)
+
+
 def _matrix_job(key: tuple[int, str, int, int]):
     n, action, i, k = key
     m = generator_matrix(action, i, k, build_schubert_table(n))
@@ -566,13 +571,14 @@ def precompute_generator_matrices(n: int, actions, jobs: int = 1):
     keys = [key for key in keys if key not in _GEN_CACHE]
     if not keys:
         return
-    if jobs <= 1:
-        for key in keys:
-            _matrix_job(key)
+    workers = worker_count(jobs, len(keys))
+    if workers <= 1:
+        for _, action, i, k in keys:
+            generator_matrix(action, i, k, table)
         return
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         results = dict(pool.map(_matrix_job, keys))
     for key in sorted(results):
         _, action, _, k = key

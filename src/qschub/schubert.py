@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .operators import divided_difference
+from .operators import InvariantViolation, divided_difference
 from .perm import (
     Perm,
     all_perms,
@@ -68,11 +68,12 @@ def build_schubert_table(n: int) -> SchubertTable:
             i = next(i for i in range(1, n) if w[i - 1] < w[i])  # first ascent
             polys[w] = divided_difference(polys[mult_right_s(w, i)], i)
     for w, f in polys.items():
-        assert f.homogeneous_degree() == length(w), f"wrong degree at {w}"
-        assert all(
-            c.is_int() and c.as_int() > 0 for c in f.terms.values()
-        ), f"non-positive coefficient at {w}"
-    assert polys[identity(n)] == MPoly.const(n, 1)
+        if f.homogeneous_degree() != length(w):
+            raise InvariantViolation(f"wrong degree at {w}")
+        if not all(c.is_int() and c.as_int() > 0 for c in f.terms.values()):
+            raise InvariantViolation(f"non-positive coefficient at {w}")
+    if polys[identity(n)] != MPoly.const(n, 1):
+        raise InvariantViolation("the identity's Schubert polynomial is not 1")
     return SchubertTable(n, polys)
 
 

@@ -46,6 +46,7 @@ from .rep import (
     symmetric_group_character,
     trace_equivalence_report,
     weight_character,
+    worker_count,
 )
 from .schubert import build_schubert_table, expand_homogeneous, monk_products, x_action_on_schubert
 
@@ -390,10 +391,11 @@ def character_comparison(n: int, jobs: int = 1) -> CharacterComparison:
     table = build_schubert_table(n)
     mus = partitions_of(n)
     keys = [(n, mu, k) for k in range(table.max_degree + 1) for mu in mus]
-    if jobs > 1:
+    workers = worker_count(jobs, len(keys))
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_character_cell, keys))
     else:
         results = [_character_cell(key) for key in keys]

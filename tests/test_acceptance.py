@@ -30,7 +30,6 @@ def report(number, ok, detail):
 
 def test_criterion_1_main_character_identity():
     failures = []
-    cells = 0
     elapsed_n5 = None
     for n in (2, 3, 4, 5):
         t0 = time.monotonic()
@@ -38,10 +37,6 @@ def test_criterion_1_main_character_identity():
         if n == 5:
             elapsed_n5 = time.monotonic() - t0
         failures.extend(f"n={n}: {f}" for f in result.failures)
-        cells += sum(
-            1 for line in result.lines for _ in [line]
-        )
-        cells += 0
     total_cells = sum(
         (n * (n - 1) // 2 + 1) * len(partitions_of(n)) for n in (2, 3, 4, 5)
     )

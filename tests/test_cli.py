@@ -174,6 +174,24 @@ class TestDeterminismAndConfig:
         code, _, err = run_cli(capsys, "char", "--n", "2", "--jobs", "0")
         assert code == 2
 
+    def test_bad_degree_bound(self, capsys):
+        code, _, err = run_cli(capsys, "verify", "--n", "2", "--degree-bound", "-1")
+        assert code == 2
+        assert "degree bound must be nonnegative" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("schubert", "--n", "2", "--jobs", "2"),
+        ("verify", "--n", "2", "--q", "1"),
+        ("char", "--n", "2", "--seed", "3"),
+        ("matrix", "--n", "2", "--action", "rho1", "--i", "1", "--k", "1", "--jobs", "2"),
+        ("scan-b", "--n", "2", "--degree-bound", "2"),
+    ])
+    def test_flag_the_subcommand_does_not_read_is_rejected(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "unrecognized arguments" in err
+
     def test_unknown_suite_rejected(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--n", "2", "--suite", "made-up")
         assert code == 2

@@ -1,18 +1,17 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
 from qschub.operators import (
-    GeneratorOp,
     a_minus_r_factor,
-    apply_generator,
     apply_partial_w,
     apply_partial_w_alt,
-    apply_word,
     check_relations,
     commutation_suite,
     divided_difference,
-    format_word,
     monomials_up_to,
     mul_x,
     op_a,
@@ -20,7 +19,6 @@ from qschub.operators import (
     op_r,
     op_rstar,
     op_s,
-    parse_word,
 )
 from qschub.perm import all_perms
 from qschub.polyring import (
@@ -33,6 +31,7 @@ from qschub.polyring import (
     specialize_q,
     swap_variables,
 )
+from qschub.rep import apply_action_word
 
 
 def x(i, n=2):
@@ -224,45 +223,18 @@ class TestGeneratorOps:
 class TestWords:
     def test_empty_word(self):
         f = x(1) ** 2
-        assert apply_word((), f) == f
+        assert apply_action_word("rho1", (), f) == f
 
     def test_difference_chain(self):
         f = MPoly.monomial(3, (2, 1, 0))
-        word = parse_word("D1.D2")
-        assert apply_word(word, f) == MPoly.variable(3, 1) + MPoly.variable(3, 2)
+        chain = divided_difference(divided_difference(f, 2), 1)
+        assert chain == MPoly.variable(3, 1) + MPoly.variable(3, 2)
 
     def test_quadratic_relation_via_words(self):
         rng = random.Random(13)
         for _ in range(5):
             f = random_poly(3, rng)
-            word = parse_word("A1.A1")
-            assert apply_word(word, f) == op_a(f, 1).scale(ONE_MINUS_Q) + f.scale(Q)
-
-    def test_apply_generator_dispatch(self):
-        f = x(1)
-        assert apply_generator(GeneratorOp("rstar", 1), f) == x(2)
-        assert apply_generator(GeneratorOp("x", 2), f) == x(1) * x(2)
-
-    def test_word_format_round_trip(self):
-        word = (GeneratorOp("a", 1), GeneratorOp("a", 2), GeneratorOp("r", 1))
-        assert format_word(word) == "A1.A2.R1"
-        assert parse_word("A1.A2.R1") == word
-        assert parse_word("Rs2.D1.X3.S1.B2") == (
-            GeneratorOp("rstar", 2),
-            GeneratorOp("partial", 1),
-            GeneratorOp("x", 3),
-            GeneratorOp("s", 1),
-            GeneratorOp("b", 2),
-        )
-        assert parse_word("") == ()
-
-    def test_bad_tokens(self):
-        with pytest.raises(ValueError):
-            parse_word("Z1")
-        with pytest.raises(ValueError):
-            GeneratorOp("a", 0)
-        with pytest.raises(ValueError):
-            GeneratorOp("frob", 1)
+            assert apply_action_word("rho1", (1, 1), f) == op_a(f, 1).scale(ONE_MINUS_Q) + f.scale(Q)
 
 
 class TestPartialChains:
@@ -335,3 +307,60 @@ class TestAMinusR:
                 diff, witness = a_minus_r_factor(i, f)
                 assert witness.scale(ONE_MINUS_Q) == diff
                 assert all(c.degree <= 0 for c in witness.terms.values())
+
+
+# Each case corrupts one input or helper and calls the code that checks the
+# broken invariant; it prints the InvariantViolation message, or "no raise".
+INVARIANT_SCRIPT = """
+import contextlib
+import sys
+from unittest import mock
+from qschub import operators, rep, schubert
+from qschub.polyring import MPoly
+from qschub.schubert import CoinvariantVector
+
+def raises(call, *patch):
+    with mock.patch.object(*patch) if patch else contextlib.nullcontext():
+        try:
+            call()
+        except operators.InvariantViolation as exc:
+            return str(exc)
+    return "no raise"
+
+zero = lambda f, i: MPoly.zero(f.n)
+stair = schubert.staircase_monomial
+print(sys.flags.optimize)
+print(*[
+    raises(lambda: operators.divided_difference(MPoly.const(2, 1), 1),
+           operators, "swap_variables", zero),
+    raises(lambda: operators.a_minus_r_factor(1, MPoly.variable(2, 1)), operators, "op_r", zero),
+    raises(lambda: rep._check_column_shape(1, (1, 2), CoinvariantVector(0, {}))),
+    raises(lambda: rep._check_column_shape(1, (2, 1), CoinvariantVector(1, {}))),
+    raises(lambda: schubert.build_schubert_table(3),
+           schubert, "staircase_monomial", lambda n: MPoly.variable(n, 1)),
+    raises(lambda: schubert.build_schubert_table(3),
+           schubert, "staircase_monomial", lambda n: -stair(n)),
+    raises(lambda: schubert.build_schubert_table(3),
+           schubert, "staircase_monomial", lambda n: stair(n).scale(2)),
+], sep="\\n")
+"""
+
+
+class TestInvariantChecks:
+    def test_corrupted_inputs_raise_under_optimize(self):
+        import qschub
+
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(qschub.__file__)))
+        done = subprocess.run([sys.executable, "-O", "-c", INVARIANT_SCRIPT], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines() == [
+            "1",
+            "divided difference left a nonzero remainder",
+            "A-R difference must be i-symmetric",
+            "ascent column at (1, 2) is not a unit column",
+            "descent diagonal at (2, 1) is not -q",
+            "wrong degree at (3, 2, 1)",
+            "non-positive coefficient at (3, 2, 1)",
+            "the identity's Schubert polynomial is not 1",
+        ]

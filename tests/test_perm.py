@@ -18,8 +18,6 @@ from qschub.perm import (
     length,
     mult_left_s,
     mult_right_s,
-    parse_partition,
-    parse_perm,
     partition_str,
     partition_word,
     partitions_of,
@@ -254,12 +252,8 @@ class TestKnuthClasses:
 class TestSerialization:
     def test_perm_round_trip(self):
         for w in all_perms(3):
-            assert parse_perm(perm_str(w)) == w
+            assert tuple(int(v) for v in perm_str(w).split(",")) == w
 
     def test_partition_round_trip(self):
         for mu in partitions_of(5):
-            assert parse_partition(partition_str(mu), 5) == mu
-
-    def test_parse_rejects_non_perm(self):
-        with pytest.raises(ValueError):
-            parse_perm("1,1,2")
+            assert tuple(int(p) for p in partition_str(mu).split("+")) == mu

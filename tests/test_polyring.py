@@ -13,10 +13,6 @@ from qschub.polyring import (
     act_variable_permutation,
     is_i_symmetric,
     minus_q_power,
-    parse_mpoly,
-    parse_qpoly,
-    rational_add,
-    rational_mul,
     specialize_q,
     swap_variables,
 )
@@ -144,8 +140,16 @@ class TestSpecializeQ:
             f = MPoly.monomial(2, (rng.randint(0, 2), rng.randint(0, 2)), QPoly((1, rng.randint(-2, 2))))
             g = MPoly.monomial(2, (rng.randint(0, 2), 1), QPoly((rng.randint(-2, 2), 1))) + MPoly.const(2, 2)
             r = Fraction(rng.randint(-5, 5), rng.randint(1, 5))
-            assert specialize_q(f * g, r) == rational_mul(specialize_q(f, r), specialize_q(g, r))
-            assert specialize_q(f + g, r) == rational_add(specialize_q(f, r), specialize_q(g, r))
+            sf, sg = specialize_q(f, r), specialize_q(g, r)
+            product, total = {}, dict(sf)
+            for e1, v1 in sf.items():
+                for e2, v2 in sg.items():
+                    e = tuple(a + b for a, b in zip(e1, e2))
+                    product[e] = product.get(e, 0) + v1 * v2
+            for e, v in sg.items():
+                total[e] = total.get(e, 0) + v
+            assert specialize_q(f * g, r) == {e: v for e, v in product.items() if v}
+            assert specialize_q(f + g, r) == {e: v for e, v in total.items() if v}
 
 
 class TestVariablePermutation:
@@ -207,28 +211,3 @@ class TestTextFormat:
         assert str(MPoly.const(2, 1)) == "1"
         assert str(MPoly.zero(2)) == "0"
         assert str(MPoly.const(2, ONE_MINUS_Q)) == "(1-q)"
-
-    def test_round_trip_random(self):
-        rng = random.Random(19)
-        for _ in range(25):
-            f = MPoly.zero(3)
-            for _ in range(rng.randint(0, 5)):
-                e = tuple(rng.randint(0, 3) for _ in range(3))
-                c = QPoly(tuple(rng.randint(-4, 4) for _ in range(rng.randint(1, 3))))
-                f = f + MPoly.monomial(3, e, c)
-            assert parse_mpoly(str(f), 3) == f
-
-    def test_parse_examples(self):
-        assert parse_mpoly("x1^2*x2 + q*x3", 3) == x(1) ** 2 * x(2) + x(3).scale(Q)
-        assert parse_mpoly("0", 3) == MPoly.zero(3)
-        assert parse_mpoly("- x1 + 2", 3) == MPoly.const(3, 2) - x(1)
-        assert parse_qpoly("1-q") == ONE_MINUS_Q
-        assert parse_qpoly("(1-q)*(1+q)") == QPoly((1, 0, -1))
-
-    def test_parse_errors(self):
-        with pytest.raises(ValueError):
-            parse_mpoly("x4", 3)
-        with pytest.raises(ValueError):
-            parse_mpoly("x1 +", 3)
-        with pytest.raises(ValueError):
-            parse_mpoly("x1 ~ x2", 3)

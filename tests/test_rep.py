@@ -417,3 +417,38 @@ class TestCoordinateExtraction:
         table = build_schubert_table(3)
         f = table[(2, 3, 1)]
         assert apply_action_word("rho1", (1, 2), f) == op_a(op_a(f, 2), 1)
+
+
+class TestWorkerCount:
+    def test_pools_are_clamped_to_cpus_and_tasks(self, monkeypatch):
+        import concurrent.futures
+
+        from qschub import rep, verify
+
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(rep, "_GEN_CACHE", {})
+        monkeypatch.setattr("os.cpu_count", lambda: 3)
+        rep.precompute_generator_matrices(3, ("rho2",), jobs=1000)  # 8 matrices
+        assert len(rep._GEN_CACHE) == 8
+        assert verify.character_comparison(2, jobs=1000).all_agree  # 4 cells
+        monkeypatch.setattr("os.cpu_count", lambda: 64)
+        verify.character_comparison(2, jobs=1000)
+        verify.character_comparison(2, jobs=2)
+        monkeypatch.setattr("os.cpu_count", lambda: None)
+        verify.character_comparison(2, jobs=1000)  # one worker: no pool
+        assert sizes == [3, 3, 4, 2]
