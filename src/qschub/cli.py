@@ -25,10 +25,11 @@ MAX_N_TABLES = 8
 MAX_N_VERIFY = 6
 
 COST_NOTE = """\
-cost guide (single core): schubert/char/matrix are practical up to n=6
-(n=5 in seconds, n=6 in minutes); n=7..8 only for `schubert` and with
-patience (the table has n! entries).  verify/scan-b accept n <= 6; the
-full verify suite takes about a second at n=4 and half a minute at n=5."""
+cost guide (single core of a 2-core Xeon VM): schubert/char/matrix are
+practical up to n=6 (the full `char` table takes under a second at n=5 and
+about 11 s at n=6); n=7..8 only for `schubert` and with patience (the table
+has n! entries).  verify/scan-b accept n <= 6; the full verify suite takes
+about 2 s at n=4 and about 27 s at n=5."""
 
 
 class SystemExit2(SystemExit):
@@ -276,12 +277,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def subcommand(name, run, summary, q=False, jobs=False):
+    def subcommand(name, run, summary, q=False, jobs=False, outputs=("json", "csv", "text")):
         """A subparser with --n and --output, plus --q/--jobs where read."""
         p = sub.add_parser(name, help=summary)
         p.set_defaults(run=run)
         p.add_argument("--n", type=int, required=True, help="symmetric group size")
-        p.add_argument("--output", choices=("json", "csv", "text"), default="text")
+        p.add_argument("--output", choices=outputs, default="text")
         if q:
             p.add_argument("--q", type=_q_value, default="symbolic",
                            help="'symbolic' (default) or an exact rational like 1 or -2/3")
@@ -300,7 +301,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--i", type=int, required=True, help="generator index")
     p.add_argument("--k", type=int, required=True, help="degree of the component")
 
-    p = subcommand("verify", cmd_verify, "run verification suites", jobs=True)
+    p = subcommand("verify", cmd_verify, "run verification suites", jobs=True,
+                   outputs=("json", "text"))
     p.add_argument("--degree-bound", type=_degree_bound, default=4,
                    help="monomial degree bound for operator identity checks")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED,
@@ -314,8 +316,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_q_values(argv: list[str]) -> list[str]:
+    """Rewrite ``--q VALUE`` as ``--q=VALUE``: argparse takes a spaced value
+    that starts with '-', such as -2/3, for an option and rejects it."""
+    out: list[str] = []
+    j = 0
+    while j < len(argv):
+        if argv[j] == "--q" and j + 1 < len(argv):
+            out.append(f"--q={argv[j + 1]}")
+            j += 2
+        else:
+            out.append(argv[j])
+            j += 1
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser().parse_args(_join_q_values(argv))
     try:
         return args.run(args)
     except ValueError as exc:

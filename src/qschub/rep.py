@@ -16,6 +16,14 @@ while a genuine Hecke action on the polynomial ring, moves some ideal
 elements off the ideal, so only the compressed word image is well defined on
 the quotient basis.  Compression is well defined per basis element because
 the upstairs operators satisfy the Hecke relations exactly.
+
+A Schubert coordinate is the constant the divided-difference chain of z
+leaves on a polynomial (the duality of the chains with the Schubert basis).
+That constant is linear in the polynomial, and on a monomial x^e of degree
+length(z) it is an integer, so ``coordinate_at`` sums coefficient times
+chain constant over the matching terms.  The chain constants are memoized
+per (z, e) in one module-level dict and built by peeling one right descent
+at a time; no chain is rerun on the image polynomial.
 """
 
 from __future__ import annotations
@@ -24,7 +32,7 @@ import os
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .operators import InvariantViolation, apply_partial_w, monomials_up_to, op_a, op_r, op_s
+from .operators import InvariantViolation, divided_difference, monomials_up_to, op_a, op_r, op_s
 from .perm import (
     Partition,
     Perm,
@@ -159,10 +167,58 @@ def apply_action_word(action: str, word, f: MPoly) -> MPoly:
     return f
 
 
+# (z, e) -> the integer constant the divided-difference chain of z leaves on
+# the monomial x^e, for e of total degree length(z); filled on demand.
+_CHAIN_CONSTANTS: dict[tuple[Perm, tuple[int, ...]], int] = {}
+
+
+def _chain_constant(z: Perm, e: tuple[int, ...]) -> int:
+    """Constant term of the divided-difference chain of z applied to x^e,
+    where x^e has total degree length(z).
+
+    Peels one right descent i of z = z' s_i: the chain of z is that of z'
+    after the i-th divided difference, and the latter sends x^e to an
+    integer combination of monomials.  Any descent gives the same value
+    because divided differences satisfy the nil-Coxeter relations.
+    """
+    key = (z, e)
+    value = _CHAIN_CONSTANTS.get(key)
+    if value is not None:
+        return value
+    i = next((i for i in range(1, len(z)) if z[i - 1] > z[i]), None)
+    if i is None:  # the identity: its chain is empty and x^e is 1
+        value = 1
+    else:
+        zp = mult_right_s(z, i)
+        image = divided_difference(MPoly.monomial(len(z), e), i)
+        value = sum(c.as_int() * _chain_constant(zp, b) for b, c in image.terms.items())
+    _CHAIN_CONSTANTS[key] = value
+    return value
+
+
 def coordinate_at(f: MPoly, z: Perm) -> QPoly:
     """Schubert coordinate of f at z: the constant left by the
-    divided-difference chain of z."""
-    return apply_partial_w(z, f).constant_coefficient()
+    divided-difference chain of z.
+
+    Only the terms of f of total degree length(z) leave a constant; each
+    contributes its coefficient times the memoized chain constant of its
+    monomial (``_chain_constant``), so no chain is rerun on f itself.
+    """
+    if f.n != len(z):
+        raise ValueError(f"ambient mismatch: polynomial n={f.n}, permutation n={len(z)}")
+    k = length(z)
+    acc: list[int] = []
+    for e, c in f.terms.items():
+        if sum(e) != k:
+            continue
+        m = _chain_constant(z, e)
+        if m:
+            cs = c.c
+            if len(acc) < len(cs):
+                acc.extend([0] * (len(cs) - len(acc)))
+            for d, v in enumerate(cs):
+                acc[d] += m * v
+    return QPoly(acc)
 
 
 def word_matrix(action: str, word, k: int, table: SchubertTable) -> RepMatrix:

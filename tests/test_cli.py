@@ -170,6 +170,15 @@ class TestDeterminismAndConfig:
         code, _, err = run_cli(capsys, "char", "--n", "2", "--q", "pi")
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ("char", "--n", "4", "--action", "rho1", "--output", "csv"),
+        ("matrix", "--n", "3", "--action", "rho2", "--i", "1", "--k", "1", "--output", "json"),
+    ])
+    def test_spaced_negative_q_matches_equals_form(self, capsys, argv):
+        code, joined, _ = run_cli(capsys, *argv, "--q=-2/3")
+        assert code == 0 and "/" in joined
+        assert run_cli(capsys, *argv, "--q", "-2/3") == (0, joined, "")
+
     def test_bad_jobs(self, capsys):
         code, _, err = run_cli(capsys, "char", "--n", "2", "--jobs", "0")
         assert code == 2
@@ -191,6 +200,12 @@ class TestDeterminismAndConfig:
         assert code == 2
         assert out == ""
         assert "unrecognized arguments" in err
+
+    def test_verify_has_no_csv_output(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--n", "2", "--output", "csv")
+        assert code == 2
+        assert out == ""
+        assert "invalid choice: 'csv'" in err
 
     def test_unknown_suite_rejected(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--n", "2", "--suite", "made-up")

@@ -411,6 +411,38 @@ class TestCoordinateExtraction:
             for z in table.basis(2):
                 assert coordinate_at(f, z) == vec[z]
 
+    def test_chain_constants_agree_with_both_slow_routes(self, monkeypatch):
+        from qschub import rep
+        from qschub.operators import apply_partial_w
+        from qschub.schubert import expand_homogeneous
+
+        monkeypatch.setattr(rep, "_CHAIN_CONSTANTS", {})  # fill from cold
+        rng = random.Random(34)
+        for n in range(1, 6):
+            table = build_schubert_table(n)
+            polys = [MPoly.zero(n)]
+            for _ in range(4):
+                # Mixed degrees; exponents mostly inside the staircase, where
+                # coordinates are nonzero, sometimes one past it; drawn zero
+                # coefficients drop out.
+                f = MPoly.zero(n)
+                for _ in range(rng.randint(1, 12)):
+                    e = tuple(rng.randint(0, n - j + (rng.random() < 0.2)) for j in range(1, n + 1))
+                    f = f + MPoly.monomial(n, e, QPoly((rng.randint(-3, 3), rng.randint(-2, 2))))
+                polys.append(f)
+            for f in polys:
+                for z in all_perms(n):
+                    k = length(z)
+                    part = MPoly(n, {e: c for e, c in f.terms.items() if sum(e) == k})
+                    got = coordinate_at(f, z)
+                    assert got == apply_partial_w(z, f).constant_coefficient()
+                    assert got == expand_homogeneous(part, k, table)[z]
+        assert rep._CHAIN_CONSTANTS
+
+    def test_ambient_mismatch_raises(self):
+        with pytest.raises(ValueError, match="ambient mismatch"):
+            coordinate_at(MPoly.variable(5, 1), (2, 1, 3))
+
     def test_word_application_order(self):
         from qschub.operators import op_a
 
