@@ -25,10 +25,11 @@ MAX_N_TABLES = 8
 MAX_N_VERIFY = 6
 
 COST_NOTE = """\
-cost guide (single core of a 2-core Xeon VM): schubert/char/matrix are
-practical up to n=6 (the full `char` table takes under a second at n=5 and
-about 11 s at n=6); n=7..8 only for `schubert` and with patience (the table
-has n! entries).  verify/scan-b accept n <= 6; the full verify suite takes
+cost guide (single core of a 2-core Xeon VM): the full `char` table takes
+under a second at n=5 and about 10 s at n=6 (n=7 is not measured); one
+`matrix` takes under a second up to n=6 and about 3 s at n=7; n=8 only for
+`schubert` and with patience (the table has n! entries).  verify/scan-b
+accept n <= 6; `scan-b` takes about 1.5 s at n=6, the full verify suite
 about 2 s at n=4 and about 27 s at n=5."""
 
 

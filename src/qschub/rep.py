@@ -17,13 +17,14 @@ elements off the ideal, so only the compressed word image is well defined on
 the quotient basis.  Compression is well defined per basis element because
 the upstairs operators satisfy the Hecke relations exactly.
 
-A Schubert coordinate is the constant the divided-difference chain of z
-leaves on a polynomial (the duality of the chains with the Schubert basis).
-That constant is linear in the polynomial, and on a monomial x^e of degree
-length(z) it is an integer, so ``coordinate_at`` sums coefficient times
-chain constant over the matching terms.  The chain constants are memoized
-per (z, e) in one module-level dict and built by peeling one right descent
-at a time; no chain is rerun on the image polynomial.
+Schubert coordinates come from ``schubert.monomial_class``: the class of
+each monomial in the quotient is built once by Monk's rule and memoized, and
+a polynomial's coordinates are its coefficients times those integer classes,
+summed over the terms of the degree being read.  Generator and word matrices
+read each column with ``schubert.schubert_coordinates``; ``coordinate_at``
+reads one coordinate by looking it up in the same classes.  The
+divided-difference sweep ``expand_homogeneous`` stays in ``schubert`` as the
+independent oracle for both.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import os
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .operators import InvariantViolation, divided_difference, monomials_up_to, op_a, op_r, op_s
+from .operators import InvariantViolation, monomials_up_to, op_a, op_r, op_s
 from .perm import (
     Partition,
     Perm,
@@ -50,7 +51,13 @@ from .perm import (
     perms_of_length,
 )
 from .polyring import MPoly, QPoly, QP_ZERO, QP_ONE
-from .schubert import CoinvariantVector, SchubertTable, build_schubert_table, expand_homogeneous
+from .schubert import (
+    CoinvariantVector,
+    SchubertTable,
+    build_schubert_table,
+    monomial_class,
+    schubert_coordinates,
+)
 
 ACTIONS = ("rho1", "rho2", "symq1")
 _ACTION_OPS = {"rho1": op_a, "rho2": op_r, "symq1": op_s}
@@ -124,8 +131,10 @@ def generator_matrix(action: str, i: int, k: int, table: SchubertTable) -> RepMa
     """Matrix of the i-th generator of the given action on the degree-k
     component, in the Schubert basis.
 
-    For the two deformed actions the structural facts are checked during the
-    build: ascent columns are unit columns and descent diagonals equal -q.
+    Each column is the image of a basis Schubert polynomial, read by
+    ``schubert_coordinates``.  For the two deformed actions the structural
+    facts are checked on every column during the build: ascent columns are
+    unit columns and descent diagonals equal -q.
     """
     if action not in ACTIONS:
         raise ValueError(f"unknown action {action!r}")
@@ -140,7 +149,7 @@ def generator_matrix(action: str, i: int, k: int, table: SchubertTable) -> RepMa
     basis = table.basis(k)
     columns = []
     for w in basis:
-        vec = expand_homogeneous(op(table[w], i), k, table)
+        vec = schubert_coordinates(op(table[w], i), k)
         if action != "symq1":
             _check_column_shape(i, w, vec)
         columns.append(tuple(vec[z] for z in basis))
@@ -167,67 +176,33 @@ def apply_action_word(action: str, word, f: MPoly) -> MPoly:
     return f
 
 
-# (z, e) -> the integer constant the divided-difference chain of z leaves on
-# the monomial x^e, for e of total degree length(z); filled on demand.
-_CHAIN_CONSTANTS: dict[tuple[Perm, tuple[int, ...]], int] = {}
-
-
-def _chain_constant(z: Perm, e: tuple[int, ...]) -> int:
-    """Constant term of the divided-difference chain of z applied to x^e,
-    where x^e has total degree length(z).
-
-    Peels one right descent i of z = z' s_i: the chain of z is that of z'
-    after the i-th divided difference, and the latter sends x^e to an
-    integer combination of monomials.  Any descent gives the same value
-    because divided differences satisfy the nil-Coxeter relations.
-    """
-    key = (z, e)
-    value = _CHAIN_CONSTANTS.get(key)
-    if value is not None:
-        return value
-    i = next((i for i in range(1, len(z)) if z[i - 1] > z[i]), None)
-    if i is None:  # the identity: its chain is empty and x^e is 1
-        value = 1
-    else:
-        zp = mult_right_s(z, i)
-        image = divided_difference(MPoly.monomial(len(z), e), i)
-        value = sum(c.as_int() * _chain_constant(zp, b) for b, c in image.terms.items())
-    _CHAIN_CONSTANTS[key] = value
-    return value
-
-
 def coordinate_at(f: MPoly, z: Perm) -> QPoly:
-    """Schubert coordinate of f at z: the constant left by the
-    divided-difference chain of z.
+    """Schubert coordinate of f at z: the sum of c * monomial_class(e)[z]
+    over the terms c*x^e of f of total degree length(z).
 
-    Only the terms of f of total degree length(z) leave a constant; each
-    contributes its coefficient times the memoized chain constant of its
-    monomial (``_chain_constant``), so no chain is rerun on f itself.
+    The same sum as ``schubert_coordinates(f, length(z))[z]``, with z looked
+    up in each memoized monomial class instead of the whole vector built.
     """
     if f.n != len(z):
         raise ValueError(f"ambient mismatch: polynomial n={f.n}, permutation n={len(z)}")
     k = length(z)
-    acc: list[int] = []
+    acc = QP_ZERO
     for e, c in f.terms.items():
-        if sum(e) != k:
-            continue
-        m = _chain_constant(z, e)
-        if m:
-            cs = c.c
-            if len(acc) < len(cs):
-                acc.extend([0] * (len(cs) - len(acc)))
-            for d, v in enumerate(cs):
-                acc[d] += m * v
-    return QPoly(acc)
+        if sum(e) == k:
+            m = monomial_class(e).get(z)
+            if m:
+                acc = acc + c * m
+    return acc
 
 
 def word_matrix(action: str, word, k: int, table: SchubertTable) -> RepMatrix:
     """Matrix of the composite operator of an index word on the degree-k
-    basis: apply the whole word upstairs, expand once per column."""
+    basis: apply the whole word upstairs, then read each column once with
+    ``schubert_coordinates``."""
     basis = table.basis(k)
     columns = []
     for w in basis:
-        vec = expand_homogeneous(apply_action_word(action, word, table[w]), k, table)
+        vec = schubert_coordinates(apply_action_word(action, word, table[w]), k)
         columns.append(tuple(vec[z] for z in basis))
     rows = tuple(tuple(col[zi] for col in columns) for zi in range(len(basis)))
     return RepMatrix(action, k, basis, rows)

@@ -2,9 +2,20 @@
 
 The table for S_n starts from the staircase monomial x_1^{n-1} x_2^{n-2} ...
 at the longest element and walks down one divided difference per permutation.
-Expansion of a homogeneous degree-k polynomial into residue-class coordinates
-uses the duality of divided-difference chains with the Schubert basis: the
-coordinate at z is the constant obtained by applying the chain of z.
+
+Residue-class coordinates in the Schubert basis are read two independent ways:
+
+* ``expand_homogeneous`` uses the duality of divided-difference chains with
+  the Schubert basis: the coordinate at z is the constant obtained by
+  applying the chain of z.
+* ``schubert_coordinates`` sums memoized monomial classes
+  (``monomial_class``), each built one variable at a time by Monk's rule
+  (``x_action_on_schubert``) in integer arithmetic.  The representation
+  layer reads every coordinate this way.
+
+The divided-difference sweep is the oracle the Monk classes are tested
+against; it must not be rebuilt on ``monomial_class``, or a wrong Monk term
+would pass its own check.
 """
 
 from __future__ import annotations
@@ -102,6 +113,9 @@ def expand_homogeneous(f: MPoly, k: int, table: SchubertTable) -> CoinvariantVec
     partial divided-difference chain: the value at z of length j is the i-th
     divided difference of the value at s_i z for any left descent i.  Degree-k
     input collapses to constants exactly at the length-k layer.
+
+    This sweep is the independent oracle for ``monomial_class`` and
+    ``schubert_coordinates``: it must not be rebuilt on them.
     """
     n = table.n
     if f.n != n:
@@ -135,6 +149,51 @@ def expand_homogeneous(f: MPoly, k: int, table: SchubertTable) -> CoinvariantVec
     return CoinvariantVector(k, coords)
 
 
+# e -> {z: m}: the class of the monomial x^e in the coinvariant algebra,
+# x^e = sum of m * S_z modulo the ideal, nonzero m only; filled on demand.
+_MONOMIAL_CLASSES: dict[tuple[int, ...], dict[Perm, int]] = {}
+
+
+def monomial_class(e: tuple[int, ...]) -> dict[Perm, int]:
+    """Integer Schubert coordinates of x^e in the quotient, by Monk's rule.
+
+    x^0 is the class of the identity.  Otherwise, with v the first variable
+    of positive exponent, x^e is x_v times x^(e - unit_v), and multiplying a
+    class by x_v is ``x_action_on_schubert`` term by term.  Memoized per e in
+    ``_MONOMIAL_CLASSES``; the returned dict is shared, do not mutate it.
+    """
+    out = _MONOMIAL_CLASSES.get(e)
+    if out is not None:
+        return out
+    v = next((v for v, a in enumerate(e) if a), None)
+    if v is None:
+        out = {identity(len(e)): 1}
+    else:
+        acc: dict[Perm, int] = {}
+        for w, m in monomial_class(e[:v] + (e[v] - 1,) + e[v + 1:]).items():
+            plus, minus = x_action_on_schubert(v + 1, w)
+            for z in plus:
+                acc[z] = acc.get(z, 0) + m
+            for z in minus:
+                acc[z] = acc.get(z, 0) - m
+        out = {z: m for z, m in acc.items() if m}
+    _MONOMIAL_CLASSES[e] = out
+    return out
+
+
+def schubert_coordinates(f: MPoly, k: int) -> CoinvariantVector:
+    """Coordinates of the degree-k part of f in the Schubert basis of the
+    quotient: the sum of c * monomial_class(e) over the terms c*x^e of f of
+    total degree k.  Terms of other degrees are ignored."""
+    acc: dict[Perm, QPoly] = {}
+    for e, c in f.terms.items():
+        if sum(e) != k:
+            continue
+        for z, m in monomial_class(e).items():
+            acc[z] = acc.get(z, QP_ZERO) + c * m
+    return CoinvariantVector(k, {z: c for z, c in acc.items() if c})
+
+
 def monk_products(i: int, w: Perm) -> tuple[Perm, ...]:
     """Transposition terms of the product of the i-th elementary Schubert
     class with the class of w, inside S_n.
@@ -154,8 +213,10 @@ def monk_products(i: int, w: Perm) -> tuple[Perm, ...]:
     return tuple(sorted(out))
 
 
+@lru_cache(maxsize=None)
 def x_action_on_schubert(i: int, w: Perm) -> tuple[tuple[Perm, ...], tuple[Perm, ...]]:
-    """Signed supports of multiplication by x_i on the class of w.
+    """Signed supports of multiplication by x_i on the class of w (Monk's
+    rule in the quotient), memoized per (i, w).
 
     Returns (plus, minus): transposition images t_{ik} with k > i count
     positively, t_{ji} with j < i negatively; only length(w)+1 images enter.

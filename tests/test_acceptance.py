@@ -91,14 +91,14 @@ def test_criterion_3_schubert_ground_truth():
 
 def test_criterion_4_descent_column_closed_form():
     failures = []
-    for n in (2, 3, 4, 5):
+    for n in (2, 3, 4, 5, 6):
         result = suite_descent_columns(n)
         failures.extend(f"n={n}: {f}" for f in result.failures)
     report(
         4,
         not failures,
         "cycle-formula descent columns equal the computed generator columns for "
-        "every descent pair, n <= 5, plus column support structure"
+        "every descent pair, n <= 6, plus column support structure"
         + (f"; first failure: {failures[0]}" if failures else ""),
     )
 

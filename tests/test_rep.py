@@ -411,12 +411,12 @@ class TestCoordinateExtraction:
             for z in table.basis(2):
                 assert coordinate_at(f, z) == vec[z]
 
-    def test_chain_constants_agree_with_both_slow_routes(self, monkeypatch):
-        from qschub import rep
+    def test_monomial_classes_agree_with_both_slow_routes(self, monkeypatch):
+        from qschub import schubert
         from qschub.operators import apply_partial_w
         from qschub.schubert import expand_homogeneous
 
-        monkeypatch.setattr(rep, "_CHAIN_CONSTANTS", {})  # fill from cold
+        monkeypatch.setattr(schubert, "_MONOMIAL_CLASSES", {})  # fill from cold
         rng = random.Random(34)
         for n in range(1, 6):
             table = build_schubert_table(n)
@@ -437,7 +437,7 @@ class TestCoordinateExtraction:
                     got = coordinate_at(f, z)
                     assert got == apply_partial_w(z, f).constant_coefficient()
                     assert got == expand_homogeneous(part, k, table)[z]
-        assert rep._CHAIN_CONSTANTS
+        assert schubert._MONOMIAL_CLASSES
 
     def test_ambient_mismatch_raises(self):
         with pytest.raises(ValueError, match="ambient mismatch"):

@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -5,6 +7,7 @@ import pytest
 
 from helpers import in_ideal_rational, monomial_exponents, solve_exact, ideal_spanning_columns
 
+from qschub import schubert
 from qschub.operators import divided_difference
 from qschub.perm import all_perms, identity, length, mult_right_s, perms_of_length
 from qschub.polyring import MPoly, QPoly, QP_ONE, specialize_q
@@ -12,6 +15,8 @@ from qschub.schubert import (
     build_schubert_table,
     expand_homogeneous,
     monk_products,
+    monomial_class,
+    schubert_coordinates,
     schubert_table_strings,
     staircase_monomial,
     x_action_on_schubert,
@@ -212,6 +217,73 @@ class TestXAction:
                 for z in minus:
                     signed[z] = signed.get(z, 0) - 1
                 assert vec.coords == {z: QPoly((v,)) for z, v in signed.items() if v}
+
+
+def sweep_class(e, table):
+    """Integer coordinates of x^e from the divided-difference sweep."""
+    vec = expand_homogeneous(MPoly.monomial(table.n, e), sum(e), table)
+    return {z: c.as_int() for z, c in vec.coords.items()}
+
+
+class TestMonomialClass:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_every_monomial_up_to_the_top_degree(self, n, monkeypatch):
+        monkeypatch.setattr(schubert, "_MONOMIAL_CLASSES", {})  # fill from cold
+        table = build_schubert_table(n)
+        checked = 0
+        for e in itertools.product(range(table.max_degree + 1), repeat=n):
+            if sum(e) <= table.max_degree:
+                assert monomial_class(e) == sweep_class(e, table), e
+                checked += 1
+        assert checked == math.comb(table.max_degree + n, n)
+
+    def test_n5_staircase_and_one_past_it(self, monkeypatch):
+        # Every e with e_j <= n - j + 1: the staircase exponents and one more.
+        monkeypatch.setattr(schubert, "_MONOMIAL_CLASSES", {})
+        table = build_schubert_table(5)
+        checked = nonzero = 0
+        for e in itertools.product(*(range(7 - j) for j in range(1, 6))):
+            if sum(e) <= table.max_degree:
+                cls = monomial_class(e)
+                assert cls == sweep_class(e, table), e
+                checked += 1
+                nonzero += bool(cls)
+        assert checked > 600 and 0 < nonzero < checked
+
+    def test_ideal_members_have_no_class(self):
+        assert monomial_class((3, 0, 0)) == {}  # x1^n lies in the ideal
+        assert monomial_class((2, 1, 1)) == {}  # past the top degree
+
+    def test_coordinates_read_only_the_requested_degree(self):
+        f = x(1) * x(1) + x(1).scale(QPoly((2, 3))) + MPoly.const(3, 5)
+        assert schubert_coordinates(f, 1).coords == {(2, 1, 3): QPoly((2, 3))}
+        assert schubert_coordinates(f, 0).coords == {(1, 2, 3): QPoly((5,))}
+        assert schubert_coordinates(f, 2).coords == {(3, 1, 2): QP_ONE}
+        assert schubert_coordinates(f, 3).is_zero()
+
+
+class TestOracleIndependence:
+    def test_dropped_monk_term_is_caught_and_the_sweep_is_untouched(self, monkeypatch):
+        import qschub
+        from qschub import verify
+
+        table = build_schubert_table(3)
+        exponents = [e for e in itertools.product(range(3), repeat=3) if sum(e) <= 3]
+        before = {e: sweep_class(e, table) for e in exponents}
+        original = schubert.x_action_on_schubert
+
+        def dropped_term(i, w):
+            plus, minus = original(i, w)
+            return plus[1:], minus
+
+        for module in (qschub, schubert, verify):
+            if getattr(module, "x_action_on_schubert", None) is original:
+                monkeypatch.setattr(module, "x_action_on_schubert", dropped_term)
+        monkeypatch.setattr(schubert, "_MONOMIAL_CLASSES", {})
+
+        assert not verify.suite_schubert_recursion(3).passed
+        assert {e: sweep_class(e, table) for e in exponents} == before
+        assert any(monomial_class(e) != before[e] for e in exponents)
 
 
 class TestRendering:
