@@ -30,7 +30,7 @@ under a second at n=5 and about 10 s at n=6 (n=7 is not measured); one
 `matrix` takes under a second up to n=6 and about 3 s at n=7; n=8 only for
 `schubert` and with patience (the table has n! entries).  verify/scan-b
 accept n <= 6; `scan-b` takes about 1.5 s at n=6, the full verify suite
-about 2 s at n=4 and about 27 s at n=5."""
+under a second at n=4 and about 3 s at n=5."""
 
 
 class SystemExit2(SystemExit):
@@ -182,12 +182,12 @@ def _print_table(output: str, mu_names: list[str], rows: list[list[str]]):
 def cmd_matrix(args) -> int:
     _require_n(args.n, 2, MAX_N_TABLES, "matrix")
     action, i, k = args.action, args.i, args.k
-    table = build_schubert_table(args.n)
+    top = args.n * (args.n - 1) // 2
     if not 1 <= i < args.n:
         raise SystemExit2(f"generator index must satisfy 1 <= i < n, got {i}")
-    if not 0 <= k <= table.max_degree:
-        raise SystemExit2(f"degree must satisfy 0 <= k <= {table.max_degree}, got {k}")
-    matrix = generator_matrix(action, i, k, table)
+    if not 0 <= k <= top:
+        raise SystemExit2(f"degree must satisfy 0 <= k <= {top}, got {k}")
+    matrix = generator_matrix(action, i, k, build_schubert_table(args.n))
     basis = [perm_str(w) for w in matrix.basis]
     entries = [[_render_value(c, args.q) for c in row] for row in matrix.entries]
     if args.output == "json":

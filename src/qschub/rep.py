@@ -25,13 +25,24 @@ read each column with ``schubert.schubert_coordinates``; ``coordinate_at``
 reads one coordinate by looking it up in the same classes.  The
 divided-difference sweep ``expand_homogeneous`` stays in ``schubert`` as the
 independent oracle for both.
+
+The trace-equivalence certificate has one trace path per side, both driven
+by the shared left-descent step table ``left_descent_steps``.  rho1's
+quotient traces are products of the cached generator matrices applied to
+sparse Schubert-basis vectors (``quotient_basis_traces``).  rho2's traces on
+the full polynomial components are computed on one exponent orbit per
+multiplicity type lam |- n and weighted by the number of degree-d multisets
+of that type (``upstairs_graded_traces``).  The polynomial routes they
+replace are kept as test oracles only.
 """
 
 from __future__ import annotations
 
 import os
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import permutations
 
 from .operators import InvariantViolation, monomials_up_to, op_a, op_r, op_s
 from .perm import (
@@ -47,6 +58,7 @@ from .perm import (
     mult_left_s,
     mult_right_s,
     partition_word,
+    partitions_of,
     perms_by_length,
     perms_of_length,
 )
@@ -63,6 +75,10 @@ ACTIONS = ("rho1", "rho2", "symq1")
 _ACTION_OPS = {"rho1": op_a, "rho2": op_r, "symq1": op_s}
 
 MINUS_Q = QPoly((0, -1))
+
+# Largest n at which trace_equivalence_report also computes rho1's component
+# traces directly on every monomial.
+DIRECT_CROSS_CHECK_MAX_N = 4
 
 
 @dataclass(frozen=True)
@@ -390,28 +406,94 @@ def symmetric_hilbert_dims(n: int, up_to: int) -> list[int]:
     return dims
 
 
+@lru_cache(maxsize=None)
+def left_descent_steps(n: int) -> tuple[tuple[Perm, int, Perm], ...]:
+    """``(v, i, s_i v)`` for every non-identity v in length order, with i the
+    first left descent of v: ``T_v = T_i T_{s_i v}``, and ``s_i v`` is shorter
+    than v, so it is the identity or listed earlier."""
+    steps = []
+    for bucket in perms_by_length(n)[1:]:
+        for v in bucket:
+            i = next(i for i in range(1, n) if has_left_descent(v, i))
+            steps.append((v, i, mult_left_s(v, i)))
+    return tuple(steps)
+
+
+def orbit_type_counts(n: int, max_degree: int) -> dict[Partition, list[int]]:
+    """``N(lam, d)`` for every lam |- n and d <= max_degree: the number of
+    exponent multisets of degree d (partitions of d into at most n parts,
+    padded with zeros to n entries) whose multiplicity type is lam."""
+    counts = {lam: [0] * (max_degree + 1) for lam in partitions_of(n)}
+    for d in range(max_degree + 1):
+        for parts in partitions_of(d):
+            if len(parts) <= n:
+                padded = parts + (0,) * (n - len(parts))
+                lam = tuple(sorted(Counter(padded).values(), reverse=True))
+                counts[lam][d] += 1
+    return counts
+
+
+def orbit_of_type(lam: Partition) -> list[tuple[int, ...]]:
+    """The exponent vectors that rearrange the representative multiset of
+    type lam: the values 0, 1, 2, ... with multiplicities lam."""
+    rep = tuple(value for value, part in enumerate(lam) for _ in range(part))
+    return sorted(set(permutations(rep)))
+
+
+def _monomial_traces(n: int, op, exponents) -> dict[Perm, QPoly]:
+    """Trace of every Hecke basis element on the span of the given monomials:
+    per monomial, its images under all T_v by the left-descent recursion,
+    summing the coefficient each image has on the monomial itself."""
+    traces = {v: QP_ZERO for v in all_perms(n)}
+    traces[identity(n)] = QPoly((len(exponents),))
+    for e in exponents:
+        images = {identity(n): MPoly.monomial(n, e)}
+        for v, i, u in left_descent_steps(n):
+            image = images[v] = op(images[u], i)
+            c = image.terms.get(e)
+            if c:
+                traces[v] += c
+    return traces
+
+
 def upstairs_graded_traces(n: int, action: str, max_degree: int) -> dict[tuple[Perm, int], QPoly]:
     """Trace of every Hecke basis element on each full polynomial degree
-    component, in the monomial basis.
+    component d <= max_degree, in the monomial basis.
 
-    Per basis monomial, the images under all basis elements are filled in by
-    one left-descent recursion over the element being represented.
+    The generators of rho2 and symq1 only compare and swap two exponents, so
+    the orbit of an exponent multiset spans a module that depends only on the
+    multiplicity type lam |- n of the multiset: the q-permutation module M^lam
+    (Dipper--James).  The degree-d trace is therefore
+    ``sum_lam N(lam, d) * tr(T_v | M^lam)`` (``orbit_type_counts``), with
+    ``tr(T_v | M^lam)`` computed on one orbit per type (``orbit_of_type``).
+    rho1 multiplies by variables and has no such reduction; it runs the same
+    per-monomial kernel on every monomial of each degree.
     """
     op = _ACTION_OPS[action]
-    by_len = perms_by_length(n)
+    if action == "rho1":
+        by_degree: list[list[tuple[int, ...]]] = [[] for _ in range(max_degree + 1)]
+        for f in monomials_up_to(n, max_degree):
+            e = next(iter(f.terms))
+            by_degree[sum(e)].append(e)
+        blocks = [
+            (exponents, [int(d == degree) for d in range(max_degree + 1)])
+            for degree, exponents in enumerate(by_degree)
+        ]
+    else:
+        blocks = [
+            (orbit_of_type(lam), weights)
+            for lam, weights in orbit_type_counts(n, max_degree).items()
+            if any(weights)
+        ]
     traces: dict[tuple[Perm, int], QPoly] = {
         (v, d): QP_ZERO for v in all_perms(n) for d in range(max_degree + 1)
     }
-    for f in monomials_up_to(n, max_degree):
-        d = f.total_degree()
-        e = next(iter(f.terms))
-        traces[(identity(n), d)] += QP_ONE
-        images: dict[Perm, MPoly] = {identity(n): f}
-        for j in range(1, n * (n - 1) // 2 + 1):
-            for v in by_len[j]:
-                i = next(i for i in range(1, n) if has_left_descent(v, i))
-                images[v] = op(images[mult_left_s(v, i)], i)
-                traces[(v, d)] += images[v].terms.get(e, QP_ZERO)
+    for exponents, weights in blocks:
+        for v, t in _monomial_traces(n, op, exponents).items():
+            if t:
+                for d, m in enumerate(weights):
+                    if m:
+                        traces[(v, d)] += t * m
     return traces
 
 
@@ -434,23 +516,44 @@ def coinvariant_traces_from_graded(
 
 def quotient_basis_traces(n: int) -> dict[tuple[Perm, int], QPoly]:
     """Traces of every Hecke basis element of the q-commutator action on the
-    degree-k Schubert bases, by one left-descent recursion per basis class."""
+    degree-k Schubert bases.
+
+    rho1 preserves the cutting ideal, so on the quotient ``T_v`` is the
+    product of the cached generator matrices along the left-descent recursion.
+    Per basis class w the recursion runs on sparse Schubert-basis vectors
+    from the unit vector at w, and the coefficient of each image at w is
+    added to the trace.
+    """
     table = build_schubert_table(n)
-    by_len = perms_by_length(n)
-    op = _ACTION_OPS["rho1"]
     traces: dict[tuple[Perm, int], QPoly] = {
         (v, k): QP_ZERO for v in all_perms(n) for k in range(table.max_degree + 1)
     }
     for k in range(table.max_degree + 1):
+        columns = {}
+        for i in range(1, n):
+            matrix = generator_matrix("rho1", i, k, table)
+            columns[i] = {w: matrix.column(w) for w in matrix.basis}
         for w in table.basis(k):
             traces[(identity(n), k)] += QP_ONE
-            images: dict[Perm, MPoly] = {identity(n): table[w]}
-            for j in range(1, table.max_degree + 1):
-                for v in by_len[j]:
-                    i = next(i for i in range(1, n) if has_left_descent(v, i))
-                    images[v] = op(images[mult_left_s(v, i)], i)
-                    traces[(v, k)] += coordinate_at(images[v], w)
+            images = {identity(n): {w: QP_ONE}}
+            for v, i, u in left_descent_steps(n):
+                image = images[v] = _apply_columns(columns[i], images[u])
+                c = image.get(w)
+                if c:
+                    traces[(v, k)] += c
     return traces
+
+
+def _apply_columns(columns: dict[Perm, dict[Perm, QPoly]], vec: dict[Perm, QPoly]) -> dict[Perm, QPoly]:
+    out: dict[Perm, QPoly] = {}
+    for w, c in vec.items():
+        for z, m in columns[w].items():
+            acc = out.get(z, QP_ZERO) + c * m
+            if acc:
+                out[z] = acc
+            else:
+                out.pop(z, None)
+    return out
 
 
 def trace_equivalence_report(n: int) -> EquivalenceReport:
@@ -459,10 +562,13 @@ def trace_equivalence_report(n: int) -> EquivalenceReport:
     Exact comparisons over every basis element:
 
     * full polynomial components: the monomial action's upstairs traces
-      against the q-commutator side (for which the component trace is the
-      symmetric-series convolution of its quotient traces, by ideal
-      invariance; that derivation is itself cross-checked against the direct
-      upstairs computation for n <= 4);
+      (``upstairs_graded_traces``, one orbit per multiplicity type) against
+      the q-commutator side, for which the component trace is the
+      symmetric-series convolution of its quotient traces
+      (``quotient_basis_traces``, products of generator matrices), by ideal
+      invariance.  For n <= ``DIRECT_CROSS_CHECK_MAX_N`` that derivation is
+      itself cross-checked against rho1's upstairs traces on every monomial;
+      above it that direct route is too slow and the cross-check is skipped;
     * the coinvariant traces of the two actions.
     """
     max_degree = n * (n - 1) // 2
@@ -484,7 +590,7 @@ def trace_equivalence_report(n: int) -> EquivalenceReport:
         if g1_derived[(v, d)] != g2[(v, d)]
     ]
     cross_check_failures = []
-    if n <= 4:
+    if n <= DIRECT_CROSS_CHECK_MAX_N:
         g1_direct = upstairs_graded_traces(n, "rho1", max_degree)
         cross_check_failures = [
             f"derived vs direct component trace at w={v}, degree {d}: "

@@ -35,6 +35,7 @@ from .perm import (
 )
 from .polyring import MPoly, ONE_MINUS_Q, QPoly, QP_ONE
 from .rep import (
+    DIRECT_CROSS_CHECK_MAX_N,
     apply_action_word,
     coordinate_at,
     descent_column_formula,
@@ -324,10 +325,12 @@ def suite_kernels(n: int, degree_bound: int = 5, seed: int = 3, num_points: int 
 def suite_equivalence(n: int, degree_bound: int = 0, seed: int = 0) -> SuiteResult:
     res = SuiteResult("equivalence")
     report = trace_equivalence_report(n)
-    res.lines.append(
-        f"coinvariant trace pairs compared: {len(report.rows)}; "
-        "full-component traces and the derived-vs-direct cross-check included"
-    )
+    if n <= DIRECT_CROSS_CHECK_MAX_N:
+        extent = "full-component traces and the derived-vs-direct cross-check included"
+    else:
+        extent = ("full-component traces included; the derived-vs-direct "
+                  f"cross-check runs for n <= {DIRECT_CROSS_CHECK_MAX_N}")
+    res.lines.append(f"coinvariant trace pairs compared: {len(report.rows)}; {extent}")
     res.failures.extend(report.component_mismatches)
     res.failures.extend(report.cross_check_failures)
     res.failures.extend(

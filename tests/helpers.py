@@ -1,11 +1,17 @@
-"""Shared test oracles: exact Fraction linear algebra and ideal membership."""
+"""Shared test oracles: exact Fraction linear algebra, ideal membership, and
+the polynomial-route trace recursions that the library's trace kernels are
+compared against."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
-from qschub.polyring import MPoly
+from qschub.operators import monomials_up_to, op_a, op_r, op_s
+from qschub.perm import Perm, all_perms, has_left_descent, identity, mult_left_s, perms_by_length
+from qschub.polyring import MPoly, QP_ONE, QP_ZERO, QPoly
+from qschub.rep import coordinate_at
+from qschub.schubert import build_schubert_table
 
 
 def solve_exact(rows: list[list[Fraction]], rhs: list[Fraction]):
@@ -89,3 +95,47 @@ def in_ideal_rational(poly: dict[tuple[int, ...], Fraction], n: int, degree: int
     for e, v in poly.items():
         rhs[index[e]] = v
     return solve_exact(rows, rhs) is not None
+
+
+def quotient_basis_traces_oracle(n: int) -> dict[tuple[Perm, int], QPoly]:
+    """rho1 traces on the degree-k Schubert bases by the polynomial route:
+    per basis class, its Schubert polynomial pushed through ``op_a`` by the
+    left-descent recursion, each image's coordinate at the class read by
+    ``coordinate_at``."""
+    table = build_schubert_table(n)
+    by_len = perms_by_length(n)
+    traces: dict[tuple[Perm, int], QPoly] = {
+        (v, k): QP_ZERO for v in all_perms(n) for k in range(table.max_degree + 1)
+    }
+    for k in range(table.max_degree + 1):
+        for w in table.basis(k):
+            traces[(identity(n), k)] += QP_ONE
+            images: dict[Perm, MPoly] = {identity(n): table[w]}
+            for j in range(1, table.max_degree + 1):
+                for v in by_len[j]:
+                    i = next(i for i in range(1, n) if has_left_descent(v, i))
+                    images[v] = op_a(images[mult_left_s(v, i)], i)
+                    traces[(v, k)] += coordinate_at(images[v], w)
+    return traces
+
+
+def upstairs_graded_traces_oracle(n: int, action: str, max_degree: int) -> dict[tuple[Perm, int], QPoly]:
+    """Full-component traces by the per-monomial route: every monomial of
+    degree <= max_degree pushed through the action's operator by the
+    left-descent recursion, its own coefficient summed."""
+    op = {"rho1": op_a, "rho2": op_r, "symq1": op_s}[action]
+    by_len = perms_by_length(n)
+    traces: dict[tuple[Perm, int], QPoly] = {
+        (v, d): QP_ZERO for v in all_perms(n) for d in range(max_degree + 1)
+    }
+    for f in monomials_up_to(n, max_degree):
+        d = f.total_degree()
+        e = next(iter(f.terms))
+        traces[(identity(n), d)] += QP_ONE
+        images: dict[Perm, MPoly] = {identity(n): f}
+        for j in range(1, n * (n - 1) // 2 + 1):
+            for v in by_len[j]:
+                i = next(i for i in range(1, n) if has_left_descent(v, i))
+                images[v] = op(images[mult_left_s(v, i)], i)
+                traces[(v, d)] += images[v].terms.get(e, QP_ZERO)
+    return traces

@@ -1,12 +1,9 @@
 """Acceptance gate: every criterion is an exact identity at desk scale.
 
 Each test prints one PASS/FAIL line (run with ``pytest -s`` to see them all).
-The n=5 exhaustive trace-equivalence sweep is enabled by setting
-``QSCHUB_ACCEPT_N5_EQUIVALENCE=1`` in the environment.
 """
 
 import math
-import os
 import time
 
 from qschub.operators import check_relations, commutation_suite
@@ -105,18 +102,13 @@ def test_criterion_4_descent_column_closed_form():
 
 def test_criterion_5_trace_equivalence():
     failures = []
-    sizes = [2, 3, 4]
-    flagged = os.environ.get("QSCHUB_ACCEPT_N5_EQUIVALENCE") == "1"
-    if flagged:
-        sizes.append(5)
-    for n in sizes:
+    for n in (2, 3, 4, 5):
         result = suite_equivalence(n)
         failures.extend(f"n={n}: {f}" for f in result.failures)
-    extent = "n <= 5" if flagged else "n <= 4 (n=5 behind QSCHUB_ACCEPT_N5_EQUIVALENCE=1)"
     report(
         5,
         not failures,
-        f"all basis-element traces of the two actions agree, {extent}"
+        "all basis-element traces of the two actions agree, n <= 5"
         + (f"; first failure: {failures[0]}" if failures else ""),
     )
 

@@ -97,6 +97,22 @@ class TestMatrix:
         code, _, err = run_cli(capsys, "matrix", "--n", "3", "--action", "rho1", "--i", "1", "--k", "9")
         assert code == 2
 
+    @pytest.mark.parametrize("bad, message", [
+        (("--i", "9", "--k", "1"), "generator index must satisfy 1 <= i < n, got 9"),
+        (("--i", "1", "--k", "99"), "degree must satisfy 0 <= k <= 28, got 99"),
+    ])
+    def test_bad_index_rejected_before_the_table_build(self, capsys, monkeypatch, bad, message):
+        from qschub import cli
+
+        def no_build(n):
+            raise AssertionError("the Schubert table was built for a rejected matrix")
+
+        monkeypatch.setattr(cli, "build_schubert_table", no_build)
+        code, out, err = run_cli(capsys, "matrix", "--n", "8", "--action", "rho1", *bad)
+        assert code == 2
+        assert out == ""
+        assert message in err
+
 
 class TestVerify:
     @pytest.mark.parametrize("n", ["2", "3", "4"])

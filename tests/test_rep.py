@@ -1,13 +1,16 @@
 import math
 import random
+from collections import Counter
 
 import pytest
 
+from helpers import quotient_basis_traces_oracle, upstairs_graded_traces_oracle
 from qschub.perm import (
     all_perms,
     identity,
     knuth_classes,
     length,
+    mult_left_s,
     partition_word,
     partitions_of,
     perms_of_length,
@@ -26,6 +29,9 @@ from qschub.rep import (
     graded_character,
     identity_matrix,
     knuth_class_character,
+    left_descent_steps,
+    orbit_of_type,
+    orbit_type_counts,
     quotient_basis_traces,
     symmetric_group_character,
     symmetric_hilbert_dims,
@@ -355,7 +361,7 @@ class TestSymmetricGroupCharacterOracle:
 
 
 class TestEquivalence:
-    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("n", [2, 3, 4])
     def test_report(self, n):
         report = trace_equivalence_report(n)
         assert report.all_equal
@@ -395,6 +401,96 @@ class TestEquivalence:
         for v in all_perms(n):
             for k in range(4):
                 assert traces[(v, k)] == basis_element_matrix("rho1", v, k, table).trace()
+
+
+class TestTraceKernels:
+    """The trace kernels against the polynomial-route oracles in helpers.py,
+    which share neither the step table, the generator matrices nor the orbit
+    reduction with them."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_quotient_traces_match_the_polynomial_oracle(self, n):
+        assert quotient_basis_traces(n) == quotient_basis_traces_oracle(n)
+
+    def test_quotient_traces_are_traces_of_generator_products(self, monkeypatch):
+        # Random integer matrices in place of the generators satisfy no Hecke
+        # relation, so T_v must be their product along the step table's word
+        # for v, in that order.  This sees a transposed column read, which
+        # the real generators hide: Hecke characters agree at T_v and
+        # T_{v^-1}.
+        from qschub import rep
+
+        n = 4
+        table = build_schubert_table(n)
+        rng = random.Random(5)
+        fakes = {}
+
+        def fake_generator(action, i, k, table):
+            if (i, k) not in fakes:
+                basis = table.basis(k)
+                entries = tuple(tuple(QPoly((rng.randint(-2, 2),)) for _ in basis) for _ in basis)
+                fakes[(i, k)] = rep.RepMatrix("fake", k, basis, entries)
+            return fakes[(i, k)]
+
+        monkeypatch.setattr(rep, "generator_matrix", fake_generator)
+        traces = quotient_basis_traces(n)
+        words = {identity(n): ()}
+        for v, i, u in left_descent_steps(n):
+            words[v] = (i,) + words[u]
+        for k in range(table.max_degree + 1):
+            for v, word in words.items():
+                product = identity_matrix(k, table.basis(k))
+                for i in word:
+                    product = product @ fake_generator("rho1", i, k, table)
+                assert traces[(v, k)] == product.trace(), (v, k)
+
+    @pytest.mark.parametrize("action", ["rho2", "symq1"])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_orbit_traces_match_the_per_monomial_oracle(self, n, action):
+        top = n * (n - 1) // 2
+        for max_degree in sorted({0, 3, top, top + 2}):
+            expected = upstairs_graded_traces_oracle(n, action, max_degree)
+            assert upstairs_graded_traces(n, action, max_degree) == expected, max_degree
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_rho1_upstairs_traces_match_the_oracle(self, n):
+        top = n * (n - 1) // 2
+        assert upstairs_graded_traces(n, "rho1", top) == upstairs_graded_traces_oracle(n, "rho1", top)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_orbit_type_counts_cover_every_monomial_once(self, n):
+        counts = orbit_type_counts(n, 12)
+        assert set(counts) == set(partitions_of(n))
+        for d in range(13):
+            monomials = math.comb(d + n - 1, n - 1)
+            assert sum(len(orbit_of_type(lam)) * per_degree[d]
+                       for lam, per_degree in counts.items()) == monomials
+            multisets = sum(1 for parts in partitions_of(d) if len(parts) <= n)
+            assert sum(per_degree[d] for per_degree in counts.values()) == multisets
+
+    def test_orbit_type_counts_small_cases(self):
+        # n = 3: degree 2 has the multisets {2,0,0} of type (2,1) and
+        # {1,1,0} of type (2,1); degree 3 has {3,0,0}, {2,1,0}, {1,1,1}.
+        counts = orbit_type_counts(3, 3)
+        assert counts == {(3,): [1, 0, 0, 1], (2, 1): [0, 1, 2, 1], (1, 1, 1): [0, 0, 0, 1]}
+
+    def test_orbit_of_type(self):
+        assert orbit_of_type((2, 1)) == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
+        for lam in partitions_of(4):
+            orbit = orbit_of_type(lam)
+            assert len(orbit) == math.factorial(4) // math.prod(math.factorial(p) for p in lam)
+            assert all(sorted(e) == sorted(orbit[0]) for e in orbit)
+            assert sorted(Counter(orbit[0]).values(), reverse=True) == list(lam)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_left_descent_steps(self, n):
+        steps = left_descent_steps(n)
+        seen = {identity(n)}
+        for v, i, u in steps:
+            assert u == mult_left_s(v, i) and u in seen
+            assert length(u) == length(v) - 1
+            seen.add(v)
+        assert len(steps) == math.factorial(n) - 1 and seen == set(all_perms(n))
 
 
 class TestCoordinateExtraction:

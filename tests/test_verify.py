@@ -55,3 +55,20 @@ def test_result_rendering():
     text = result.render()
     assert "FAIL" in text and "bad case" in text
     assert SuiteResult("demo").passed
+
+
+
+def test_equivalence_report_line_names_the_cross_check_only_where_it_runs(monkeypatch):
+    from qschub import verify
+    from qschub.rep import EquivalenceReport
+
+    monkeypatch.setattr(verify, "trace_equivalence_report",
+                        lambda n: EquivalenceReport(n, [], [], []))
+    assert verify.suite_equivalence(4).lines == [
+        "coinvariant trace pairs compared: 0; "
+        "full-component traces and the derived-vs-direct cross-check included"
+    ]
+    assert verify.suite_equivalence(5).lines == [
+        "coinvariant trace pairs compared: 0; full-component traces included; "
+        "the derived-vs-direct cross-check runs for n <= 4"
+    ]
