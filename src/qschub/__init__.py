@@ -18,7 +18,6 @@ from .polyring import (
     QPoly,
     act_variable_permutation,
     is_i_symmetric,
-    specialize_q,
 )
 from .perm import (
     CosetDecomposition,

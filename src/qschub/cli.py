@@ -16,21 +16,21 @@ from fractions import Fraction
 
 from .perm import partition_str, partitions_of, perm_str
 from .polyring import QPoly
-from .rep import bc_scan, generator_matrix, graded_character, weight_character
+from .rep import bc_scan, generator_matrix
 from .schubert import build_schubert_table, schubert_table_strings
-from .verify import SUITES, character_comparison, run_suites
+from .verify import CHARACTER_COLUMNS, SUITES, character_table, run_suites
 
 DEFAULT_SEED = 20201
 MAX_N_TABLES = 8
 MAX_N_VERIFY = 6
 
 COST_NOTE = """\
-cost guide (single core of a 2-core Xeon VM): the full `char` table takes
-under a second at n=5 and about 10 s at n=6 (n=7 is not measured); one
-`matrix` takes under a second up to n=6 and about 3 s at n=7; n=8 only for
-`schubert` and with patience (the table has n! entries).  verify/scan-b
-accept n <= 6; `scan-b` takes about 1.5 s at n=6, the full verify suite
-under a second at n=4 and about 3 s at n=5."""
+cost guide (single runs on a shared 2-core Xeon VM): the full `char` table
+takes about 0.5 s at n=5 and 8-10 s at n=6, 4-6 s with --jobs 2 (n=7 is not
+measured); one `matrix` takes under a second up to n=6 and about 2.6 s at
+n=7; n=8 only for `schubert` and with patience (the table has n! entries).
+verify/scan-b accept n <= 6; `scan-b` takes about 1 s at n=6, the full
+verify suite about 2 s at n=4 and about 7 s at n=5."""
 
 
 class SystemExit2(SystemExit):
@@ -104,31 +104,26 @@ def cmd_schubert(args) -> int:
 
 def cmd_char(args) -> int:
     _require_n(args.n, 2, MAX_N_TABLES, "char")
-    n = args.n
-    action = args.action
+    n, action = args.n, args.action
     mus = partitions_of(n)
     mu_names = [partition_str(mu) for mu in mus]
-    top = n * (n - 1) // 2
-    failed = False
+    columns = CHARACTER_COLUMNS if action == "all" else (action,)
+    table = character_table(n, columns, args.jobs)
+    degrees = range(n * (n - 1) // 2 + 1)
 
     if action == "all":
-        comparison = character_comparison(n, jobs=args.jobs)
-        failed = not comparison.all_agree
         rows = []
-        for row in comparison.rows:
+        for k in degrees:
             cells = {}
-            for mu in mus:
-                cell = row["cells"][mu]
-                cells[partition_str(mu)] = {
-                    "rho1": _render_value(cell["rho1"], args.q),
-                    "rho2": _render_value(cell["rho2"], args.q),
-                    "weights": _render_value(cell["weights"], args.q),
-                    "agree": cell["agree"],
-                }
-            rows.append({"k": row["k"], "cells": cells})
+            for mu, name in zip(mus, mu_names):
+                values = table[(k, mu)]
+                cells[name] = {c: _render_value(v, args.q) for c, v in zip(columns, values)}
+                cells[name]["agree"] = len(set(values)) == 1
+            rows.append({"k": k, "cells": cells})
+        all_agree = all(cell["agree"] for row in rows for cell in row["cells"].values())
         if args.output == "json":
             print(json.dumps({"n": n, "action": action, "mus": mu_names, "rows": rows,
-                              "all_agree": comparison.all_agree}))
+                              "all_agree": all_agree}))
         else:
             cells_text = [
                 [
@@ -139,18 +134,9 @@ def cmd_char(args) -> int:
                 for row in rows
             ]
             _print_table(args.output, mu_names, cells_text)
-        return 1 if failed else 0
+        return 0 if all_agree else 1
 
-    values = []
-    for k in range(top + 1):
-        row = []
-        for mu in mus:
-            if action == "weights":
-                v = weight_character(mu, k, n).value
-            else:
-                v = graded_character(action, mu, k, n).value
-            row.append(_render_value(v, args.q))
-        values.append(row)
+    values = [[_render_value(table[(k, mu)][0], args.q) for mu in mus] for k in degrees]
     if args.output == "json":
         print(json.dumps({
             "n": n,
@@ -295,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     subcommand("schubert", cmd_schubert, "print all Schubert polynomials of S_n")
 
     p = subcommand("char", cmd_char, "graded character table", q=True, jobs=True)
-    p.add_argument("--action", choices=("rho1", "rho2", "weights", "all"), default="all")
+    p.add_argument("--action", choices=CHARACTER_COLUMNS + ("all",), default="all")
 
     p = subcommand("matrix", cmd_matrix, "one generator matrix in the Schubert basis", q=True)
     p.add_argument("--action", choices=("rho1", "rho2", "symq1"), required=True)

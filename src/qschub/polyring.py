@@ -17,7 +17,6 @@ printed in decreasing lexicographic order of exponent vectors, which makes
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterator
 
 
@@ -47,9 +46,6 @@ class QPoly:
     def __eq__(self, other) -> bool:
         other = _as_qpoly(other)
         return other is not NotImplemented and self.c == other.c
-
-    def __ne__(self, other) -> bool:
-        return not self.__eq__(other)
 
     def __hash__(self) -> int:
         return hash(self.c)
@@ -95,14 +91,6 @@ class QPoly:
         return QPoly(out)
 
     __rmul__ = __mul__
-
-    def __pow__(self, k: int) -> "QPoly":
-        if k < 0:
-            raise ValueError("negative power of a polynomial")
-        out = QP_ONE
-        for _ in range(k):
-            out = out * self
-        return out
 
     def evaluate(self, r):
         """Value at q = r, computed exactly (r may be int or Fraction)."""
@@ -229,10 +217,6 @@ class MPoly:
         if not isinstance(other, MPoly):
             return NotImplemented
         return self.n == other.n and self.terms == other.terms
-
-    def __ne__(self, other) -> bool:
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
 
     def __hash__(self) -> int:
         return hash((self.n, frozenset(self.terms.items())))
@@ -402,14 +386,3 @@ def is_i_symmetric(i: int, f: MPoly) -> bool:
                 return False
     return True
 
-
-def specialize_q(f: MPoly, r) -> dict:
-    """Evaluate every coefficient at q = r; exact rational arithmetic.
-    Maps exponent tuples to Fractions, zero values omitted."""
-    r = Fraction(r)
-    out = {}
-    for e, c in f.terms.items():
-        v = Fraction(c.evaluate(r))
-        if v:
-            out[e] = v
-    return out

@@ -93,9 +93,6 @@ class RepMatrix:
     def index(self, w: Perm) -> int:
         return self.basis.index(w)
 
-    def entry(self, z: Perm, w: Perm) -> QPoly:
-        return self.entries[self.index(z)][self.index(w)]
-
     def column(self, w: Perm) -> dict[Perm, QPoly]:
         j = self.index(w)
         return {z: row[j] for z, row in zip(self.basis, self.entries) if row[j]}
@@ -126,10 +123,6 @@ class RepMatrix:
                 row.append(acc)
             rows.append(tuple(row))
         return RepMatrix("product", self.k, self.basis, tuple(rows))
-
-    def specialize(self, r):
-        """Entries evaluated at q = r, as nested lists of exact numbers."""
-        return [[c.evaluate(r) for c in row] for row in self.entries]
 
 
 def identity_matrix(k: int, basis: tuple[Perm, ...]) -> RepMatrix:
@@ -383,14 +376,6 @@ class EquivalenceReport:
     rows: list[tuple[Perm, int, QPoly, QPoly]]
     component_mismatches: list[str]
     cross_check_failures: list[str]
-
-    @property
-    def all_equal(self) -> bool:
-        return (
-            not self.component_mismatches
-            and not self.cross_check_failures
-            and all(t1 == t2 for _, _, t1, t2 in self.rows)
-        )
 
     def mismatches(self) -> list[tuple[Perm, int, QPoly, QPoly]]:
         return [row for row in self.rows if row[2] != row[3]]
@@ -680,46 +665,39 @@ def bc_scan(n: int, jobs: int = 1) -> BCScan:
     return BCScan(n, entries, violations)
 
 
-# --- parallel construction of generator matrices ------------------------------
+# --- process pool -------------------------------------------------------------
 
 
-def worker_count(jobs: int, tasks: int) -> int:
-    """Processes worth starting: no more than asked for, than CPUs, or than
-    tasks."""
-    return min(jobs, os.cpu_count() or 1, tasks)
+def parallel_map(fn, items, jobs: int = 1) -> list:
+    """``[fn(x) for x in items]``, on a process pool of as many workers as
+    asked for, but no more than CPUs or items; serial when that is one.
+    ``fn``, the items and the results must pickle."""
+    items = list(items)
+    workers = min(jobs, os.cpu_count() or 1, len(items))
+    if workers <= 1:
+        return [fn(x) for x in items]
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items))
 
 
-def _matrix_job(key: tuple[int, str, int, int]):
+def _matrix_job(key: tuple[int, str, int, int]) -> RepMatrix:
     n, action, i, k = key
-    m = generator_matrix(action, i, k, build_schubert_table(n))
-    return key, tuple(tuple(c.c for c in row) for row in m.entries)
+    return generator_matrix(action, i, k, build_schubert_table(n))
 
 
 def precompute_generator_matrices(n: int, actions, jobs: int = 1):
-    """Build all generator matrices for the given actions, optionally on a
-    process pool; results are merged into the cache in key order."""
+    """Build all generator matrices for the given actions that are not yet
+    cached, on ``parallel_map``; pool results are merged into the cache in
+    key order."""
     table = build_schubert_table(n)
     keys = [
         (n, action, i, k)
         for action in actions
         for i in range(1, n)
         for k in range(table.max_degree + 1)
+        if (n, action, i, k) not in _GEN_CACHE
     ]
-    keys = [key for key in keys if key not in _GEN_CACHE]
-    if not keys:
-        return
-    workers = worker_count(jobs, len(keys))
-    if workers <= 1:
-        for _, action, i, k in keys:
-            generator_matrix(action, i, k, table)
-        return
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        results = dict(pool.map(_matrix_job, keys))
-    for key in sorted(results):
-        _, action, _, k = key
-        entries = tuple(
-            tuple(QPoly(c) for c in row) for row in results[key]
-        )
-        _GEN_CACHE[key] = RepMatrix(action, k, table.basis(k), entries)
+    for key, matrix in zip(keys, parallel_map(_matrix_job, keys, jobs)):
+        _GEN_CACHE.setdefault(key, matrix)

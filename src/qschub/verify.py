@@ -22,6 +22,7 @@ from .operators import (
     op_r,
 )
 from .perm import (
+    Partition,
     all_perms,
     canonical_reduced_word,
     identity,
@@ -43,13 +44,20 @@ from .rep import (
     generator_matrix,
     graded_character,
     knuth_class_character,
+    parallel_map,
     precompute_generator_matrices,
     symmetric_group_character,
     trace_equivalence_report,
     weight_character,
-    worker_count,
 )
 from .schubert import build_schubert_table, expand_homogeneous, monk_products, x_action_on_schubert
+
+# Fixed sizes of three seeded suites: random words per descent pair, the
+# highest variable power in the difference identity, and random rational
+# values of q per fixed-space count.
+DIAGONAL_SCALING_SAMPLES = 3
+A_MINUS_R_MAX_POWER = 6
+KERNEL_POINTS = 3
 
 
 @dataclass
@@ -214,7 +222,7 @@ def suite_descent_columns(n: int, degree_bound: int = 0, seed: int = 0, jobs: in
     return res
 
 
-def suite_diagonal_scaling(n: int, degree_bound: int = 0, seed: int = 7, samples: int = 3) -> SuiteResult:
+def suite_diagonal_scaling(n: int, degree_bound: int = 0, seed: int = 7) -> SuiteResult:
     """At a descent of w, post-composing the q-commutator word image with the
     generator scales the w-diagonal coordinate by -q."""
     res = SuiteResult("diagonal-scaling")
@@ -223,7 +231,7 @@ def suite_diagonal_scaling(n: int, degree_bound: int = 0, seed: int = 7, samples
     minus_q = QPoly((0, -1))
     count = 0
     for i, w in descent_pairs(n):
-        for _ in range(samples):
+        for _ in range(DIAGONAL_SCALING_SAMPLES):
             pi = list(identity(n))
             rng.shuffle(pi)
             image = apply_action_word("rho1", canonical_reduced_word(tuple(pi)), table[w])
@@ -238,7 +246,7 @@ def suite_diagonal_scaling(n: int, degree_bound: int = 0, seed: int = 7, samples
     return res
 
 
-def suite_a_minus_r(n: int, degree_bound: int = 4, seed: int = 5, max_m: int = 6) -> SuiteResult:
+def suite_a_minus_r(n: int, degree_bound: int = 4, seed: int = 5) -> SuiteResult:
     res = SuiteResult("a-minus-r")
     count = 0
     for i in range(1, n):
@@ -248,7 +256,7 @@ def suite_a_minus_r(n: int, degree_bound: int = 4, seed: int = 5, max_m: int = 6
             f"constant case i={i}",
         )
         for j in range(1, n + 1):
-            for m in range(1, max_m + 1):
+            for m in range(1, A_MINUS_R_MAX_POWER + 1):
                 f = MPoly.variable(n, j) ** m
                 lhs = op_a(f, i) - op_r(f, i)
                 rhs = divided_difference(MPoly.variable(n, j) ** (m + 1), i).scale(ONE_MINUS_Q)
@@ -276,7 +284,7 @@ def suite_a_minus_r(n: int, degree_bound: int = 4, seed: int = 5, max_m: int = 6
     return res
 
 
-def suite_kernels(n: int, degree_bound: int = 5, seed: int = 3, num_points: int = 3) -> SuiteResult:
+def suite_kernels(n: int, degree_bound: int = 5, seed: int = 3) -> SuiteResult:
     """Fixed spaces of both deformed generators match the i-symmetric count,
     degreewise, at several random rational values of q.
 
@@ -286,7 +294,7 @@ def suite_kernels(n: int, degree_bound: int = 5, seed: int = 3, num_points: int 
     res = SuiteResult("kernels")
     rng = random.Random(seed)
     points = []
-    while len(points) < num_points:
+    while len(points) < KERNEL_POINTS:
         r = Fraction(rng.choice([-1, 1]) * rng.randint(1, 12), rng.randint(1, 12))
         if r != -1 and r not in points:
             points.append(r)
@@ -318,7 +326,7 @@ def suite_kernels(n: int, degree_bound: int = 5, seed: int = 3, num_points: int 
                         f"{name} fixed space i={i}, degree {d}, q={r}: {dim} vs {expected}",
                     )
                     count += 1
-    res.lines.append(f"fixed-space dimensions at {num_points} random rational q: {count} checks")
+    res.lines.append(f"fixed-space dimensions at {KERNEL_POINTS} random rational q: {count} checks")
     return res
 
 
@@ -367,68 +375,40 @@ def suite_knuth(n: int, degree_bound: int = 0, seed: int = 0) -> SuiteResult:
     return res
 
 
-@dataclass
-class CharacterComparison:
-    """All three character computations per (k, mu), with agreement flags."""
-
-    n: int
-    mus: tuple
-    rows: list[dict]
-
-    @property
-    def all_agree(self) -> bool:
-        return all(cell["agree"] for row in self.rows for cell in row["cells"].values())
+CHARACTER_COLUMNS = ("rho1", "rho2", "weights")
 
 
-def _character_cell(args):
-    n, mu, k = args
-    t1 = graded_character("rho1", mu, k, n).value
-    t2 = graded_character("rho2", mu, k, n).value
-    ws = weight_character(mu, k, n).value
-    return (mu, k, t1.c, t2.c, ws.c)
+def _character_cell(args) -> tuple[QPoly, ...]:
+    n, columns, k, mu = args
+    return tuple(
+        (weight_character(mu, k, n) if column == "weights"
+         else graded_character(column, mu, k, n)).value
+        for column in columns
+    )
 
 
-def character_comparison(n: int, jobs: int = 1) -> CharacterComparison:
-    """Evaluate all three character computations per (degree, type) cell;
-    cells are independent jobs, merged in key order."""
-    table = build_schubert_table(n)
-    mus = partitions_of(n)
-    keys = [(n, mu, k) for k in range(table.max_degree + 1) for mu in mus]
-    workers = worker_count(jobs, len(keys))
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_character_cell, keys))
-    else:
-        results = [_character_cell(key) for key in keys]
-    cells_by_key = {
-        (mu, k): (QPoly(a), QPoly(b), QPoly(c)) for mu, k, a, b, c in results
-    }
-    rows = []
-    for k in range(table.max_degree + 1):
-        cells = {}
-        for mu in mus:
-            t1, t2, ws = cells_by_key[(mu, k)]
-            cells[mu] = {"rho1": t1, "rho2": t2, "weights": ws, "agree": t1 == t2 == ws}
-        rows.append({"k": k, "cells": cells})
-    return CharacterComparison(n, mus, rows)
+def character_table(
+    n: int, columns=CHARACTER_COLUMNS, jobs: int = 1
+) -> dict[tuple[int, Partition], tuple[QPoly, ...]]:
+    """The requested character columns (any of ``CHARACTER_COLUMNS``: the
+    two actions' graded characters and the weight sum) at every degree k and
+    type mu, keyed ``(k, mu)`` in that order, one value per column.  Cells
+    are independent jobs for ``parallel_map``."""
+    keys = [(k, mu) for k in range(n * (n - 1) // 2 + 1) for mu in partitions_of(n)]
+    cells = parallel_map(_character_cell, [(n, columns, k, mu) for k, mu in keys], jobs)
+    return dict(zip(keys, cells))
 
 
 def suite_characters(n: int, degree_bound: int = 0, seed: int = 0, jobs: int = 1) -> SuiteResult:
     """Both traces against the combinatorial weight sum, every degree and type."""
     res = SuiteResult("characters")
-    comparison = character_comparison(n, jobs)
-    cells = 0
-    for row in comparison.rows:
-        for mu, cell in row["cells"].items():
-            res.check(
-                cell["agree"],
-                f"k={row['k']}, mu={partition_str(mu)}: "
-                f"{cell['rho1']} / {cell['rho2']} / {cell['weights']}",
-            )
-            cells += 1
-    res.lines.append(f"trace = trace = weight sum: {cells} cells")
+    table = character_table(n, jobs=jobs)
+    for (k, mu), values in table.items():
+        res.check(
+            len(set(values)) == 1,
+            f"k={k}, mu={partition_str(mu)}: {' / '.join(map(str, values))}",
+        )
+    res.lines.append(f"trace = trace = weight sum: {len(table)} cells")
     return res
 
 

@@ -1,6 +1,7 @@
-"""Shared test oracles: exact Fraction linear algebra, ideal membership, and
-the polynomial-route trace recursions that the library's trace kernels are
-compared against."""
+"""Shared test oracles: exact Fraction linear algebra, ideal membership,
+polynomials specialized at a rational q, and the polynomial-route trace
+recursions that the library's trace kernels are compared against; and a
+stand-in process pool that records its size."""
 
 from __future__ import annotations
 
@@ -44,6 +45,13 @@ def solve_exact(rows: list[list[Fraction]], rhs: list[Fraction]):
     for r, col in enumerate(pivots):
         x[col] = aug[r][cols]
     return x
+
+
+def specialize_q(f: MPoly, r) -> dict[tuple[int, ...], Fraction]:
+    """Every coefficient of f evaluated at q = r, exactly; zero values
+    omitted."""
+    out = {e: Fraction(c.evaluate(Fraction(r))) for e, c in f.terms.items()}
+    return {e: v for e, v in out.items() if v}
 
 
 def monomial_exponents(n: int, degree: int) -> list[tuple[int, ...]]:
@@ -139,3 +147,29 @@ def upstairs_graded_traces_oracle(n: int, action: str, max_degree: int) -> dict[
                 images[v] = op(images[mult_left_s(v, i)], i)
                 traces[(v, d)] += images[v].terms.get(e, QP_ZERO)
     return traces
+
+
+def record_pool_sizes(monkeypatch, cpus) -> list[int]:
+    """Replace ``ProcessPoolExecutor`` by a serial stand-in and report
+    ``cpus`` CPUs; returns the list that each pool's ``max_workers`` is
+    appended to."""
+    import concurrent.futures
+
+    sizes: list[int] = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr("os.cpu_count", lambda: cpus)
+    return sizes

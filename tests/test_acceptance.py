@@ -124,12 +124,14 @@ def test_criterion_6_q_one_collapse():
             for k in range(table.max_degree + 1):
                 deformed = generator_matrix("rho1", i, k, table)
                 plain = generator_matrix("symq1", i, k, table)
-                if deformed.specialize(1) != plain.specialize(1):
+                at_one = [[c.evaluate(1) for c in row] for row in deformed.entries]
+                if at_one != [[c.evaluate(1) for c in row] for row in plain.entries]:
                     failures.append(f"matrix collapse at n={n}, i={i}, k={k}")
                 for w in plain.basis:
                     col = plain.column(w)
                     if w[i - 1] < w[i]:
-                        ok = col == {w: plain.entry(w, w)} and col[w].as_int() == 1
+                        d = plain.index(w)
+                        ok = col == {w: plain.entries[d][d]} and col[w].as_int() == 1
                     else:
                         ok = col[w].as_int() == -1 and all(
                             c.as_int() in (-1, 1) for c in col.values()
@@ -170,9 +172,9 @@ def test_criterion_7_knuth_class_characters():
 def test_criterion_8_difference_identity_and_kernels():
     failures = []
     for n in (2, 3, 4):
-        result = suite_a_minus_r(n, max_m=6)
+        result = suite_a_minus_r(n)
         failures.extend(f"n={n}: {f}" for f in result.failures)
-        result = suite_kernels(n, degree_bound=5, seed=3, num_points=3)
+        result = suite_kernels(n, degree_bound=5, seed=3)
         failures.extend(f"n={n}: {f}" for f in result.failures)
     report(
         8,

@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+from helpers import record_pool_sizes
+
 from qschub.cli import main
 
 
@@ -176,6 +178,15 @@ class TestDeterminismAndConfig:
         _, serial, _ = run_cli(capsys, "char", "--n", "3", "--action", "all", "--output", "json")
         _, parallel, _ = run_cli(capsys, "char", "--n", "3", "--action", "all", "--output", "json", "--jobs", "2")
         assert serial == parallel
+
+    @pytest.mark.parametrize("action", ["rho1", "rho2", "weights"])
+    def test_jobs_reach_every_char_action(self, capsys, monkeypatch, action):
+        sizes = record_pool_sizes(monkeypatch, cpus=2)
+        argv = ("char", "--n", "3", "--action", action, "--output", "csv")
+        _, serial, _ = run_cli(capsys, *argv)
+        code, parallel, _ = run_cli(capsys, *argv, "--jobs", "2")
+        assert (code, parallel) == (0, serial)
+        assert sizes == [2]
 
     def test_jobs_scan_b(self, capsys):
         _, serial, _ = run_cli(capsys, "scan-b", "--n", "4", "--output", "csv")

@@ -5,6 +5,8 @@ import sys
 
 import pytest
 
+from helpers import specialize_q
+
 from qschub.operators import (
     a_minus_r_factor,
     apply_partial_w,
@@ -28,7 +30,6 @@ from qschub.polyring import (
     QPoly,
     act_variable_permutation,
     is_i_symmetric,
-    specialize_q,
     swap_variables,
 )
 from qschub.rep import apply_action_word

@@ -13,7 +13,6 @@ from qschub.polyring import (
     act_variable_permutation,
     is_i_symmetric,
     minus_q_power,
-    specialize_q,
     swap_variables,
 )
 
@@ -119,37 +118,6 @@ class TestMPolyArithmetic:
             assert (a * b) * c == a * (b * c)
             assert a * (b + c) == a * b + a * c
             assert a * b == b * a
-
-
-class TestSpecializeQ:
-    def test_at_one(self):
-        f = x(1, 2).scale(ONE_MINUS_Q) + x(2, 2)
-        assert specialize_q(f, 1) == {(0, 1): Fraction(1)}
-
-    def test_at_zero(self):
-        f = MPoly.monomial(2, (1, 0), QPoly((0, 0, 1)))
-        assert specialize_q(f, 0) == {}
-
-    def test_at_half(self):
-        f = x(1, 2).scale(ONE_MINUS_Q)
-        assert specialize_q(f, Fraction(1, 2)) == {(1, 0): Fraction(1, 2)}
-
-    def test_commutes_with_arithmetic(self):
-        rng = random.Random(3)
-        for _ in range(6):
-            f = MPoly.monomial(2, (rng.randint(0, 2), rng.randint(0, 2)), QPoly((1, rng.randint(-2, 2))))
-            g = MPoly.monomial(2, (rng.randint(0, 2), 1), QPoly((rng.randint(-2, 2), 1))) + MPoly.const(2, 2)
-            r = Fraction(rng.randint(-5, 5), rng.randint(1, 5))
-            sf, sg = specialize_q(f, r), specialize_q(g, r)
-            product, total = {}, dict(sf)
-            for e1, v1 in sf.items():
-                for e2, v2 in sg.items():
-                    e = tuple(a + b for a, b in zip(e1, e2))
-                    product[e] = product.get(e, 0) + v1 * v2
-            for e, v in sg.items():
-                total[e] = total.get(e, 0) + v
-            assert specialize_q(f * g, r) == {e: v for e, v in product.items() if v}
-            assert specialize_q(f + g, r) == {e: v for e, v in total.items() if v}
 
 
 class TestVariablePermutation:

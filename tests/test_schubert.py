@@ -5,12 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import in_ideal_rational, monomial_exponents, solve_exact, ideal_spanning_columns
+from helpers import in_ideal_rational, monomial_exponents, solve_exact, ideal_spanning_columns, specialize_q
 
 from qschub import schubert
 from qschub.operators import divided_difference
 from qschub.perm import all_perms, identity, length, mult_right_s, perms_of_length
-from qschub.polyring import MPoly, QPoly, QP_ONE, specialize_q
+from qschub.polyring import MPoly, QPoly, QP_ONE
 from qschub.schubert import (
     build_schubert_table,
     expand_homogeneous,

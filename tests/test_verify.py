@@ -1,6 +1,6 @@
 import pytest
 
-from qschub.verify import SUITES, SuiteResult, character_comparison, run_suites, _mahonian, _rank
+from qschub.verify import SUITES, SuiteResult, character_table, run_suites, _mahonian, _rank
 from fractions import Fraction
 
 
@@ -28,13 +28,12 @@ def test_run_suites_subset():
     assert [r.name for r in results] == ["knuth", "relations"]
 
 
-def test_character_comparison_structure():
-    comparison = character_comparison(3)
-    assert comparison.all_agree
-    assert len(comparison.rows) == 4
-    assert comparison.mus == ((3,), (2, 1), (1, 1, 1))
-    cell = comparison.rows[1]["cells"][(3,)]
-    assert str(cell["weights"]) == "-q"
+def test_character_table_structure():
+    table = character_table(3)
+    assert list(table) == [(k, mu) for k in range(4) for mu in ((3,), (2, 1), (1, 1, 1))]
+    assert all(len(set(values)) == 1 for values in table.values())
+    assert str(table[(1, (3,))][2]) == "-q"
+    assert character_table(3, ("weights",))[(1, (3,))] == (table[(1, (3,))][2],)
 
 
 def test_mahonian():
