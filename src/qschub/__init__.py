@@ -16,7 +16,6 @@ from .polyring import (
     ONE_MINUS_Q,
     Q,
     QPoly,
-    act_variable_permutation,
     is_i_symmetric,
 )
 from .perm import (

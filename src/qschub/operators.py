@@ -1,11 +1,22 @@
 """Linear operators on the polynomial ring: s_i, divided differences,
 multiplication operators, the q-commutator families A_i and B_i, and the
 randomized pair R_i / R*_i, plus exhaustive relation-checking harnesses.
+
+The divided difference and R_i / R*_i share one term-by-term kernel,
+``_pairwise``; each is a memoized rule on the exponent pair (e_i, e_{i+1}) of
+a monomial.  The divided difference's rule is the closed form
+
+    (x^a y^b - x^b y^a) / (x - y) = sum_{0 <= t < a-b} x^(a-1-t) y^(b+t)
+
+(Macdonald, *Notes on Schubert Polynomials*, 1991, ch. II), so nothing is
+divided and no remainder can arise.  A_i and B_i are composites of the
+divided difference and multiplication by x_i; s_i is ``swap_variables``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations_with_replacement
 
 from .perm import Perm, alt_reduced_word, canonical_reduced_word
@@ -13,7 +24,8 @@ from .polyring import (
     MPoly,
     ONE_MINUS_Q,
     Q,
-    QP_ZERO,
+    QPoly,
+    _raw,
     is_i_symmetric,
     swap_variables,
 )
@@ -27,41 +39,70 @@ class InvariantViolation(AssertionError):
     """
 
 
-def divided_difference(f: MPoly, i: int) -> MPoly:
-    """(f - s_i f) / (x_i - x_{i+1}), by synthetic division along powers of x_i.
+def _pairwise(f: MPoly, i: int, rule) -> MPoly:
+    """Shared kernel of the divided difference and the sorting operators.
 
-    The numerator vanishes at x_i = x_{i+1}, so the division is exact; a
-    nonempty residue at x_i-degree 0 means corrupted input and raises
-    InvariantViolation.
+    Each term c*x^e is sent to sum_k w_k*c*x^(e_k), where rule(e_i, e_{i+1})
+    gives the pairs ((a_k, b_k), w_k) and e_k is e with (e_i, e_{i+1})
+    replaced by (a_k, b_k).  A weight is +1, -1 or a QPoly.
     """
-    n = f.n
-    if not 1 <= i < n:
-        raise ValueError(f"divided difference index {i} out of range for n={n}")
-    g = f - swap_variables(f, i)
-    if not g:
-        return MPoly.zero(n)
+    if not 1 <= i < f.n:
+        raise ValueError(f"operator index {i} out of range for n={f.n}")
     ii = i - 1
-    levels: dict[int, dict[tuple, object]] = {}
-    for e, c in g.terms.items():
-        levels.setdefault(e[ii], {})[e] = c
-    quotient = {}
-    for d in range(max(levels), 0, -1):
-        level = levels.get(d)
-        if not level:
-            continue
-        carry = levels.setdefault(d - 1, {})
-        for e, c in level.items():
-            qe = e[:ii] + (d - 1,) + e[ii + 1:]
-            quotient[qe] = c
-            ce = qe[:ii + 1] + (qe[ii + 1] + 1,) + qe[ii + 2:]
-            acc = carry.get(ce, QP_ZERO) + c
+    out: dict[tuple, QPoly] = {}
+    for e, c in f.terms.items():
+        for pair, w in rule(e[ii], e[ii + 1]):
+            key = e[:ii] + pair + e[ii + 2:]
+            term = c * w if w.__class__ is QPoly else c if w > 0 else -c
+            acc = out.get(key)
+            if acc is None:
+                # The first contribution is stored as is, not added to a zero:
+                # under a unit weight it is f's own (immutable) coefficient, so
+                # the polynomials of a Schubert table share their coefficient
+                # objects, which keeps peak memory down.
+                out[key] = term
+                continue
+            acc = acc + term
             if acc:
-                carry[ce] = acc
+                out[key] = acc
             else:
-                carry.pop(ce, None)
-    if levels.get(0):
-        raise InvariantViolation("divided difference left a nonzero remainder")
-    return MPoly(n, quotient)
+                del out[key]
+    return _raw(f.n, out)
+
+
+@lru_cache(maxsize=None)
+def _difference_rule(a: int, b: int) -> tuple:
+    """(x^a y^b - x^b y^a) / (x - y) = sum_{t < a-b} x^(a-1-t) y^(b+t), and the
+    negated sum with a and b exchanged when a < b; zero when a == b."""
+    if a >= b:
+        return tuple(((a - 1 - t, b + t), 1) for t in range(a - b))
+    return tuple(((b - 1 - t, a + t), -1) for t in range(b - a))
+
+
+def _sorting_rule(descent_swap, ascent_stay, ascent_swap):
+    """Rule of a sorting operator: a descending exponent pair is swapped with
+    one weight, an ascending one stays and swaps with two more, and a balanced
+    one is fixed."""
+
+    @lru_cache(maxsize=None)
+    def rule(a: int, b: int) -> tuple:
+        if a == b:
+            return (((a, b), 1),)
+        if a > b:
+            return (((b, a), descent_swap),)
+        return (((a, b), ascent_stay), ((b, a), ascent_swap))
+
+    return rule
+
+
+_R_RULE = _sorting_rule(Q, ONE_MINUS_Q, 1)
+_RSTAR_RULE = _sorting_rule(1, ONE_MINUS_Q, Q)
+
+
+def divided_difference(f: MPoly, i: int) -> MPoly:
+    """(f - s_i f) / (x_i - x_{i+1}), term by term by the closed form of
+    ``_difference_rule``; there is no division and so no remainder."""
+    return _pairwise(f, i, _difference_rule)
 
 
 def mul_x(f: MPoly, i: int) -> MPoly:
@@ -86,51 +127,16 @@ def op_b(f: MPoly, i: int) -> MPoly:
     return mul_x(divided_difference(f, i), i + 1).scale(Q) - divided_difference(mul_x(f, i + 1), i)
 
 
-def _sorted_pairwise(f: MPoly, i: int, gt_coeffs, lt_coeffs) -> MPoly:
-    """Shared monomial-wise kernel of the randomized operators.
-
-    Each monomial contributes per the exponents (a, b) of (x_i, x_{i+1}):
-    for a > b the pair (stay, swap) weights come from gt_coeffs, for a < b
-    from lt_coeffs, and equal exponents leave the monomial fixed.
-    """
-    ii = i - 1
-    out: dict[tuple, object] = {}
-
-    def add(e, c):
-        acc = out.get(e, QP_ZERO) + c
-        if acc:
-            out[e] = acc
-        else:
-            out.pop(e, None)
-
-    for e, c in f.terms.items():
-        a, b = e[ii], e[ii + 1]
-        if a == b:
-            add(e, c)
-            continue
-        swapped = e[:ii] + (b, a) + e[ii + 2:]
-        stay, swap = gt_coeffs if a > b else lt_coeffs
-        if stay:
-            add(e, c * stay)
-        if swap:
-            add(swapped, c * swap)
-    return MPoly(f.n, out)
-
-
 def op_r(f: MPoly, i: int) -> MPoly:
     """Descending exponent pairs are swapped with weight q; ascending ones mix
     (1-q)*stay + swap; balanced monomials are fixed."""
-    if not 1 <= i < f.n:
-        raise ValueError(f"operator index {i} out of range for n={f.n}")
-    return _sorted_pairwise(f, i, (QP_ZERO, Q), (ONE_MINUS_Q, 1))
+    return _pairwise(f, i, _R_RULE)
 
 
 def op_rstar(f: MPoly, i: int) -> MPoly:
     """Transpose family of op_r on the monomial basis: descending pairs swap
     with weight 1, ascending ones mix (1-q)*stay + q*swap."""
-    if not 1 <= i < f.n:
-        raise ValueError(f"operator index {i} out of range for n={f.n}")
-    return _sorted_pairwise(f, i, (QP_ZERO, 1), (ONE_MINUS_Q, Q))
+    return _pairwise(f, i, _RSTAR_RULE)
 
 
 FAMILY_OPS = {"S": op_s, "A": op_a, "B": op_b, "R": op_r, "Rstar": op_rstar}

@@ -41,18 +41,6 @@ def length(w: Perm) -> int:
     return sum(1 for i in range(n) for j in range(i + 1, n) if w[i] > w[j])
 
 
-def compose(u: Perm, v: Perm) -> Perm:
-    """(u o v)(i) = u(v(i))."""
-    return tuple(u[v[i] - 1] for i in range(len(u)))
-
-
-def inverse(w: Perm) -> Perm:
-    out = [0] * len(w)
-    for pos, val in enumerate(w):
-        out[val - 1] = pos + 1
-    return tuple(out)
-
-
 def mult_right_s(w: Perm, i: int) -> Perm:
     """w * s_i: swap positions i and i+1 (1-based)."""
     ii = i - 1
@@ -67,14 +55,6 @@ def mult_left_s(w: Perm, i: int) -> Perm:
 def has_left_descent(w: Perm, i: int) -> bool:
     """True iff length(s_i w) < length(w), i.e. value i sits after value i+1."""
     return w.index(i) > w.index(i + 1)
-
-
-def from_word(n: int, word) -> Perm:
-    """Compose s_{a_1} ... s_{a_k} for the index word (a_1, ..., a_k)."""
-    w = identity(n)
-    for a in reversed(word):
-        w = mult_left_s(w, a)  # builds u o s_a products right to left
-    return w
 
 
 def canonical_reduced_word(w: Perm) -> Word:
@@ -171,14 +151,6 @@ class CosetDecomposition:
     mu: Partition
     r: Perm
     blocks: tuple[Perm, ...]
-
-    def recompose(self) -> Perm:
-        sigma = []
-        o = 0
-        for block in self.blocks:
-            sigma.extend(o + v for v in block)
-            o += len(block)
-        return compose(self.r, tuple(sigma))
 
 
 def coset_decompose(w: Perm, mu) -> CosetDecomposition:

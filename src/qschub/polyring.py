@@ -349,20 +349,6 @@ def _raw(n: int, terms: dict) -> MPoly:
     return p
 
 
-def act_variable_permutation(w, f: MPoly) -> MPoly:
-    """Substitute x_i -> x_{w(i)} for a permutation w of 1..n in one-line notation."""
-    n = f.n
-    if len(w) != n:
-        raise ValueError(f"permutation of length {len(w)} applied to n={n} variables")
-    out: dict[Exponents, QPoly] = {}
-    for e, c in f.terms.items():
-        ne = [0] * n
-        for pos in range(n):
-            ne[w[pos] - 1] = e[pos]
-        out[tuple(ne)] = c
-    return _raw(n, out)
-
-
 def swap_variables(f: MPoly, i: int) -> MPoly:
     """Apply the adjacent transposition exchanging x_i and x_{i+1}."""
     if not 1 <= i < f.n:

@@ -103,35 +103,6 @@ class RepMatrix:
             out = out + row[d]
         return out
 
-    def __matmul__(self, other: "RepMatrix") -> "RepMatrix":
-        if self.basis != other.basis:
-            raise ValueError("basis mismatch in matrix product")
-        size = len(self.basis)
-        cols = list(zip(*other.entries))
-        rows = []
-        for arow in self.entries:
-            row = []
-            for j in range(size):
-                acc = QP_ZERO
-                bcol = cols[j]
-                for v in range(size):
-                    a = arow[v]
-                    if a:
-                        b = bcol[v]
-                        if b:
-                            acc = acc + a * b
-                row.append(acc)
-            rows.append(tuple(row))
-        return RepMatrix("product", self.k, self.basis, tuple(rows))
-
-
-def identity_matrix(k: int, basis: tuple[Perm, ...]) -> RepMatrix:
-    size = len(basis)
-    rows = tuple(
-        tuple(QP_ONE if a == b else QP_ZERO for b in range(size)) for a in range(size)
-    )
-    return RepMatrix("identity", k, basis, rows)
-
 
 _GEN_CACHE: dict[tuple[int, str, int, int], RepMatrix] = {}
 

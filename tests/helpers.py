@@ -1,7 +1,8 @@
 """Shared test oracles: exact Fraction linear algebra, ideal membership,
-polynomials specialized at a rational q, and the polynomial-route trace
-recursions that the library's trace kernels are compared against; and a
-stand-in process pool that records its size."""
+polynomials specialized at a rational q, the divided difference by synthetic
+division, permutation and matrix products, the variable-permutation action,
+and the polynomial-route trace recursions that the library's trace kernels
+are compared against; and a stand-in process pool that records its size."""
 
 from __future__ import annotations
 
@@ -9,9 +10,17 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 
 from qschub.operators import monomials_up_to, op_a, op_r, op_s
-from qschub.perm import Perm, all_perms, has_left_descent, identity, mult_left_s, perms_by_length
-from qschub.polyring import MPoly, QP_ONE, QP_ZERO, QPoly
-from qschub.rep import coordinate_at
+from qschub.perm import (
+    CosetDecomposition,
+    Perm,
+    all_perms,
+    has_left_descent,
+    identity,
+    mult_left_s,
+    perms_by_length,
+)
+from qschub.polyring import MPoly, QP_ONE, QP_ZERO, QPoly, swap_variables
+from qschub.rep import RepMatrix, coordinate_at
 from qschub.schubert import build_schubert_table
 
 
@@ -52,6 +61,79 @@ def specialize_q(f: MPoly, r) -> dict[tuple[int, ...], Fraction]:
     omitted."""
     out = {e: Fraction(c.evaluate(Fraction(r))) for e, c in f.terms.items()}
     return {e: v for e, v in out.items() if v}
+
+
+def divided_difference_oracle(f: MPoly, i: int) -> MPoly:
+    """(f - s_i f) / (x_i - x_{i+1}) by synthetic division along powers of
+    x_i, independent of the library's per-exponent-pair closed form.  The
+    division is exact; a residue at x_i-degree 0 raises AssertionError."""
+    n, ii = f.n, i - 1
+    levels: dict[int, dict[tuple, QPoly]] = {}
+    for e, c in (f - swap_variables(f, i)).terms.items():
+        levels.setdefault(e[ii], {})[e] = c
+    quotient = {}
+    for d in range(max(levels, default=0), 0, -1):
+        carry = levels.setdefault(d - 1, {})
+        for e, c in levels.get(d, {}).items():
+            qe = e[:ii] + (d - 1,) + e[ii + 1:]
+            quotient[qe] = c
+            ce = qe[:ii + 1] + (qe[ii + 1] + 1,) + qe[ii + 2:]
+            acc = carry.get(ce, QP_ZERO) + c
+            if acc:
+                carry[ce] = acc
+            else:
+                carry.pop(ce, None)
+    if levels.get(0):
+        raise AssertionError("divided difference left a nonzero remainder")
+    return MPoly(n, quotient)
+
+
+def act_variable_permutation(w: Perm, f: MPoly) -> MPoly:
+    """Substitute x_i -> x_{w(i)} for a permutation w in one-line notation."""
+    out = {}
+    for e, c in f.terms.items():
+        ne = [0] * f.n
+        for pos, val in enumerate(w):
+            ne[val - 1] = e[pos]
+        out[tuple(ne)] = c
+    return MPoly(f.n, out)
+
+
+def compose(u: Perm, v: Perm) -> Perm:
+    """(u o v)(i) = u(v(i))."""
+    return tuple(u[v[i] - 1] for i in range(len(u)))
+
+
+def from_word(n: int, word) -> Perm:
+    """The product s_{a_1} o ... o s_{a_k} for the index word (a_1, ..., a_k)."""
+    w = identity(n)
+    for a in reversed(word):
+        w = mult_left_s(w, a)
+    return w
+
+
+def recompose(dec: CosetDecomposition) -> Perm:
+    """r o (w_1 x ... x w_t) for a coset decomposition."""
+    sigma: list[int] = []
+    for block in dec.blocks:
+        offset = len(sigma)
+        sigma.extend(offset + v for v in block)
+    return compose(dec.r, tuple(sigma))
+
+
+def identity_matrix(k: int, basis: tuple[Perm, ...]) -> RepMatrix:
+    rows = tuple(tuple(QP_ONE if a == b else QP_ZERO for b in basis) for a in basis)
+    return RepMatrix("identity", k, basis, rows)
+
+
+def matrix_product(a: RepMatrix, b: RepMatrix) -> RepMatrix:
+    """a @ b over Z[q], entry by entry."""
+    cols = list(zip(*b.entries))
+    rows = tuple(
+        tuple(sum((x * y for x, y in zip(row, col)), QP_ZERO) for col in cols)
+        for row in a.entries
+    )
+    return RepMatrix("product", a.k, a.basis, rows)
 
 
 def monomial_exponents(n: int, degree: int) -> list[tuple[int, ...]]:

@@ -2,6 +2,7 @@ from itertools import permutations
 
 import pytest
 
+from helpers import from_word, recompose
 from qschub.perm import (
     all_perms,
     alt_reduced_word,
@@ -10,10 +11,7 @@ from qschub.perm import (
     coset_decompose,
     coset_weight,
     cycle_type,
-    from_word,
     identity,
-    inverse,
-    compose,
     knuth_classes,
     length,
     mult_left_s,
@@ -69,11 +67,6 @@ class TestLengthAndWords:
         for w in all_perms(n):
             for i in range(1, n):
                 assert (length(mult_right_s(w, i)) < length(w)) == (w[i - 1] > w[i])
-
-    def test_compose_inverse(self):
-        for w in all_perms(4):
-            assert compose(w, inverse(w)) == identity(4)
-            assert compose(inverse(w), w) == identity(4)
 
     def test_left_mult_swaps_values(self):
         assert mult_left_s((2, 3, 1), 1) == (1, 3, 2)
@@ -138,7 +131,7 @@ class TestCosetDecomposition:
         for mu in partitions_of(n):
             for w in all_perms(n):
                 dec = coset_decompose(w, mu)
-                assert dec.recompose() == w
+                assert recompose(dec) == w
                 assert length(w) == length(dec.r) + sum(length(b) for b in dec.blocks)
                 offset = 0
                 for part in mu:

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import act_variable_permutation, from_word
 from qschub.polyring import (
     MPoly,
     ONE_MINUS_Q,
@@ -10,7 +11,6 @@ from qschub.polyring import (
     QPoly,
     QP_ONE,
     QP_ZERO,
-    act_variable_permutation,
     is_i_symmetric,
     minus_q_power,
     swap_variables,
@@ -121,16 +121,20 @@ class TestMPolyArithmetic:
 
 
 class TestVariablePermutation:
+    """Adjacent swaps against the full variable-permutation action in
+    helpers.py."""
+
     def test_transposition(self):
-        assert act_variable_permutation((2, 1), MPoly.variable(2, 1)) == MPoly.variable(2, 2)
+        assert swap_variables(MPoly.variable(2, 1), 1) == MPoly.variable(2, 2)
 
     def test_symmetric_monomial_fixed(self):
         f = x(1, 2) * x(2, 2)
-        assert act_variable_permutation((2, 1), f) == f
+        assert swap_variables(f, 1) == f
 
     def test_relabeling(self):
+        # s_1 then s_2 sends x1 -> x3 and x2 -> x1
         f = x(1) * x(1) * x(2)
-        assert act_variable_permutation((3, 1, 2), f) == x(3) * x(3) * x(1)
+        assert swap_variables(swap_variables(f, 1), 2) == x(3) * x(3) * x(1)
 
     def test_swap_matches_act(self):
         f = x(1) ** 2 + x(2) * x(3)
@@ -141,17 +145,17 @@ class TestVariablePermutation:
         for _ in range(6):
             f = MPoly.monomial(3, (rng.randint(0, 2),) * 3, QPoly((1, 1))) + x(rng.randint(1, 3))
             g = x(rng.randint(1, 3)) + MPoly.const(3, rng.randint(1, 3))
-            w = tuple(rng.sample([1, 2, 3], 3))
-            assert act_variable_permutation(w, f * g) == act_variable_permutation(w, f) * act_variable_permutation(w, g)
+            i = rng.randint(1, 2)
+            assert swap_variables(f * g, i) == swap_variables(f, i) * swap_variables(g, i)
 
     def test_composition_order(self):
-        from qschub.perm import compose
-
-        f = x(1) ** 2 * x(2)
-        u, v = (2, 3, 1), (3, 1, 2)
-        assert act_variable_permutation(u, act_variable_permutation(v, f)) == act_variable_permutation(
-            compose(u, v), f
-        )
+        # Swapping along a word, last letter first, acts as the word's product.
+        f = x(1) ** 2 * x(2) + x(2) * x(3) ** 3
+        for word in [(1, 2), (2, 1), (1, 2, 1), (2, 1, 2, 2)]:
+            g = f
+            for i in reversed(word):
+                g = swap_variables(g, i)
+            assert g == act_variable_permutation(from_word(3, word), f)
 
 
 class TestISymmetric:

@@ -4,7 +4,14 @@ from collections import Counter
 
 import pytest
 
-from helpers import quotient_basis_traces_oracle, record_pool_sizes, upstairs_graded_traces_oracle
+from helpers import (
+    from_word,
+    identity_matrix,
+    matrix_product,
+    quotient_basis_traces_oracle,
+    record_pool_sizes,
+    upstairs_graded_traces_oracle,
+)
 from qschub.perm import (
     all_perms,
     identity,
@@ -27,7 +34,6 @@ from qschub.rep import (
     descent_pairs,
     generator_matrix,
     graded_character,
-    identity_matrix,
     knuth_class_character,
     left_descent_steps,
     orbit_of_type,
@@ -124,7 +130,7 @@ class TestWordMatrix:
                 composite = word_matrix("rho1", word, k, table)
                 product = identity_matrix(k, table.basis(k))
                 for i in word:
-                    product = product @ generator_matrix("rho1", i, k, table)
+                    product = matrix_product(product, generator_matrix("rho1", i, k, table))
                 assert composite.entries == product.entries
 
     def test_sorting_action_words_escape_matrix_products(self):
@@ -132,7 +138,8 @@ class TestWordMatrix:
         # upstairs differs from multiplying projected generator matrices
         table = build_schubert_table(3)
         composite = word_matrix("rho2", (1, 2), 2, table)
-        product = generator_matrix("rho2", 1, 2, table) @ generator_matrix("rho2", 2, 2, table)
+        product = matrix_product(generator_matrix("rho2", 1, 2, table),
+                                 generator_matrix("rho2", 2, 2, table))
         assert composite.entries != product.entries
 
     def test_basis_element_matrix_word_independent(self):
@@ -383,11 +390,7 @@ class TestEquivalence:
         g2 = upstairs_graded_traces(n, "rho2", 3)
         derived = coinvariant_traces_from_graded(g2, n, 3)
         for mu in partitions_of(n):
-            element = None
-            word = partition_word(mu)
-            from qschub.perm import from_word
-
-            element = from_word(n, word)
+            element = from_word(n, partition_word(mu))
             for k in range(4):
                 assert derived[(element, k)] == weight_character(mu, k, n).value
 
@@ -443,7 +446,7 @@ class TestTraceKernels:
             for v, word in words.items():
                 product = identity_matrix(k, table.basis(k))
                 for i in word:
-                    product = product @ fake_generator("rho1", i, k, table)
+                    product = matrix_product(product, fake_generator("rho1", i, k, table))
                 assert traces[(v, k)] == product.trace(), (v, k)
 
     @pytest.mark.parametrize("action", ["rho2", "symq1"])
