@@ -30,7 +30,8 @@ takes about 0.25 s at n=5 and 4-5 s at n=6, about 3.3 s with --jobs 2 (n=7 is
 not measured); one `matrix` takes under a second up to n=6 and about 2.5 s at
 n=7; n=8 only for `schubert` and with patience (the table has n! entries).
 verify/scan-b accept n <= 6; `scan-b` takes about 1 s at n=6, the full
-verify suite about 1 s at n=4 and about 4 s at n=5."""
+verify suite under 1 s at n=4 and about 3 s at n=5, and `verify --suite
+equivalence` about 2.5 s at n=6."""
 
 
 class SystemExit2(SystemExit):

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations as _itertools_permutations
 
-from .polyring import QPoly, QP_ZERO, QP_ONE, minus_q_power
+from .polyring import ONE_MINUS_Q, Q, QPoly, QP_ZERO, QP_ONE, minus_q_power
 
 Perm = tuple[int, ...]
 Partition = tuple[int, ...]
@@ -228,6 +228,54 @@ def cycle_type(w: Perm) -> Partition:
             size += 1
         out.append(size)
     return tuple(sorted(out, reverse=True))
+
+
+_CLASS_POLYNOMIALS: dict[Perm, dict[Partition, QPoly]] = {}
+
+
+def class_polynomial(v: Perm) -> dict[Partition, QPoly]:
+    """The class polynomials f_{v,mu} of v: ``tr(T_v) = sum_mu f_{v,mu} *
+    tr(T_mu)`` for every character of the Hecke algebra of S_n, where T_mu is
+    the element of ``partition_word(mu)`` (Geck--Pfeiffer, *Characters of
+    Finite Coxeter Groups and Iwahori--Hecke Algebras*, 2000, Thm 3.2.9 and
+    section 8.2).  Zero coefficients are omitted; the dict is shared, so
+    callers must not change it.
+
+    The cyclic-shift class of v -- the elements reached by conjugations
+    s_i u s_i that keep the length -- shares one value.  If a member u has a
+    conjugate two shorter, then T_u = T_i T_{s_i u s_i} T_i, and
+    (T_i - 1)(T_i + q) = 0 gives f_v = (1-q) f_{s_i u} + q f_{s_i u s_i}.
+    Otherwise the class has minimal length in its conjugacy class, where
+    every T_w has the trace of T_mu for mu = cycle_type(v).
+    """
+    f = _CLASS_POLYNOMIALS.get(v)
+    if f is not None:
+        return f
+    lv = length(v)
+    members, seen, step = [v], {v}, None
+    for u in members:  # breadth first: the loop also visits appended members
+        for i in range(1, len(v)):
+            c = mult_left_s(mult_right_s(u, i), i)
+            lc = length(c)
+            if lc < lv:
+                step = ((ONE_MINUS_Q, mult_left_s(u, i)), (Q, c))
+                break
+            if lc == lv and c not in seen:
+                seen.add(c)
+                members.append(c)
+        if step:
+            break
+    if step is None:
+        f = {cycle_type(v): QP_ONE}
+    else:
+        f = {}
+        for weight, w in step:
+            for mu, c in class_polynomial(w).items():
+                f[mu] = f.get(mu, QP_ZERO) + weight * c
+        f = {mu: c for mu, c in f.items() if c}
+    for u in members:
+        _CLASS_POLYNOMIALS[u] = f
+    return f
 
 
 # --- RSK and Knuth classes ---------------------------------------------------

@@ -77,6 +77,12 @@ class QPoly:
         return _as_qpoly(other) + (-self)
 
     def __mul__(self, other) -> "QPoly":
+        if other.__class__ is int:
+            # Scaling by a nonzero integer keeps the top coefficient nonzero,
+            # so the result is canonical without a convolution.
+            if not other or not self.c:
+                return QP_ZERO
+            return QPoly([v * other for v in self.c])
         other = _as_qpoly(other)
         if other is NotImplemented:
             return NotImplemented

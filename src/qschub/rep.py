@@ -26,13 +26,19 @@ reads one coordinate by looking it up in the same classes.  The
 divided-difference sweep ``expand_homogeneous`` stays in ``schubert`` as the
 independent oracle for both.
 
-The trace-equivalence certificate has one trace path per side, both driven
-by the shared left-descent step table ``left_descent_steps``.  rho1's
-quotient traces are products of the cached generator matrices applied to
-sparse Schubert-basis vectors (``quotient_basis_traces``).  rho2's traces on
-the full polynomial components are computed on one exponent orbit per
-multiplicity type lam |- n and weighted by the number of degree-d multisets
-of that type (``upstairs_graded_traces``).  The polynomial routes they
+The trace-equivalence certificate compares the two actions at the p(n)
+elements T_mu of ``partition_word(mu)``, minimal-length representatives of
+the conjugacy classes, and spreads the traces to every basis element T_v by
+the class polynomials of ``perm.class_polynomial`` (Geck--Pfeiffer,
+*Characters of Finite Coxeter Groups and Iwahori--Hecke Algebras*, Thm 3.2.9
+and section 8.2): ``tr(T_v) = sum_mu f_{v,mu} * tr(T_mu)`` for every
+character.  rho1's quotient traces at T_mu are products of the cached
+generator matrices along the word, applied to sparse Schubert-basis vectors
+(``quotient_class_traces``).  rho2's traces on the full polynomial
+components are computed on one exponent orbit per multiplicity type
+lam |- n, each orbit monomial pushed through the word, and weighted by the
+number of degree-d multisets of that type (``upstairs_class_traces``).  The
+polynomial routes and the left-descent recursions over every T_v that these
 replace are kept as test oracles only.
 """
 
@@ -51,15 +57,13 @@ from .perm import (
     all_perms,
     canonical_reduced_word,
     check_partition,
+    class_polynomial,
     coset_weight,
-    has_left_descent,
-    identity,
+    cycle_type,
     length,
-    mult_left_s,
     mult_right_s,
     partition_word,
     partitions_of,
-    perms_by_length,
     perms_of_length,
 )
 from .polyring import MPoly, QPoly, QP_ZERO, QP_ONE
@@ -338,9 +342,9 @@ class EquivalenceReport:
     graded characters on the full polynomial components by dividing out the
     symmetric-function Hilbert series; the monomial action does not preserve
     the cutting ideal, so this subrepresentation character is its honest
-    quotient-level trace.  ``component_mismatches`` records the underlying fact:
-    the two actions have equal traces on every full degree component, where
-    both are genuine representations.
+    quotient-level trace.  ``component_mismatches`` records the underlying fact,
+    checked at every T_mu: the two actions have equal traces on every full
+    degree component, where both are genuine representations.
     """
 
     n: int
@@ -360,19 +364,6 @@ def symmetric_hilbert_dims(n: int, up_to: int) -> list[int]:
         for d in range(part, up_to + 1):
             dims[d] += dims[d - part]
     return dims
-
-
-@lru_cache(maxsize=None)
-def left_descent_steps(n: int) -> tuple[tuple[Perm, int, Perm], ...]:
-    """``(v, i, s_i v)`` for every non-identity v in length order, with i the
-    first left descent of v: ``T_v = T_i T_{s_i v}``, and ``s_i v`` is shorter
-    than v, so it is the identity or listed earlier."""
-    steps = []
-    for bucket in perms_by_length(n)[1:]:
-        for v in bucket:
-            i = next(i for i in range(1, n) if has_left_descent(v, i))
-            steps.append((v, i, mult_left_s(v, i)))
-    return tuple(steps)
 
 
 def orbit_type_counts(n: int, max_degree: int) -> dict[Partition, list[int]]:
@@ -396,36 +387,38 @@ def orbit_of_type(lam: Partition) -> list[tuple[int, ...]]:
     return sorted(set(permutations(rep)))
 
 
-def _monomial_traces(n: int, op, exponents) -> dict[Perm, QPoly]:
-    """Trace of every Hecke basis element on the span of the given monomials:
-    per monomial, its images under all T_v by the left-descent recursion,
-    summing the coefficient each image has on the monomial itself."""
-    traces = {v: QP_ZERO for v in all_perms(n)}
-    traces[identity(n)] = QPoly((len(exponents),))
-    for e in exponents:
-        images = {identity(n): MPoly.monomial(n, e)}
-        for v, i, u in left_descent_steps(n):
-            image = images[v] = op(images[u], i)
-            c = image.terms.get(e)
-            if c:
-                traces[v] += c
-    return traces
+def spread_class_traces(
+    class_traces: dict[tuple[Partition, int], QPoly], n: int, max_degree: int
+) -> dict[tuple[Perm, int], QPoly]:
+    """Traces of every Hecke basis element T_v from the traces at the T_mu,
+    degree by degree: ``tr(T_v) = sum_mu f_{v,mu} * tr(T_mu)`` with the class
+    polynomials of ``perm.class_polynomial``."""
+    out: dict[tuple[Perm, int], QPoly] = {}
+    for v in all_perms(n):
+        f = class_polynomial(v)
+        for d in range(max_degree + 1):
+            acc = QP_ZERO
+            for mu, c in f.items():
+                t = class_traces[(mu, d)]
+                if t:
+                    acc = acc + c * t
+            out[(v, d)] = acc
+    return out
 
 
-def upstairs_graded_traces(n: int, action: str, max_degree: int) -> dict[tuple[Perm, int], QPoly]:
-    """Trace of every Hecke basis element on each full polynomial degree
-    component d <= max_degree, in the monomial basis.
+def upstairs_class_traces(n: int, action: str, max_degree: int) -> dict[tuple[Partition, int], QPoly]:
+    """Trace of T_mu, the element of ``partition_word(mu)``, on each full
+    polynomial degree component d <= max_degree, in the monomial basis.
 
     The generators of rho2 and symq1 only compare and swap two exponents, so
     the orbit of an exponent multiset spans a module that depends only on the
     multiplicity type lam |- n of the multiset: the q-permutation module M^lam
     (Dipper--James).  The degree-d trace is therefore
-    ``sum_lam N(lam, d) * tr(T_v | M^lam)`` (``orbit_type_counts``), with
-    ``tr(T_v | M^lam)`` computed on one orbit per type (``orbit_of_type``).
-    rho1 multiplies by variables and has no such reduction; it runs the same
-    per-monomial kernel on every monomial of each degree.
+    ``sum_lam N(lam, d) * tr(T_mu | M^lam)`` (``orbit_type_counts``), with
+    ``tr(T_mu | M^lam)`` computed on one orbit per type (``orbit_of_type``).
+    rho1 multiplies by variables and has no such reduction; it pushes every
+    monomial of each degree through the word.
     """
-    op = _ACTION_OPS[action]
     if action == "rho1":
         by_degree: list[list[tuple[int, ...]]] = [[] for _ in range(max_degree + 1)]
         for f in monomials_up_to(n, max_degree):
@@ -441,121 +434,160 @@ def upstairs_graded_traces(n: int, action: str, max_degree: int) -> dict[tuple[P
             for lam, weights in orbit_type_counts(n, max_degree).items()
             if any(weights)
         ]
-    traces: dict[tuple[Perm, int], QPoly] = {
-        (v, d): QP_ZERO for v in all_perms(n) for d in range(max_degree + 1)
+    traces: dict[tuple[Partition, int], QPoly] = {
+        (mu, d): QP_ZERO for mu in partitions_of(n) for d in range(max_degree + 1)
     }
     for exponents, weights in blocks:
-        for v, t in _monomial_traces(n, op, exponents).items():
+        for mu in partitions_of(n):
+            word = partition_word(mu)
+            t = QP_ZERO
+            for e in exponents:
+                c = apply_action_word(action, word, MPoly.monomial(n, e)).terms.get(e)
+                if c:
+                    t = t + c
             if t:
                 for d, m in enumerate(weights):
                     if m:
-                        traces[(v, d)] += t * m
+                        traces[(mu, d)] += t * m
     return traces
 
 
+def upstairs_graded_traces(n: int, action: str, max_degree: int) -> dict[tuple[Perm, int], QPoly]:
+    """Trace of every Hecke basis element on each full polynomial degree
+    component d <= max_degree: ``upstairs_class_traces`` spread to every T_v
+    by class polynomials.  The plain swaps of symq1 satisfy T_i^2 = 1, so
+    their traces are class functions of S_n: the class polynomials at q = 1,
+    the indicators of cycle types."""
+    traces = upstairs_class_traces(n, action, max_degree)
+    if action == "symq1":
+        return {(v, d): traces[(cycle_type(v), d)] for v in all_perms(n) for d in range(max_degree + 1)}
+    return spread_class_traces(traces, n, max_degree)
+
+
 def coinvariant_traces_from_graded(
-    graded: dict[tuple[Perm, int], QPoly], n: int, max_degree: int
-) -> dict[tuple[Perm, int], QPoly]:
+    graded: dict[tuple, QPoly], n: int, max_degree: int
+) -> dict[tuple, QPoly]:
     """Coinvariant-component traces from full-component traces: peel off the
-    symmetric-series multiples degree by degree."""
+    symmetric-series multiples degree by degree.  The traces may be keyed by
+    basis element or by class, ``(x, degree)``."""
     dims = symmetric_hilbert_dims(n, max_degree)
-    out: dict[tuple[Perm, int], QPoly] = {}
-    for v in all_perms(n):
+    out: dict[tuple, QPoly] = {}
+    for x in dict.fromkeys(x for x, _ in graded):
         for k in range(max_degree + 1):
-            acc = graded[(v, k)]
+            acc = graded[(x, k)]
             for j in range(1, k + 1):
                 if dims[j]:
-                    acc = acc - out[(v, k - j)] * dims[j]
-            out[(v, k)] = acc
+                    acc = acc - out[(x, k - j)] * dims[j]
+            out[(x, k)] = acc
     return out
 
 
-def quotient_basis_traces(n: int) -> dict[tuple[Perm, int], QPoly]:
-    """Traces of every Hecke basis element of the q-commutator action on the
-    degree-k Schubert bases.
+def quotient_class_traces(n: int) -> dict[tuple[Partition, int], QPoly]:
+    """Trace of T_mu, the element of ``partition_word(mu)``, for the
+    q-commutator action on each degree-k Schubert basis.
 
-    rho1 preserves the cutting ideal, so on the quotient ``T_v`` is the
-    product of the cached generator matrices along the left-descent recursion.
-    Per basis class w the recursion runs on sparse Schubert-basis vectors
-    from the unit vector at w, and the coefficient of each image at w is
-    added to the trace.
+    rho1 preserves the cutting ideal, so on the quotient T_mu is the product
+    of the cached generator matrices along the word.  Per basis class w the
+    product runs on sparse Schubert-basis vectors from the unit vector at w,
+    and the coefficient of the image at w is added to the trace.
     """
     table = build_schubert_table(n)
-    traces: dict[tuple[Perm, int], QPoly] = {
-        (v, k): QP_ZERO for v in all_perms(n) for k in range(table.max_degree + 1)
-    }
+    traces: dict[tuple[Partition, int], QPoly] = {}
     for k in range(table.max_degree + 1):
         columns = {}
         for i in range(1, n):
             matrix = generator_matrix("rho1", i, k, table)
-            columns[i] = {w: matrix.column(w) for w in matrix.basis}
-        for w in table.basis(k):
-            traces[(identity(n), k)] += QP_ONE
-            images = {identity(n): {w: QP_ONE}}
-            for v, i, u in left_descent_steps(n):
-                image = images[v] = _apply_columns(columns[i], images[u])
-                c = image.get(w)
+            columns[i] = {w: _sparse_column(matrix, w) for w in matrix.basis}
+        for mu in partitions_of(n):
+            word = partition_word(mu)[::-1]
+            t = QP_ZERO
+            for w in table.basis(k):
+                vec = {w: QP_ONE}
+                for i in word:
+                    vec = _apply_columns(columns[i], vec)
+                c = vec.get(w)
                 if c:
-                    traces[(v, k)] += c
+                    t = t + c
+            traces[(mu, k)] = t
     return traces
 
 
-def _apply_columns(columns: dict[Perm, dict[Perm, QPoly]], vec: dict[Perm, QPoly]) -> dict[Perm, QPoly]:
+def quotient_basis_traces(n: int) -> dict[tuple[Perm, int], QPoly]:
+    """Traces of every Hecke basis element of the q-commutator action on the
+    degree-k Schubert bases: ``quotient_class_traces`` spread to every T_v by
+    class polynomials."""
+    return spread_class_traces(quotient_class_traces(n), n, n * (n - 1) // 2)
+
+
+def _sparse_column(matrix: RepMatrix, w: Perm) -> dict[Perm, QPoly] | None:
+    """The column of w as a sparse vector, or None for the unit column."""
+    col = matrix.column(w)
+    return None if col == {w: QP_ONE} else col
+
+
+def _apply_columns(columns: dict[Perm, dict[Perm, QPoly] | None], vec: dict[Perm, QPoly]) -> dict[Perm, QPoly]:
     out: dict[Perm, QPoly] = {}
     for w, c in vec.items():
-        for z, m in columns[w].items():
-            acc = out.get(z, QP_ZERO) + c * m
+        col = columns[w]
+        terms = [(w, c)] if col is None else [(z, c * m) for z, m in col.items()]
+        for z, t in terms:
+            acc = out.get(z)
+            if acc is None:
+                out[z] = t
+                continue
+            acc = acc + t
             if acc:
                 out[z] = acc
             else:
-                out.pop(z, None)
+                del out[z]
     return out
+
+
+def _component_failures(label: str, left: dict, right: dict) -> list[str]:
+    return [f"{label} at T_mu, mu={mu}, degree {d}: {left[(mu, d)]} vs {right[(mu, d)]}"
+            for mu, d in left if left[(mu, d)] != right[(mu, d)]]
 
 
 def trace_equivalence_report(n: int) -> EquivalenceReport:
     """Certify that the two actions induce the same characters.
 
-    Exact comparisons over every basis element:
+    A Hecke-algebra character is fixed by its values at the T_mu, mu |- n,
+    and every T_v takes ``sum_mu f_{v,mu} * tr(T_mu)`` for the class
+    polynomials f of ``perm.class_polynomial`` (Geck--Pfeiffer, Thm 3.2.9
+    and section 8.2).  The two actions are therefore compared at the T_mu,
+    and the traces are spread to every basis element for the rows:
 
     * full polynomial components: the monomial action's upstairs traces
-      (``upstairs_graded_traces``, one orbit per multiplicity type) against
+      (``upstairs_class_traces``, one orbit per multiplicity type) against
       the q-commutator side, for which the component trace is the
       symmetric-series convolution of its quotient traces
-      (``quotient_basis_traces``, products of generator matrices), by ideal
+      (``quotient_class_traces``, products of generator matrices), by ideal
       invariance.  For n <= ``DIRECT_CROSS_CHECK_MAX_N`` that derivation is
       itself cross-checked against rho1's upstairs traces on every monomial;
       above it that direct route is too slow and the cross-check is skipped;
-    * the coinvariant traces of the two actions.
+    * the coinvariant traces of the two actions, at every T_v.
     """
     max_degree = n * (n - 1) // 2
-    direct1 = quotient_basis_traces(n)
+    quotient1 = quotient_class_traces(n)
     dims = symmetric_hilbert_dims(n, max_degree)
     g1_derived = {
-        (v, d): sum(
-            (direct1[(v, d - j)] * dims[j] for j in range(d + 1) if dims[j]),
+        (mu, d): sum(
+            (quotient1[(mu, d - j)] * dims[j] for j in range(d + 1) if dims[j]),
             start=QP_ZERO,
         )
-        for v in all_perms(n)
+        for mu in partitions_of(n)
         for d in range(max_degree + 1)
     }
-    g2 = upstairs_graded_traces(n, "rho2", max_degree)
-    component_mismatches = [
-        f"component trace at w={v}, degree {d}: {g1_derived[(v, d)]} vs {g2[(v, d)]}"
-        for v in all_perms(n)
-        for d in range(max_degree + 1)
-        if g1_derived[(v, d)] != g2[(v, d)]
-    ]
+    g2 = upstairs_class_traces(n, "rho2", max_degree)
+    component_mismatches = _component_failures("component trace", g1_derived, g2)
     cross_check_failures = []
     if n <= DIRECT_CROSS_CHECK_MAX_N:
-        g1_direct = upstairs_graded_traces(n, "rho1", max_degree)
-        cross_check_failures = [
-            f"derived vs direct component trace at w={v}, degree {d}: "
-            f"{g1_derived[(v, d)]} vs {g1_direct[(v, d)]}"
-            for v in all_perms(n)
-            for d in range(max_degree + 1)
-            if g1_derived[(v, d)] != g1_direct[(v, d)]
-        ]
-    derived2 = coinvariant_traces_from_graded(g2, n, max_degree)
+        g1_direct = upstairs_class_traces(n, "rho1", max_degree)
+        cross_check_failures = _component_failures(
+            "derived vs direct component trace", g1_derived, g1_direct
+        )
+    direct1 = spread_class_traces(quotient1, n, max_degree)
+    derived2 = spread_class_traces(coinvariant_traces_from_graded(g2, n, max_degree), n, max_degree)
     rows = [
         (v, k, direct1[(v, k)], derived2[(v, k)])
         for k in range(max_degree + 1)

@@ -1,12 +1,15 @@
 """Shared test oracles: exact Fraction linear algebra, ideal membership,
 polynomials specialized at a rational q, the divided difference by synthetic
 division, permutation and matrix products, the variable-permutation action,
-and the polynomial-route trace recursions that the library's trace kernels
-are compared against; and a stand-in process pool that records its size."""
+and the trace recursions over every T_v by left descents -- on polynomials
+and on the generator matrices or exponent orbits -- that the library's
+traces at the T_mu, spread by class polynomials, are compared against; and a
+stand-in process pool that records its size."""
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations_with_replacement
 
 from qschub.operators import monomials_up_to, op_a, op_r, op_s
@@ -20,7 +23,7 @@ from qschub.perm import (
     perms_by_length,
 )
 from qschub.polyring import MPoly, QP_ONE, QP_ZERO, QPoly, swap_variables
-from qschub.rep import RepMatrix, coordinate_at
+from qschub.rep import RepMatrix, coordinate_at, generator_matrix, orbit_of_type, orbit_type_counts
 from qschub.schubert import build_schubert_table
 
 
@@ -187,13 +190,25 @@ def in_ideal_rational(poly: dict[tuple[int, ...], Fraction], n: int, degree: int
     return solve_exact(rows, rhs) is not None
 
 
+@lru_cache(maxsize=None)
+def left_descent_steps(n: int) -> tuple[tuple[Perm, int, Perm], ...]:
+    """``(v, i, s_i v)`` for every non-identity v in length order, with i the
+    first left descent of v: ``T_v = T_i T_{s_i v}``, and ``s_i v`` is shorter
+    than v, so it is the identity or listed earlier."""
+    steps = []
+    for bucket in perms_by_length(n)[1:]:
+        for v in bucket:
+            i = next(i for i in range(1, n) if has_left_descent(v, i))
+            steps.append((v, i, mult_left_s(v, i)))
+    return tuple(steps)
+
+
 def quotient_basis_traces_oracle(n: int) -> dict[tuple[Perm, int], QPoly]:
     """rho1 traces on the degree-k Schubert bases by the polynomial route:
     per basis class, its Schubert polynomial pushed through ``op_a`` by the
     left-descent recursion, each image's coordinate at the class read by
     ``coordinate_at``."""
     table = build_schubert_table(n)
-    by_len = perms_by_length(n)
     traces: dict[tuple[Perm, int], QPoly] = {
         (v, k): QP_ZERO for v in all_perms(n) for k in range(table.max_degree + 1)
     }
@@ -201,11 +216,36 @@ def quotient_basis_traces_oracle(n: int) -> dict[tuple[Perm, int], QPoly]:
         for w in table.basis(k):
             traces[(identity(n), k)] += QP_ONE
             images: dict[Perm, MPoly] = {identity(n): table[w]}
-            for j in range(1, table.max_degree + 1):
-                for v in by_len[j]:
-                    i = next(i for i in range(1, n) if has_left_descent(v, i))
-                    images[v] = op_a(images[mult_left_s(v, i)], i)
-                    traces[(v, k)] += coordinate_at(images[v], w)
+            for v, i, u in left_descent_steps(n):
+                images[v] = op_a(images[u], i)
+                traces[(v, k)] += coordinate_at(images[v], w)
+    return traces
+
+
+def quotient_traces_by_descent_steps(n: int) -> dict[tuple[Perm, int], QPoly]:
+    """rho1 traces on the degree-k Schubert bases of every T_v as products of
+    the generator matrices along the left-descent recursion, without class
+    polynomials: per basis class, the recursion runs on sparse vectors from
+    the unit vector at the class."""
+    table = build_schubert_table(n)
+    traces: dict[tuple[Perm, int], QPoly] = {}
+    for k in range(table.max_degree + 1):
+        columns = {}
+        for i in range(1, n):
+            matrix = generator_matrix("rho1", i, k, table)
+            columns[i] = {w: matrix.column(w) for w in matrix.basis}
+        for v in all_perms(n):
+            traces[(v, k)] = QP_ZERO
+        for w in table.basis(k):
+            traces[(identity(n), k)] += QP_ONE
+            images = {identity(n): {w: QP_ONE}}
+            for v, i, u in left_descent_steps(n):
+                image: dict[Perm, QPoly] = {}
+                for x, c in images[u].items():
+                    for z, m in columns[i][x].items():
+                        image[z] = image.get(z, QP_ZERO) + c * m
+                images[v] = {z: c for z, c in image.items() if c}
+                traces[(v, k)] += images[v].get(w, QP_ZERO)
     return traces
 
 
@@ -213,21 +253,41 @@ def upstairs_graded_traces_oracle(n: int, action: str, max_degree: int) -> dict[
     """Full-component traces by the per-monomial route: every monomial of
     degree <= max_degree pushed through the action's operator by the
     left-descent recursion, its own coefficient summed."""
+    return _descent_step_traces(
+        n, action, [(next(iter(f.terms)), {f.total_degree(): 1}) for f in monomials_up_to(n, max_degree)],
+        max_degree,
+    )
+
+
+def upstairs_traces_by_descent_steps(n: int, action: str, max_degree: int) -> dict[tuple[Perm, int], QPoly]:
+    """Full-component traces of every T_v for rho2 or symq1 without class
+    polynomials: one exponent orbit per multiplicity type lam, weighted by
+    ``orbit_type_counts``, each monomial run through the left-descent
+    recursion."""
+    weighted = [
+        (e, {d: m for d, m in enumerate(weights) if m})
+        for lam, weights in orbit_type_counts(n, max_degree).items()
+        for e in orbit_of_type(lam)
+    ]
+    return _descent_step_traces(n, action, weighted, max_degree)
+
+
+def _descent_step_traces(n, action, weighted, max_degree):
+    """sum over (e, {d: m}) of m times the coefficient of x^e in T_v x^e,
+    added to the degree-d trace of every T_v."""
     op = {"rho1": op_a, "rho2": op_r, "symq1": op_s}[action]
-    by_len = perms_by_length(n)
     traces: dict[tuple[Perm, int], QPoly] = {
         (v, d): QP_ZERO for v in all_perms(n) for d in range(max_degree + 1)
     }
-    for f in monomials_up_to(n, max_degree):
-        d = f.total_degree()
-        e = next(iter(f.terms))
-        traces[(identity(n), d)] += QP_ONE
-        images: dict[Perm, MPoly] = {identity(n): f}
-        for j in range(1, n * (n - 1) // 2 + 1):
-            for v in by_len[j]:
-                i = next(i for i in range(1, n) if has_left_descent(v, i))
-                images[v] = op(images[mult_left_s(v, i)], i)
-                traces[(v, d)] += images[v].terms.get(e, QP_ZERO)
+    for e, weights in weighted:
+        images: dict[Perm, MPoly] = {identity(n): MPoly.monomial(n, e)}
+        coefficients = {identity(n): QP_ONE}
+        for v, i, u in left_descent_steps(n):
+            images[v] = op(images[u], i)
+            coefficients[v] = images[v].terms.get(e, QP_ZERO)
+        for v, c in coefficients.items():
+            for d, m in weights.items():
+                traces[(v, d)] += c * m
     return traces
 
 

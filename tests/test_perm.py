@@ -8,6 +8,7 @@ from qschub.perm import (
     alt_reduced_word,
     canonical_reduced_word,
     check_partition,
+    class_polynomial,
     coset_decompose,
     coset_weight,
     cycle_type,
@@ -25,7 +26,7 @@ from qschub.perm import (
     standard_tableaux_count,
     valley_weight,
 )
-from qschub.polyring import QPoly, QP_ONE, QP_ZERO
+from qschub.polyring import ONE_MINUS_Q, Q, QPoly, QP_ONE, QP_ZERO
 
 
 def brute_length(w):
@@ -207,6 +208,23 @@ class TestCycleType:
     def test_sums_to_n(self, n):
         for w in all_perms(n):
             assert sum(cycle_type(w)) == n
+
+
+class TestClassPolynomial:
+    def test_n3_longest_element(self):
+        # T_{321} = T_1 T_{132} T_1 and T_1^2 = (1-q) T_1 + q.
+        assert class_polynomial((3, 2, 1)) == {(3,): ONE_MINUS_Q, (2, 1): Q}
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_q_one_gives_the_cycle_type_indicator(self, n):
+        for v in all_perms(n):
+            at_one = {mu: c.evaluate(1) for mu, c in class_polynomial(v).items()}
+            assert {mu: c for mu, c in at_one.items() if c} == {cycle_type(v): 1}, v
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_partition_word_elements_are_unit_vectors(self, n):
+        for mu in partitions_of(n):
+            assert class_polynomial(from_word(n, partition_word(mu))) == {mu: QP_ONE}, mu
 
 
 class TestKnuthClasses:

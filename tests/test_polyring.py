@@ -44,6 +44,16 @@ class TestQPoly:
         assert 2 * Q == QPoly((0, 2))
         assert 1 - Q == ONE_MINUS_Q
 
+    def test_integer_scaling_is_the_canonical_product(self):
+        rng = random.Random(3)
+        for _ in range(200):
+            p = QPoly([rng.randint(-3, 3) for _ in range(rng.randint(0, 4))])
+            m = rng.randint(-3, 3)
+            for scaled in (p * m, m * p):
+                assert scaled.c == (p * QPoly((m,))).c
+                assert not scaled.c or scaled.c[-1] != 0
+        assert (ONE_MINUS_Q * 0).c == () and not QP_ZERO * 5
+
     def test_evaluate(self):
         p = QPoly((1, -2, 1))
         assert p.evaluate(1) == 0

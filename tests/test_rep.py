@@ -7,10 +7,13 @@ import pytest
 from helpers import (
     from_word,
     identity_matrix,
+    left_descent_steps,
     matrix_product,
     quotient_basis_traces_oracle,
+    quotient_traces_by_descent_steps,
     record_pool_sizes,
     upstairs_graded_traces_oracle,
+    upstairs_traces_by_descent_steps,
 )
 from qschub.perm import (
     all_perms,
@@ -35,10 +38,10 @@ from qschub.rep import (
     generator_matrix,
     graded_character,
     knuth_class_character,
-    left_descent_steps,
     orbit_of_type,
     orbit_type_counts,
     quotient_basis_traces,
+    quotient_class_traces,
     symmetric_group_character,
     symmetric_hilbert_dims,
     trace_equivalence_report,
@@ -409,20 +412,32 @@ class TestEquivalence:
 
 
 class TestTraceKernels:
-    """The trace kernels against the polynomial-route oracles in helpers.py,
-    which share neither the step table, the generator matrices nor the orbit
-    reduction with them."""
+    """The traces at the T_mu, spread by class polynomials, against the
+    oracles in helpers.py: the polynomial routes, which share neither the
+    generator matrices nor the orbit reduction with them, and the
+    left-descent recursions over every T_v, which share no class
+    polynomial."""
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_quotient_traces_match_the_polynomial_oracle(self, n):
         assert quotient_basis_traces(n) == quotient_basis_traces_oracle(n)
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_quotient_traces_match_the_descent_step_oracle(self, n):
+        assert quotient_basis_traces(n) == quotient_traces_by_descent_steps(n)
+
+    @pytest.mark.parametrize("action", ["rho2", "symq1"])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_upstairs_traces_match_the_descent_step_oracle(self, n, action):
+        top = n * (n - 1) // 2
+        assert upstairs_graded_traces(n, action, top) == upstairs_traces_by_descent_steps(n, action, top)
+
     def test_quotient_traces_are_traces_of_generator_products(self, monkeypatch):
         # Random integer matrices in place of the generators satisfy no Hecke
-        # relation, so T_v must be their product along the step table's word
-        # for v, in that order.  This sees a transposed column read, which
-        # the real generators hide: Hecke characters agree at T_v and
-        # T_{v^-1}.
+        # relation, so the trace at T_mu must be that of their product along
+        # partition_word(mu), in that order.  This sees a transposed column
+        # read or a reversed word, which the real generators hide: Hecke
+        # characters agree at T_v and T_{v^-1}.
         from qschub import rep
 
         n = 4
@@ -438,16 +453,13 @@ class TestTraceKernels:
             return fakes[(i, k)]
 
         monkeypatch.setattr(rep, "generator_matrix", fake_generator)
-        traces = quotient_basis_traces(n)
-        words = {identity(n): ()}
-        for v, i, u in left_descent_steps(n):
-            words[v] = (i,) + words[u]
-        for k in range(table.max_degree + 1):
-            for v, word in words.items():
-                product = identity_matrix(k, table.basis(k))
-                for i in word:
-                    product = matrix_product(product, fake_generator("rho1", i, k, table))
-                assert traces[(v, k)] == product.trace(), (v, k)
+        traces = quotient_class_traces(n)
+        assert set(traces) == {(mu, k) for mu in partitions_of(n) for k in range(table.max_degree + 1)}
+        for (mu, k), trace in traces.items():
+            product = identity_matrix(k, table.basis(k))
+            for i in partition_word(mu):
+                product = matrix_product(product, fake_generator("rho1", i, k, table))
+            assert trace == product.trace(), (mu, k)
 
     @pytest.mark.parametrize("action", ["rho2", "symq1"])
     @pytest.mark.parametrize("n", [2, 3, 4])
