@@ -22,16 +22,21 @@ from .verify import CHARACTER_COLUMNS, SUITES, character_table, run_suites
 
 DEFAULT_SEED = 20201
 MAX_N_TABLES = 8
+# The char table holds the dense rho1 generator matrices, (n-1) * sum_k M(k)^2
+# entries for M(k) permutations of length k: 12.7 million at n=7 (176 MB
+# peak measured), 780 million at n=8.
+MAX_N_CHAR = 7
 MAX_N_VERIFY = 6
 
 COST_NOTE = """\
 cost guide (single runs on a shared 2-core Xeon VM): the full `char` table
-takes about 0.25 s at n=5 and 4-5 s at n=6, about 3.3 s with --jobs 2 (n=7 is
-not measured); one `matrix` takes under a second up to n=6 and about 2.5 s at
-n=7; n=8 only for `schubert` and with patience (the table has n! entries).
-verify/scan-b accept n <= 6; `scan-b` takes about 1 s at n=6, the full
-verify suite under 1 s at n=4 and about 3 s at n=5, and `verify --suite
-equivalence` about 2.5 s at n=6."""
+takes about 0.3 s at n=5, 2.7 s at n=6 (3.0-3.3 s with --jobs 2) and 84 s
+at n=7 (176 MB peak; 69 s with --jobs 2, each worker as large); `char` is
+capped at n=7.  One `matrix` takes under a second up to n=6 and about 2.5 s
+at n=7; n=8 only for `schubert`/`matrix` and with patience (the table has n!
+entries).  verify/scan-b accept n <= 6; `scan-b` takes about 1 s at n=6, the
+full verify suite under 1 s at n=4 and about 3.4 s at n=5, and `verify
+--suite equivalence` about 2.8 s at n=6."""
 
 
 class SystemExit2(SystemExit):
@@ -104,7 +109,7 @@ def cmd_schubert(args) -> int:
 
 
 def cmd_char(args) -> int:
-    _require_n(args.n, 2, MAX_N_TABLES, "char")
+    _require_n(args.n, 2, MAX_N_CHAR, "char")
     n, action = args.n, args.action
     mus = partitions_of(n)
     mu_names = [partition_str(mu) for mu in mus]
@@ -195,7 +200,7 @@ def cmd_matrix(args) -> int:
 
 def cmd_verify(args) -> int:
     _require_n(args.n, 2, MAX_N_VERIFY, "verify")
-    results = run_suites(args.suite or ["all"], args.n, args.degree_bound, args.seed, args.jobs)
+    results = run_suites(args.suite or ["all"], args.n, args.degree_bound, args.seed)
     all_passed = all(r.passed for r in results)
     if args.output == "json":
         print(json.dumps({
@@ -289,8 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--i", type=int, required=True, help="generator index")
     p.add_argument("--k", type=int, required=True, help="degree of the component")
 
-    p = subcommand("verify", cmd_verify, "run verification suites", jobs=True,
-                   outputs=("json", "text"))
+    p = subcommand("verify", cmd_verify, "run verification suites", outputs=("json", "text"))
     p.add_argument("--degree-bound", type=_degree_bound, default=4,
                    help="monomial degree bound for operator identity checks")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED,

@@ -7,15 +7,17 @@ Matrix convention: ``entries[z][w]`` is the coefficient of the basis class z
 in the image of the basis class w, with the degree-k basis ordered
 lexicographically on one-line notation.
 
-Words of generators act by composing the operators on polynomial
-representatives and reading Schubert coordinates once at the end.  For the
-q-commutator action this equals the product of single-generator matrices
-(the action is multiplicative over i-symmetric factors, so the cutting ideal
-is invariant); for the monomial-sorting action it does not: that action,
-while a genuine Hecke action on the polynomial ring, moves some ideal
-elements off the ideal, so only the compressed word image is well defined on
-the quotient basis.  Compression is well defined per basis element because
-the upstairs operators satisfy the Hecke relations exactly.
+Words of generators: for the q-commutator action a word acts on the
+quotient as the product of the single-generator matrices (the action is
+multiplicative over i-symmetric factors, so the cutting ideal is invariant),
+and rho1's traces have that one path: ``graded_character("rho1")`` applies
+the cached matrices' sparse columns along the word.  The monomial-sorting
+action, while a genuine Hecke action on the polynomial ring, moves some
+ideal elements off the ideal, so for it only the compressed word image is
+well defined on the quotient basis: the whole word applied to a polynomial
+representative, Schubert coordinates read once at the end.  Compression is
+well defined per basis element because the upstairs operators satisfy the
+Hecke relations exactly.
 
 Schubert coordinates come from ``schubert.monomial_class``: the class of
 each monomial in the quotient is built once by Monk's rule and memoized, and
@@ -32,8 +34,7 @@ the conjugacy classes, and spreads the traces to every basis element T_v by
 the class polynomials of ``perm.class_polynomial`` (Geck--Pfeiffer,
 *Characters of Finite Coxeter Groups and Iwahori--Hecke Algebras*, Thm 3.2.9
 and section 8.2): ``tr(T_v) = sum_mu f_{v,mu} * tr(T_mu)`` for every
-character.  rho1's quotient traces at T_mu are products of the cached
-generator matrices along the word, applied to sparse Schubert-basis vectors
+character.  rho1's quotient traces at T_mu are its graded characters
 (``quotient_class_traces``).  rho2's traces on the full polynomial
 components are computed on one exponent orbit per multiplicity type
 lam |- n, each orbit monomial pushed through the word, and weighted by the
@@ -47,7 +48,7 @@ from __future__ import annotations
 import os
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import permutations
 
 from .operators import InvariantViolation, monomials_up_to, op_a, op_r, op_s
@@ -105,6 +106,16 @@ class RepMatrix:
         out = QP_ZERO
         for d, row in enumerate(self.entries):
             out = out + row[d]
+        return out
+
+    @cached_property
+    def sparse_columns(self) -> dict[Perm, dict[Perm, QPoly] | None]:
+        """Each basis class's column as a sparse vector, or None for the
+        unit column; built once per matrix."""
+        out: dict[Perm, dict[Perm, QPoly] | None] = {}
+        for w, entries in zip(self.basis, zip(*self.entries)):
+            col = {z: c for z, c in zip(self.basis, entries) if c}
+            out[w] = None if col == {w: QP_ONE} else col
         return out
 
 
@@ -218,16 +229,28 @@ class CharacterValue:
 def graded_character(action: str, mu, k: int, n: int) -> CharacterValue:
     """Trace of the subproduct element of mu on the degree-k component.
 
-    Computed diagonally: the whole word is applied to each basis polynomial
-    and only the matching Schubert coordinate is extracted.
+    Computed diagonally, one basis class w at a time.  rho1 preserves the
+    cutting ideal, so its word acts as the product of the cached generator
+    matrices: their sparse columns are applied along the word to the unit
+    vector at w.  rho2 and symq1 apply the whole word to the Schubert
+    polynomial of w upstairs.  Either way only the coordinate at w is read.
     """
+    source = {"rho1": "trace1", "rho2": "trace2", "symq1": "trace_sym"}[action]
     table = build_schubert_table(n)
     mu = check_partition(mu, n)
     word = partition_word(mu)
     value = QP_ZERO
-    for w in table.basis(k):
-        value = value + coordinate_at(apply_action_word(action, word, table[w]), w)
-    source = {"rho1": "trace1", "rho2": "trace2", "symq1": "trace_sym"}[action]
+    if action == "rho1":
+        columns = [generator_matrix(action, i, k, table).sparse_columns for i in reversed(word)]
+        for w in table.basis(k):
+            vec = {w: QP_ONE}
+            for cols in columns:
+                vec = _apply_columns(cols, vec)
+            if w in vec:
+                value = value + vec[w]
+    else:
+        for w in table.basis(k):
+            value = value + coordinate_at(apply_action_word(action, word, table[w]), w)
     return CharacterValue(k, mu, value, source)
 
 
@@ -484,32 +507,13 @@ def coinvariant_traces_from_graded(
 
 def quotient_class_traces(n: int) -> dict[tuple[Partition, int], QPoly]:
     """Trace of T_mu, the element of ``partition_word(mu)``, for the
-    q-commutator action on each degree-k Schubert basis.
-
-    rho1 preserves the cutting ideal, so on the quotient T_mu is the product
-    of the cached generator matrices along the word.  Per basis class w the
-    product runs on sparse Schubert-basis vectors from the unit vector at w,
-    and the coefficient of the image at w is added to the trace.
-    """
-    table = build_schubert_table(n)
-    traces: dict[tuple[Partition, int], QPoly] = {}
-    for k in range(table.max_degree + 1):
-        columns = {}
-        for i in range(1, n):
-            matrix = generator_matrix("rho1", i, k, table)
-            columns[i] = {w: _sparse_column(matrix, w) for w in matrix.basis}
-        for mu in partitions_of(n):
-            word = partition_word(mu)[::-1]
-            t = QP_ZERO
-            for w in table.basis(k):
-                vec = {w: QP_ONE}
-                for i in word:
-                    vec = _apply_columns(columns[i], vec)
-                c = vec.get(w)
-                if c:
-                    t = t + c
-            traces[(mu, k)] = t
-    return traces
+    q-commutator action on each degree-k Schubert basis: the graded
+    characters ``graded_character("rho1", mu, k, n)``."""
+    return {
+        (mu, k): graded_character("rho1", mu, k, n).value
+        for k in range(n * (n - 1) // 2 + 1)
+        for mu in partitions_of(n)
+    }
 
 
 def quotient_basis_traces(n: int) -> dict[tuple[Perm, int], QPoly]:
@@ -517,12 +521,6 @@ def quotient_basis_traces(n: int) -> dict[tuple[Perm, int], QPoly]:
     degree-k Schubert bases: ``quotient_class_traces`` spread to every T_v by
     class polynomials."""
     return spread_class_traces(quotient_class_traces(n), n, n * (n - 1) // 2)
-
-
-def _sparse_column(matrix: RepMatrix, w: Perm) -> dict[Perm, QPoly] | None:
-    """The column of w as a sparse vector, or None for the unit column."""
-    col = matrix.column(w)
-    return None if col == {w: QP_ONE} else col
 
 
 def _apply_columns(columns: dict[Perm, dict[Perm, QPoly] | None], vec: dict[Perm, QPoly]) -> dict[Perm, QPoly]:

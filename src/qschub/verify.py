@@ -45,7 +45,6 @@ from .rep import (
     graded_character,
     knuth_class_character,
     parallel_map,
-    precompute_generator_matrices,
     symmetric_group_character,
     trace_equivalence_report,
     weight_character,
@@ -182,10 +181,9 @@ def suite_word_invariance(n: int, degree_bound: int = 3, seed: int = 11) -> Suit
     return res
 
 
-def suite_descent_columns(n: int, degree_bound: int = 0, seed: int = 0, jobs: int = 1) -> SuiteResult:
+def suite_descent_columns(n: int, degree_bound: int = 0, seed: int = 0) -> SuiteResult:
     res = SuiteResult("descent-columns")
     table = build_schubert_table(n)
-    precompute_generator_matrices(n, ("rho1", "rho2"), jobs)
     count = 0
     for i, w in descent_pairs(n):
         k = length(w)
@@ -399,10 +397,10 @@ def character_table(
     return dict(zip(keys, cells))
 
 
-def suite_characters(n: int, degree_bound: int = 0, seed: int = 0, jobs: int = 1) -> SuiteResult:
+def suite_characters(n: int, degree_bound: int = 0, seed: int = 0) -> SuiteResult:
     """Both traces against the combinatorial weight sum, every degree and type."""
     res = SuiteResult("characters")
-    table = character_table(n, jobs=jobs)
+    table = character_table(n)
     for (k, mu), values in table.items():
         res.check(
             len(set(values)) == 1,
@@ -427,17 +425,10 @@ SUITES = {
 }
 
 
-def run_suites(names, n: int, degree_bound: int, seed: int, jobs: int = 1) -> list[SuiteResult]:
+def run_suites(names, n: int, degree_bound: int, seed: int) -> list[SuiteResult]:
     if names == ["all"] or names == "all":
         names = list(SUITES)
-    out = []
-    for name in names:
-        fn = SUITES[name]
-        kwargs = {}
-        if name in ("characters", "descent-columns"):
-            kwargs["jobs"] = jobs
-        out.append(fn(n, degree_bound=degree_bound, seed=seed, **kwargs))
-    return out
+    return [SUITES[name](n, degree_bound=degree_bound, seed=seed) for name in names]
 
 
 def _mahonian(n: int) -> list[int]:

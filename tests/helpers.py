@@ -3,8 +3,9 @@ polynomials specialized at a rational q, the divided difference by synthetic
 division, permutation and matrix products, the variable-permutation action,
 and the trace recursions over every T_v by left descents -- on polynomials
 and on the generator matrices or exponent orbits -- that the library's
-traces at the T_mu, spread by class polynomials, are compared against; and a
-stand-in process pool that records its size."""
+traces at the T_mu, spread by class polynomials, are compared against; the
+graded characters by the polynomial route; and a stand-in process pool that
+records its size."""
 
 from __future__ import annotations
 
@@ -20,10 +21,18 @@ from qschub.perm import (
     has_left_descent,
     identity,
     mult_left_s,
+    partition_word,
     perms_by_length,
 )
 from qschub.polyring import MPoly, QP_ONE, QP_ZERO, QPoly, swap_variables
-from qschub.rep import RepMatrix, coordinate_at, generator_matrix, orbit_of_type, orbit_type_counts
+from qschub.rep import (
+    RepMatrix,
+    apply_action_word,
+    coordinate_at,
+    generator_matrix,
+    orbit_of_type,
+    orbit_type_counts,
+)
 from qschub.schubert import build_schubert_table
 
 
@@ -201,6 +210,19 @@ def left_descent_steps(n: int) -> tuple[tuple[Perm, int, Perm], ...]:
             i = next(i for i in range(1, n) if has_left_descent(v, i))
             steps.append((v, i, mult_left_s(v, i)))
     return tuple(steps)
+
+
+def graded_character_oracle(action: str, mu, k: int, n: int) -> QPoly:
+    """Trace of the element of ``partition_word(mu)`` on the degree-k
+    Schubert basis by the polynomial route: the whole word applied upstairs
+    to each basis Schubert polynomial, the image's coordinate at its class
+    read by ``coordinate_at``."""
+    table = build_schubert_table(n)
+    word = partition_word(mu)
+    value = QP_ZERO
+    for w in table.basis(k):
+        value = value + coordinate_at(apply_action_word(action, word, table[w]), w)
+    return value
 
 
 def quotient_basis_traces_oracle(n: int) -> dict[tuple[Perm, int], QPoly]:

@@ -76,6 +76,19 @@ class TestChar:
         code, _, err = run_cli(capsys, "char", "--n", "1")
         assert code == 2
 
+    def test_cap_rejected_before_the_table_build(self, capsys, monkeypatch):
+        from qschub import cli
+
+        def no_build(*args, **kwargs):
+            raise AssertionError("a table was built for a rejected char")
+
+        monkeypatch.setattr(cli, "character_table", no_build)
+        monkeypatch.setattr(cli, "build_schubert_table", no_build)
+        code, out, err = run_cli(capsys, "char", "--n", "8")
+        assert code == 2
+        assert out == ""
+        assert "capped at n <= 7" in err
+
 
 class TestMatrix:
     def test_json_golden(self, capsys):
@@ -218,6 +231,7 @@ class TestDeterminismAndConfig:
     @pytest.mark.parametrize("argv", [
         ("schubert", "--n", "2", "--jobs", "2"),
         ("verify", "--n", "2", "--q", "1"),
+        ("verify", "--n", "2", "--jobs", "2"),
         ("char", "--n", "2", "--seed", "3"),
         ("matrix", "--n", "2", "--action", "rho1", "--i", "1", "--k", "1", "--jobs", "2"),
         ("scan-b", "--n", "2", "--degree-bound", "2"),

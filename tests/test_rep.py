@@ -6,6 +6,7 @@ import pytest
 
 from helpers import (
     from_word,
+    graded_character_oracle,
     identity_matrix,
     left_descent_steps,
     matrix_product,
@@ -180,6 +181,13 @@ class TestCharacters:
                 t2 = graded_character("rho2", mu, k, n).value
                 ws = weight_character(mu, k, n).value
                 assert t1 == ws and t2 == ws
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_rho1_matches_the_polynomial_oracle(self, n):
+        for k in range(n * (n - 1) // 2 + 1):
+            for mu in partitions_of(n):
+                got = graded_character("rho1", mu, k, n).value
+                assert got == graded_character_oracle("rho1", mu, k, n), (mu, k)
 
     def test_character_value_metadata(self):
         cv = graded_character("rho2", (2, 1), 1, 3)

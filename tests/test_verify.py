@@ -18,7 +18,7 @@ def test_seeded_suites_pass_n4(name):
 
 
 def test_run_suites_all():
-    results = run_suites("all", 2, degree_bound=3, seed=17, jobs=1)
+    results = run_suites("all", 2, degree_bound=3, seed=17)
     assert [r.name for r in results] == list(SUITES)
     assert all(r.passed for r in results)
 
