@@ -232,8 +232,11 @@ def graded_character(action: str, mu, k: int, n: int) -> CharacterValue:
     Computed diagonally, one basis class w at a time.  rho1 preserves the
     cutting ideal, so its word acts as the product of the cached generator
     matrices: their sparse columns are applied along the word to the unit
-    vector at w.  rho2 and symq1 apply the whole word to the Schubert
-    polynomial of w upstairs.  Either way only the coordinate at w is read.
+    vector at w.  All n - 1 generators of the degree are built, not only
+    those on mu's word, so the first cell asked at degree k pays for the
+    whole degree whatever its mu: a table's cells cost the same in any
+    order.  rho2 and symq1 apply the whole word to the Schubert polynomial
+    of w upstairs.  Either way only the coordinate at w is read.
     """
     source = {"rho1": "trace1", "rho2": "trace2", "symq1": "trace_sym"}[action]
     table = build_schubert_table(n)
@@ -241,7 +244,8 @@ def graded_character(action: str, mu, k: int, n: int) -> CharacterValue:
     word = partition_word(mu)
     value = QP_ZERO
     if action == "rho1":
-        columns = [generator_matrix(action, i, k, table).sparse_columns for i in reversed(word)]
+        generators = [generator_matrix(action, i, k, table).sparse_columns for i in range(1, n)]
+        columns = [generators[i - 1] for i in reversed(word)]
         for w in table.basis(k):
             vec = {w: QP_ONE}
             for cols in columns:
