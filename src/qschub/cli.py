@@ -22,21 +22,20 @@ from .verify import CHARACTER_COLUMNS, SUITES, character_table, run_suites
 
 DEFAULT_SEED = 20201
 MAX_N_TABLES = 8
-# The char table holds the dense rho1 generator matrices, (n-1) * sum_k M(k)^2
-# entries for M(k) permutations of length k: 12.7 million at n=7 (176 MB
-# peak measured), 780 million at n=8.
+# The full char table takes about 80 s serial at n=7 (81 MB peak), most of it
+# the Monk-read rho1 generator matrices; n=8 was not run.
 MAX_N_CHAR = 7
 MAX_N_VERIFY = 6
 
 COST_NOTE = """\
 cost guide (single runs on a shared 2-core Xeon VM): the full `char` table
-takes about 0.3 s at n=5, 2.7 s at n=6 (3.0-3.3 s with --jobs 2) and 84 s
-at n=7 (176 MB peak; 69 s with --jobs 2, each worker as large); `char` is
-capped at n=7.  One `matrix` takes under a second up to n=6 and about 2.5 s
-at n=7; n=8 only for `schubert`/`matrix` and with patience (the table has n!
-entries).  verify/scan-b accept n <= 6; `scan-b` takes about 1 s at n=6, the
-full verify suite under 1 s at n=4 and about 3.4 s at n=5, and `verify
---suite equivalence` about 2.8 s at n=6."""
+takes about 0.3 s at n=5, 2.6 s at n=6 (1.6 s with --jobs 2) and 79 s at
+n=7 (81 MB peak; 45 s with --jobs 2, each worker at most 72 MB); `char` is
+capped at n=7 on that time, and n=8 was not run.  One `matrix` takes under
+a second up to n=6 and about 2.5 s at n=7; n=8 only for `schubert`/`matrix`
+and with patience (the table has n! entries).  verify/scan-b accept n <= 6;
+`scan-b` takes about 1 s at n=6, the full verify suite under 1 s at n=4 and
+about 3.4 s at n=5, and `verify --suite equivalence` about 2.8 s at n=6."""
 
 
 class SystemExit2(SystemExit):

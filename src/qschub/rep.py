@@ -3,15 +3,16 @@ the coinvariant algebra, graded characters, the combinatorial weight formula,
 closed-form descent columns, Knuth-class characters, and the equivalence
 check by traces.
 
-Matrix convention: ``entries[z][w]`` is the coefficient of the basis class z
-in the image of the basis class w, with the degree-k basis ordered
-lexicographically on one-line notation.
+Matrix convention: the degree-k basis is ordered lexicographically on
+one-line notation, and ``columns[w][z]`` is the coefficient of the basis
+class z in the image of the basis class w, nonzero coefficients only; the
+dense view ``entries[z][w]`` holds the same coefficients with the zeros.
 
 Words of generators: for the q-commutator action a word acts on the
 quotient as the product of the single-generator matrices (the action is
 multiplicative over i-symmetric factors, so the cutting ideal is invariant),
 and rho1's traces have that one path: ``graded_character("rho1")`` applies
-the cached matrices' sparse columns along the word.  The monomial-sorting
+the cached matrices' columns along the word.  The monomial-sorting
 action, while a genuine Hecke action on the polynomial ring, moves some
 ideal elements off the ideal, so for it only the compressed word image is
 well defined on the quotient basis: the whole word applied to a polynomial
@@ -88,35 +89,26 @@ DIRECT_CROSS_CHECK_MAX_N = 4
 
 @dataclass(frozen=True)
 class RepMatrix:
-    """Square matrix over Z[q] indexed by the length-k permutations."""
+    """Square matrix over Z[q] indexed by the length-k permutations, stored
+    as the sparse columns ``columns[w]`` of the matrix convention above."""
 
     action: str
     k: int
     basis: tuple[Perm, ...]
-    entries: tuple[tuple[QPoly, ...], ...]
-
-    def index(self, w: Perm) -> int:
-        return self.basis.index(w)
+    columns: dict[Perm, dict[Perm, QPoly]]
 
     def column(self, w: Perm) -> dict[Perm, QPoly]:
-        j = self.index(w)
-        return {z: row[j] for z, row in zip(self.basis, self.entries) if row[j]}
+        """The stored column of w; the returned dict is shared, do not
+        mutate it."""
+        return self.columns[w]
 
     def trace(self) -> QPoly:
-        out = QP_ZERO
-        for d, row in enumerate(self.entries):
-            out = out + row[d]
-        return out
+        return sum((col[w] for w, col in self.columns.items() if w in col), QP_ZERO)
 
     @cached_property
-    def sparse_columns(self) -> dict[Perm, dict[Perm, QPoly] | None]:
-        """Each basis class's column as a sparse vector, or None for the
-        unit column; built once per matrix."""
-        out: dict[Perm, dict[Perm, QPoly] | None] = {}
-        for w, entries in zip(self.basis, zip(*self.entries)):
-            col = {z: c for z, c in zip(self.basis, entries) if c}
-            out[w] = None if col == {w: QP_ONE} else col
-        return out
+    def entries(self) -> tuple[tuple[QPoly, ...], ...]:
+        """Dense rows ``entries[z][w]``, zeros included; built when first read."""
+        return tuple(tuple(self.columns[w].get(z, QP_ZERO) for w in self.basis) for z in self.basis)
 
 
 _GEN_CACHE: dict[tuple[int, str, int, int], RepMatrix] = {}
@@ -142,14 +134,13 @@ def generator_matrix(action: str, i: int, k: int, table: SchubertTable) -> RepMa
         return cached
     op = _ACTION_OPS[action]
     basis = table.basis(k)
-    columns = []
+    columns = {}
     for w in basis:
         vec = schubert_coordinates(op(table[w], i), k)
         if action != "symq1":
             _check_column_shape(i, w, vec)
-        columns.append(tuple(vec[z] for z in basis))
-    rows = tuple(tuple(col[zi] for col in columns) for zi in range(len(basis)))
-    out = RepMatrix(action, k, basis, rows)
+        columns[w] = vec.coords
+    out = RepMatrix(action, k, basis, columns)
     _GEN_CACHE[key] = out
     return out
 
@@ -195,12 +186,9 @@ def word_matrix(action: str, word, k: int, table: SchubertTable) -> RepMatrix:
     basis: apply the whole word upstairs, then read each column once with
     ``schubert_coordinates``."""
     basis = table.basis(k)
-    columns = []
-    for w in basis:
-        vec = schubert_coordinates(apply_action_word(action, word, table[w]), k)
-        columns.append(tuple(vec[z] for z in basis))
-    rows = tuple(tuple(col[zi] for col in columns) for zi in range(len(basis)))
-    return RepMatrix(action, k, basis, rows)
+    columns = {w: schubert_coordinates(apply_action_word(action, word, table[w]), k).coords
+               for w in basis}
+    return RepMatrix(action, k, basis, columns)
 
 
 @lru_cache(maxsize=None)
@@ -231,7 +219,7 @@ def graded_character(action: str, mu, k: int, n: int) -> CharacterValue:
 
     Computed diagonally, one basis class w at a time.  rho1 preserves the
     cutting ideal, so its word acts as the product of the cached generator
-    matrices: their sparse columns are applied along the word to the unit
+    matrices: their columns are applied along the word to the unit
     vector at w.  All n - 1 generators of the degree are built, not only
     those on mu's word, so the first cell asked at degree k pays for the
     whole degree whatever its mu: a table's cells cost the same in any
@@ -244,7 +232,7 @@ def graded_character(action: str, mu, k: int, n: int) -> CharacterValue:
     word = partition_word(mu)
     value = QP_ZERO
     if action == "rho1":
-        generators = [generator_matrix(action, i, k, table).sparse_columns for i in range(1, n)]
+        generators = [generator_matrix(action, i, k, table).columns for i in range(1, n)]
         columns = [generators[i - 1] for i in reversed(word)]
         for w in table.basis(k):
             vec = {w: QP_ONE}
@@ -527,11 +515,14 @@ def quotient_basis_traces(n: int) -> dict[tuple[Perm, int], QPoly]:
     return spread_class_traces(quotient_class_traces(n), n, n * (n - 1) // 2)
 
 
-def _apply_columns(columns: dict[Perm, dict[Perm, QPoly] | None], vec: dict[Perm, QPoly]) -> dict[Perm, QPoly]:
+def _apply_columns(columns: dict[Perm, dict[Perm, QPoly]], vec: dict[Perm, QPoly]) -> dict[Perm, QPoly]:
     out: dict[Perm, QPoly] = {}
     for w, c in vec.items():
         col = columns[w]
-        terms = [(w, c)] if col is None else [(z, c * m) for z, m in col.items()]
+        if len(col) == 1 and col.get(w) == QP_ONE:  # the unit column
+            terms = ((w, c),)
+        else:
+            terms = [(z, c * m) for z, m in col.items()]
         for z, t in terms:
             acc = out.get(z)
             if acc is None:

@@ -376,13 +376,16 @@ def suite_knuth(n: int, degree_bound: int = 0, seed: int = 0) -> SuiteResult:
 CHARACTER_COLUMNS = ("rho1", "rho2", "weights")
 
 
-def _character_cell(args) -> tuple[QPoly, ...]:
-    n, columns, k, mu = args
-    return tuple(
-        (weight_character(mu, k, n) if column == "weights"
-         else graded_character(column, mu, k, n)).value
-        for column in columns
-    )
+def _character_degree(args) -> list[tuple[QPoly, ...]]:
+    n, columns, k = args
+    return [
+        tuple(
+            (weight_character(mu, k, n) if column == "weights"
+             else graded_character(column, mu, k, n)).value
+            for column in columns
+        )
+        for mu in partitions_of(n)
+    ]
 
 
 def character_table(
@@ -390,11 +393,12 @@ def character_table(
 ) -> dict[tuple[int, Partition], tuple[QPoly, ...]]:
     """The requested character columns (any of ``CHARACTER_COLUMNS``: the
     two actions' graded characters and the weight sum) at every degree k and
-    type mu, keyed ``(k, mu)`` in that order, one value per column.  Cells
-    are independent jobs for ``parallel_map``."""
-    keys = [(k, mu) for k in range(n * (n - 1) // 2 + 1) for mu in partitions_of(n)]
-    cells = parallel_map(_character_cell, [(n, columns, k, mu) for k, mu in keys], jobs)
-    return dict(zip(keys, cells))
+    type mu, keyed ``(k, mu)`` in that order, one value per column.  Each
+    degree is one job for ``parallel_map``, so a worker builds the generator
+    matrices of only the degrees it is given."""
+    degrees = range(n * (n - 1) // 2 + 1)
+    rows = parallel_map(_character_degree, [(n, columns, k) for k in degrees], jobs)
+    return {(k, mu): cell for k, row in zip(degrees, rows) for mu, cell in zip(partitions_of(n), row)}
 
 
 def suite_characters(n: int, degree_bound: int = 0, seed: int = 0) -> SuiteResult:

@@ -134,18 +134,20 @@ def recompose(dec: CosetDecomposition) -> Perm:
 
 
 def identity_matrix(k: int, basis: tuple[Perm, ...]) -> RepMatrix:
-    rows = tuple(tuple(QP_ONE if a == b else QP_ZERO for b in basis) for a in basis)
-    return RepMatrix("identity", k, basis, rows)
+    return RepMatrix("identity", k, basis, {w: {w: QP_ONE} for w in basis})
 
 
 def matrix_product(a: RepMatrix, b: RepMatrix) -> RepMatrix:
-    """a @ b over Z[q], entry by entry."""
-    cols = list(zip(*b.entries))
-    rows = tuple(
-        tuple(sum((x * y for x, y in zip(row, col)), QP_ZERO) for col in cols)
-        for row in a.entries
-    )
-    return RepMatrix("product", a.k, a.basis, rows)
+    """a @ b over Z[q], column by column: the column of w is a applied to
+    b's column of w."""
+    columns = {}
+    for w, col in b.columns.items():
+        image: dict[Perm, QPoly] = {}
+        for x, c in col.items():
+            for z, m in a.column(x).items():
+                image[z] = image.get(z, QP_ZERO) + c * m
+        columns[w] = {z: c for z, c in image.items() if c}
+    return RepMatrix("product", a.k, a.basis, columns)
 
 
 def monomial_exponents(n: int, degree: int) -> list[tuple[int, ...]]:

@@ -130,8 +130,7 @@ def test_criterion_6_q_one_collapse():
                 for w in plain.basis:
                     col = plain.column(w)
                     if w[i - 1] < w[i]:
-                        d = plain.index(w)
-                        ok = col == {w: plain.entries[d][d]} and col[w].as_int() == 1
+                        ok = list(col) == [w] and col[w].as_int() == 1
                     else:
                         ok = col[w].as_int() == -1 and all(
                             c.as_int() in (-1, 1) for c in col.values()

@@ -28,6 +28,7 @@ from qschub.perm import (
 )
 from qschub.polyring import MPoly, QPoly, QP_ONE
 from qschub.rep import (
+    ACTIONS,
     apply_action_word,
     basis_element_matrix,
     bc_scan,
@@ -89,6 +90,26 @@ class TestGeneratorMatrix:
                         assert col == {w: QP_ONE}
                     else:
                         assert col[w] == MINUS_Q
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_columns_are_the_stored_format(self, n):
+        table = build_schubert_table(n)
+        degrees = range(table.max_degree + 1)
+        generators = [generator_matrix(action, i, k, table)
+                      for action in ACTIONS for i in range(1, n) for k in degrees]
+        words = [word_matrix(action, word, k, table)
+                 for action in ACTIONS for word in [(1, 1), tuple(range(1, n))] for k in degrees]
+        for m in generators + words:
+            assert list(m.columns) == list(m.basis)
+            for wi, w in enumerate(m.basis):
+                assert m.column(w) is m.columns[w]
+                assert set(m.columns[w]) <= set(m.basis)
+                assert all(c for c in m.columns[w].values())
+                for zi, z in enumerate(m.basis):
+                    assert m.entries[zi][wi] == m.columns[w].get(z, 0)
+        for m in generators:
+            if m.action == "rho1":
+                assert all(len(col) <= 1 + 2 * (n - 2) for col in m.columns.values())
 
     def test_bad_action(self):
         with pytest.raises(ValueError):
@@ -456,8 +477,10 @@ class TestTraceKernels:
         def fake_generator(action, i, k, table):
             if (i, k) not in fakes:
                 basis = table.basis(k)
-                entries = tuple(tuple(QPoly((rng.randint(-2, 2),)) for _ in basis) for _ in basis)
-                fakes[(i, k)] = rep.RepMatrix("fake", k, basis, entries)
+                draws = [[QPoly((rng.randint(-2, 2),)) for _ in basis] for _ in basis]
+                columns = {w: {z: row[j] for z, row in zip(basis, draws) if row[j]}
+                           for j, w in enumerate(basis)}
+                fakes[(i, k)] = rep.RepMatrix("fake", k, basis, columns)
             return fakes[(i, k)]
 
         monkeypatch.setattr(rep, "generator_matrix", fake_generator)
@@ -580,14 +603,23 @@ class TestWorkerCount:
         monkeypatch.setattr(rep, "_GEN_CACHE", {})
         rep.precompute_generator_matrices(3, ("rho2",), jobs=1000)  # 8 matrices
         assert len(rep._GEN_CACHE) == 8
-        cells = verify.character_table(2, jobs=1000)  # 4 cells
+        cells = verify.character_table(3, jobs=1000)  # 4 degrees
         assert all(len(set(values)) == 1 for values in cells.values())
         monkeypatch.setattr("os.cpu_count", lambda: 64)
-        verify.character_table(2, jobs=1000)
+        verify.character_table(3, jobs=1000)
         assert rep.parallel_map(abs, [-2, 1, -3], jobs=2) == [2, 1, 3]
         monkeypatch.setattr("os.cpu_count", lambda: None)
-        verify.character_table(2, jobs=1000)  # one worker: no pool
+        verify.character_table(3, jobs=1000)  # one worker: no pool
         assert sizes == [3, 3, 4, 2]
+
+    def test_a_degree_job_builds_only_its_degree(self, monkeypatch):
+        from qschub import rep, verify
+
+        monkeypatch.setattr(rep, "_GEN_CACHE", {})
+        row = verify._character_degree((4, verify.CHARACTER_COLUMNS, 2))
+        assert len(row) == len(partitions_of(4))
+        assert all(len(set(values)) == 1 for values in row)
+        assert set(rep._GEN_CACHE) == {(4, "rho1", i, 2) for i in range(1, 4)}
 
     def test_one_worker_keeps_cached_matrices(self, monkeypatch):
         from qschub import rep
