@@ -26,6 +26,9 @@ MAX_N_TABLES = 8
 # the Monk-read rho1 generator matrices; n=8 was not run.
 MAX_N_CHAR = 7
 MAX_N_VERIFY = 6
+# verify's kernels suite at n=6 took 3.4, 17.7 and 69.3 s for degree bounds
+# 4, 5 and 6 (single runs): about fourfold per degree.
+MAX_DEGREE_BOUND = 6
 
 COST_NOTE = """\
 cost guide (single runs on a shared 2-core Xeon VM): the full `char` table
@@ -34,8 +37,9 @@ n=7 (81 MB peak; 45 s with --jobs 2, each worker at most 72 MB); `char` is
 capped at n=7 on that time, and n=8 was not run.  One `matrix` takes under
 a second up to n=6 and about 2.5 s at n=7; n=8 only for `schubert`/`matrix`
 and with patience (the table has n! entries).  verify/scan-b accept n <= 6;
-`scan-b` takes about 1 s at n=6, the full verify suite under 1 s at n=4 and
-about 3.4 s at n=5, and `verify --suite equivalence` about 2.8 s at n=6."""
+`scan-b` takes about 1 s at n=6, and the full verify suite about 1 s at
+n=4, 2 s at n=5 and 10 to 11.5 s at n=6.  verify --degree-bound is capped
+at 6, where the kernels suite alone takes about 70 s at n=6 (18 s at 5)."""
 
 
 class SystemExit2(SystemExit):
@@ -59,6 +63,8 @@ def _degree_bound(text: str) -> int:
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError("degree bound must be nonnegative")
+    if value > MAX_DEGREE_BOUND:
+        raise argparse.ArgumentTypeError(f"degree bound is capped at {MAX_DEGREE_BOUND}")
     return value
 
 
@@ -295,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subcommand("verify", cmd_verify, "run verification suites", outputs=("json", "text"))
     p.add_argument("--degree-bound", type=_degree_bound, default=4,
-                   help="monomial degree bound for operator identity checks")
+                   help=f"monomial degree bound for operator checks, at most {MAX_DEGREE_BOUND}")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED,
                    help="seed for the randomized property checks")
     p.add_argument("--suite", action="append", default=None,

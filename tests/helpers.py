@@ -4,11 +4,12 @@ division, permutation and matrix products, the variable-permutation action,
 and the trace recursions over every T_v by left descents -- on polynomials
 and on the generator matrices or exponent orbits -- that the library's
 traces at the T_mu, spread by class polynomials, are compared against; the
-graded characters by the polynomial route; and a stand-in process pool that
-records its size."""
+graded characters and the diagonal scaling at descents by the polynomial
+route; and a stand-in process pool that records its size."""
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
@@ -18,6 +19,7 @@ from qschub.perm import (
     CosetDecomposition,
     Perm,
     all_perms,
+    canonical_reduced_word,
     has_left_descent,
     identity,
     mult_left_s,
@@ -29,6 +31,7 @@ from qschub.rep import (
     RepMatrix,
     apply_action_word,
     coordinate_at,
+    descent_pairs,
     generator_matrix,
     orbit_of_type,
     orbit_type_counts,
@@ -225,6 +228,26 @@ def graded_character_oracle(action: str, mu, k: int, n: int) -> QPoly:
     for w in table.basis(k):
         value = value + coordinate_at(apply_action_word(action, word, table[w]), w)
     return value
+
+
+def diagonal_scaling_samples(n: int, samples: int = 3, seed: int = 7):
+    """The diagonal scaling at descents by the polynomial route: per descent
+    pair (i, w), ``samples`` seeded random full-length rho1 words applied
+    upstairs to the Schubert polynomial of w, the image's coordinate at w
+    read by ``coordinate_at`` before and after one more ``op_a(., i)``.
+    Returns ``(i, w, word, before, after)`` tuples; the property is
+    ``after == -q * before``, which also needs rho1 to preserve the ideal."""
+    rng = random.Random(seed)
+    table = build_schubert_table(n)
+    out = []
+    for i, w in descent_pairs(n):
+        for _ in range(samples):
+            pi = list(identity(n))
+            rng.shuffle(pi)
+            word = canonical_reduced_word(tuple(pi))
+            image = apply_action_word("rho1", word, table[w])
+            out.append((i, w, word, coordinate_at(image, w), coordinate_at(op_a(image, i), w)))
+    return out
 
 
 def quotient_basis_traces_oracle(n: int) -> dict[tuple[Perm, int], QPoly]:

@@ -4,7 +4,7 @@ import pytest
 
 from helpers import record_pool_sizes
 
-from qschub.cli import main
+from qschub.cli import MAX_DEGREE_BOUND, main
 
 
 def run_cli(capsys, *argv):
@@ -227,6 +227,16 @@ class TestDeterminismAndConfig:
         code, _, err = run_cli(capsys, "verify", "--n", "2", "--degree-bound", "-1")
         assert code == 2
         assert "degree bound must be nonnegative" in err
+
+    def test_degree_bound_above_the_cap_is_rejected(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--n", "2", "--degree-bound",
+                                 str(MAX_DEGREE_BOUND + 1))
+        assert code == 2
+        assert out == ""
+        assert f"degree bound is capped at {MAX_DEGREE_BOUND}" in err
+        code, _, _ = run_cli(capsys, "verify", "--n", "2", "--suite", "kernels",
+                             "--degree-bound", str(MAX_DEGREE_BOUND))
+        assert code == 0
 
     @pytest.mark.parametrize("argv", [
         ("schubert", "--n", "2", "--jobs", "2"),
