@@ -35,8 +35,10 @@ cost guide (single runs on a shared 2-core Xeon VM): the full `char` table
 takes about 0.3 s at n=5, 2.6 s at n=6 (1.6 s with --jobs 2) and 79 s at
 n=7 (81 MB peak; 45 s with --jobs 2, each worker at most 72 MB); `char` is
 capped at n=7 on that time, and n=8 was not run.  One `matrix` takes under
-a second up to n=6 and about 2.5 s at n=7; n=8 only for `schubert`/`matrix`
-and with patience (the table has n! entries).  verify/scan-b accept n <= 6;
+a second up to n=6 and about 2.5 s at n=7; n=8 only for `schubert`/`matrix`:
+the n=8 Schubert table (8! entries) takes 7 to 9 s and 570 MB, a small
+`matrix` at n=8 about 8 s and `schubert --n 8` about 30 s (94.5 MB of
+output).  verify/scan-b accept n <= 6;
 `scan-b` takes about 1 s at n=6, and the full verify suite about 1 s at
 n=4, 2 s at n=5 and 10 to 11.5 s at n=6.  verify --degree-bound is capped
 at 6, where the kernels suite alone takes about 70 s at n=6 (18 s at 5)."""

@@ -44,7 +44,9 @@ def _pairwise(f: MPoly, i: int, rule) -> MPoly:
 
     Each term c*x^e is sent to sum_k w_k*c*x^(e_k), where rule(e_i, e_{i+1})
     gives the pairs ((a_k, b_k), w_k) and e_k is e with (e_i, e_{i+1})
-    replaced by (a_k, b_k).  A weight is +1, -1 or a QPoly.
+    replaced by (a_k, b_k).  A weight is +1, -1 or a QPoly.  When every
+    weight is +1 or -1, as in the divided difference, c may also be a Python
+    int: the Schubert layer runs its divided-difference chains that way.
     """
     if not 1 <= i < f.n:
         raise ValueError(f"operator index {i} out of range for n={f.n}")

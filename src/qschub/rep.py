@@ -233,11 +233,11 @@ def graded_character(action: str, mu, k: int, n: int) -> CharacterValue:
     value = QP_ZERO
     if action == "rho1":
         generators = [generator_matrix(action, i, k, table).columns for i in range(1, n)]
-        columns = [generators[i - 1] for i in reversed(word)]
+        steps = [(i, generators[i - 1]) for i in reversed(word)]
         for w in table.basis(k):
             vec = {w: QP_ONE}
-            for cols in columns:
-                vec = _apply_columns(cols, vec)
+            for i, cols in steps:
+                vec = _apply_columns(i, cols, vec)
             if w in vec:
                 value = value + vec[w]
     else:
@@ -515,14 +515,19 @@ def quotient_basis_traces(n: int) -> dict[tuple[Perm, int], QPoly]:
     return spread_class_traces(quotient_class_traces(n), n, n * (n - 1) // 2)
 
 
-def _apply_columns(columns: dict[Perm, dict[Perm, QPoly]], vec: dict[Perm, QPoly]) -> dict[Perm, QPoly]:
+def _apply_columns(i: int, columns: dict[Perm, dict[Perm, QPoly]],
+                   vec: dict[Perm, QPoly]) -> dict[Perm, QPoly]:
+    """Apply the i-th rho1 generator, given by its columns, to a sparse vector.
+
+    An ascent of w at i (w[i-1] < w[i]) has the unit column, which
+    ``_check_column_shape`` enforced when the matrix was built.
+    """
     out: dict[Perm, QPoly] = {}
     for w, c in vec.items():
-        col = columns[w]
-        if len(col) == 1 and col.get(w) == QP_ONE:  # the unit column
+        if w[i - 1] < w[i]:
             terms = ((w, c),)
         else:
-            terms = [(z, c * m) for z, m in col.items()]
+            terms = [(z, c * m) for z, m in columns[w].items()]
         for z, t in terms:
             acc = out.get(z)
             if acc is None:

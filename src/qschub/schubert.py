@@ -2,6 +2,12 @@
 
 The table for S_n starts from the staircase monomial x_1^{n-1} x_2^{n-2} ...
 at the longest element and walks down one divided difference per permutation.
+Every weight of a divided difference is +1 or -1, so both chains of this
+module run on Python int coefficients: the table's chain on the integer
+Schubert coefficients, frozen to ``QPoly`` once checked, and the expansion
+sweep on Z[q] coefficients packed into ints by q -> 2^B (Kronecker
+substitution; Harvey, *J. Symbolic Comput.* 44, 2009), decoded once at the
+end.  Int coefficients never leave the two functions.
 
 Residue-class coordinates in the Schubert basis are read two independent ways:
 
@@ -22,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import factorial
 
 from .operators import InvariantViolation, divided_difference
 from .perm import (
@@ -35,7 +42,7 @@ from .perm import (
     perms_by_length,
     perms_of_length,
 )
-from .polyring import MPoly, QPoly, QP_ZERO
+from .polyring import MPoly, QPoly, QP_ONE, QP_ZERO, _raw
 
 
 @dataclass(frozen=True)
@@ -65,24 +72,34 @@ def staircase_monomial(n: int) -> MPoly:
 def build_schubert_table(n: int) -> SchubertTable:
     """Compute all n! Schubert polynomials by divided differences.
 
-    Every polynomial is checked to be homogeneous of the right degree with
-    nonnegative integer coefficients (classical positivity) before the table
-    is frozen.
+    The chain runs on int coefficients, seeded from the staircase monomial
+    through ``QPoly.as_int``.  Every polynomial is checked to be homogeneous
+    of the right degree with positive integer coefficients (classical
+    positivity), then frozen to QPoly coefficients, one shared QPoly per
+    distinct value, before the table is returned.
     """
     if n < 1:
         raise ValueError("need n >= 1")
     by_len = perms_by_length(n)
     top = n * (n - 1) // 2
-    polys: dict[Perm, MPoly] = {by_len[top][0]: staircase_monomial(n)}
+    seed = staircase_monomial(n)
+    polys: dict[Perm, MPoly] = {
+        by_len[top][0]: _raw(n, {e: c.as_int() for e, c in seed.terms.items()})
+    }
     for k in range(top - 1, -1, -1):
         for w in by_len[k]:
             i = next(i for i in range(1, n) if w[i - 1] < w[i])  # first ascent
             polys[w] = divided_difference(polys[mult_right_s(w, i)], i)
+    shared = {1: QP_ONE}
     for w, f in polys.items():
         if f.homogeneous_degree() != length(w):
             raise InvariantViolation(f"wrong degree at {w}")
-        if not all(c.is_int() and c.as_int() > 0 for c in f.terms.values()):
-            raise InvariantViolation(f"non-positive coefficient at {w}")
+        for c in f.terms.values():
+            if c not in shared:
+                if c <= 0:
+                    raise InvariantViolation(f"non-positive coefficient at {w}")
+                shared[c] = QPoly((c,))
+        polys[w] = _raw(n, {e: shared[c] for e, c in f.terms.items()})
     if polys[identity(n)] != MPoly.const(n, 1):
         raise InvariantViolation("the identity's Schubert polynomial is not 1")
     return SchubertTable(n, polys)
@@ -106,13 +123,68 @@ class CoinvariantVector:
         return tuple(sorted(self.coords))
 
 
+@lru_cache(maxsize=None)
+def _sweep_plan(n: int) -> tuple[tuple[tuple[Perm, int, Perm], ...], ...]:
+    """Index j holds (z, i, s_i z) for every z of length j, lexicographically,
+    with i the first left descent of z: the value at z is the i-th divided
+    difference of the value at s_i z."""
+    plan: list[tuple] = [()]
+    for layer in perms_by_length(n)[1:]:
+        steps = []
+        for z in layer:
+            i = next(i for i in range(1, n) if has_left_descent(z, i))
+            steps.append((z, i, mult_left_s(z, i)))
+        plan.append(tuple(steps))
+    return tuple(plan)
+
+
+def _coordinate_bound(f: MPoly, k: int) -> int:
+    """k! times the L1 norm of f (every q-coefficient of every term): a bound
+    on every q-coefficient met in the sweep of degree-k f, because a
+    divided difference sends a degree-d term to at most d terms of weight
+    +1 or -1."""
+    return factorial(k) * sum(abs(v) for c in f.terms.values() for v in c.c)
+
+
+def _unpack(v: int, shift: int, digits: int, bound: int, z: Perm) -> QPoly:
+    """The QPoly packed as v = sum_d c_d 2^(shift*d), read as balanced digits.
+
+    The sweep never raises the q-degree, so only ``digits`` digits may be
+    nonzero, each at most ``bound`` in absolute value; anything else means
+    the packing was too narrow.
+    """
+    half = 1 << (shift - 1)
+    mask = (1 << shift) - 1
+    out = []
+    for _ in range(digits):
+        d = v & mask
+        if d >= half:
+            d -= mask + 1
+        if abs(d) > bound:
+            break  # v still holds d, so the check below raises
+        out.append(d)
+        v = (v - d) >> shift
+    if v:
+        raise InvariantViolation(f"packed coordinate at {z} does not decode within the bound")
+    return QPoly(out)
+
+
 def expand_homogeneous(f: MPoly, k: int, table: SchubertTable) -> CoinvariantVector:
     """Coordinates of f in the degree-k Schubert basis of the quotient.
 
     Runs one breadth-first sweep over permutations by length, reusing each
     partial divided-difference chain: the value at z of length j is the i-th
-    divided difference of the value at s_i z for any left descent i.  Degree-k
-    input collapses to constants exactly at the length-k layer.
+    divided difference of the value at s_i z for the first left descent i
+    (``_sweep_plan``).  Degree-k input collapses to constants exactly at the
+    length-k layer.
+
+    The sweep runs on ints: each coefficient c is packed as the integer
+    c(2^B) with B = bit_length(k! * L1(f)) + 1 (``_coordinate_bound``), wide
+    enough that no q-coefficient of any value in the sweep can reach 2^(B-1).
+    Packing is additive and every weight is +1 or -1, so the sweep is exact
+    on the packed ints, and zero tests on them are zero tests on Z[q].  Only
+    the surviving constants are decoded, as balanced base-2^B digits; a digit
+    past the bound or the input's q-degree raises ``InvariantViolation``.
 
     This sweep is the independent oracle for ``monomial_class`` and
     ``schubert_coordinates``: it must not be rebuilt on them.
@@ -127,12 +199,16 @@ def expand_homogeneous(f: MPoly, k: int, table: SchubertTable) -> CoinvariantVec
         return CoinvariantVector(k, {})
     if deg != k:
         raise ValueError(f"polynomial is homogeneous of degree {deg}, not {k}")
-    layer = {identity(n): f}
+    bound = _coordinate_bound(f, k)
+    shift = bound.bit_length() + 1
+    digits = max(len(c.c) for c in f.terms.values())
+    packed = {e: sum(v << shift * d for d, v in enumerate(c.c)) for e, c in f.terms.items()}
+    layer = {identity(n): _raw(n, packed)}
+    plan = _sweep_plan(n)
     for j in range(1, k + 1):
         nxt: dict[Perm, MPoly] = {}
-        for z in perms_by_length(n)[j] if j <= table.max_degree else ():
-            i = next(i for i in range(1, n) if has_left_descent(z, i))
-            src = layer.get(mult_left_s(z, i))
+        for z, i, source in plan[j] if j < len(plan) else ():
+            src = layer.get(source)
             if src is None:
                 continue
             g = divided_difference(src, i)
@@ -141,11 +217,12 @@ def expand_homogeneous(f: MPoly, k: int, table: SchubertTable) -> CoinvariantVec
         layer = nxt
         if not layer:
             break
+    constant = (0,) * n
     coords = {}
     for z, g in layer.items():
-        c = g.constant_coefficient()
-        if c:
-            coords[z] = c
+        v = g.terms.get(constant)
+        if v:
+            coords[z] = _unpack(v, shift, digits, bound, z)
     return CoinvariantVector(k, coords)
 
 

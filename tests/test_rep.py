@@ -466,7 +466,9 @@ class TestTraceKernels:
         # relation, so the trace at T_mu must be that of their product along
         # partition_word(mu), in that order.  This sees a transposed column
         # read or a reversed word, which the real generators hide: Hecke
-        # characters agree at T_v and T_{v^-1}.
+        # characters agree at T_v and T_{v^-1}.  Ascent columns stay unit
+        # columns, the shape every rho1 generator is checked to have when it
+        # is built and that the column product relies on.
         from qschub import rep
 
         n = 4
@@ -478,7 +480,8 @@ class TestTraceKernels:
             if (i, k) not in fakes:
                 basis = table.basis(k)
                 draws = [[QPoly((rng.randint(-2, 2),)) for _ in basis] for _ in basis]
-                columns = {w: {z: row[j] for z, row in zip(basis, draws) if row[j]}
+                columns = {w: {w: QP_ONE} if w[i - 1] < w[i]
+                               else {z: row[j] for z, row in zip(basis, draws) if row[j]}
                            for j, w in enumerate(basis)}
                 fakes[(i, k)] = rep.RepMatrix("fake", k, basis, columns)
             return fakes[(i, k)]

@@ -5,7 +5,14 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import in_ideal_rational, monomial_exponents, solve_exact, ideal_spanning_columns, specialize_q
+from helpers import (
+    elementary_symmetric,
+    ideal_spanning_columns,
+    in_ideal_rational,
+    monomial_exponents,
+    solve_exact,
+    specialize_q,
+)
 
 from qschub import schubert
 from qschub.operators import divided_difference
@@ -75,6 +82,20 @@ class TestTable:
         for w, f in table.polys.items():
             assert f.homogeneous_degree() == length(w)
             assert all(c.is_int() and c.as_int() > 0 for c in f.terms.values())
+
+    def test_coefficients_are_shared_qpolys(self):
+        # The chains run on ints; none may leave the table or the expansion.
+        table = build_schubert_table(5)
+        by_value = {}
+        for f in table.polys.values():
+            for c in f.terms.values():
+                assert c.__class__ is QPoly
+                assert by_value.setdefault(c, c) is c
+        assert sorted(c.as_int() for c in by_value) == [1, 2]
+        vec = expand_homogeneous(MPoly.monomial(5, (0, 2, 2, 0, 0)), 4, table)
+        assert len(vec.coords) > 1
+        assert all(c.__class__ is QPoly for c in vec.coords.values())
+        assert expand_homogeneous(MPoly.const(5, 7), 0, table).coords == {identity(5): QPoly((7,))}
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_basis_sizes(self, n):
@@ -165,6 +186,44 @@ class TestExpansion:
                 assert solution is not None
                 for j, z in enumerate(basis):
                     assert solution[j] == Fraction(vec[z].evaluate(q))
+
+
+class TestPackedExpansion:
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_wide_coefficients_match_the_monk_route(self, n):
+        # Coefficients past 2^70 of either sign and of q-degree 4 to 6, so the
+        # packed sweep's ints span several 2^B digits; an ideal term e_1*h and
+        # a subtracted Schubert term make whole coordinates cancel in it.
+        table = build_schubert_table(n)
+        rng = random.Random(n)
+        big = 1 << 70
+
+        def wide():
+            return QPoly([rng.choice((-1, 1)) * rng.randrange(big, 2 * big)
+                          for _ in range(rng.randint(5, 7))])
+
+        def random_poly(k, terms):
+            monos = monomial_exponents(n, k)
+            out = MPoly.zero(n)
+            for e in rng.sample(monos, min(terms, len(monos))):
+                out = out + MPoly.monomial(n, e, wide())
+            return out
+
+        e1 = elementary_symmetric(n, 1)
+        widest = 0
+        for k in range(table.max_degree + 1):
+            g = random_poly(k, 6) + table[rng.choice(table.basis(k))].scale(wide())
+            vec = expand_homogeneous(g, k, table)
+            assert vec.coords and vec.coords == schubert_coordinates(g, k).coords, k
+            z, c = next(iter(vec.coords.items()))
+            f = g - table[z].scale(c)
+            if k:
+                f = f + e1 * random_poly(k - 1, 3)
+            expected = {y: v for y, v in vec.coords.items() if y != z}
+            assert expand_homogeneous(f, k, table).coords == expected, k
+            assert schubert_coordinates(f, k).coords == expected, k
+            widest = max(widest, *(abs(d) for v in vec.coords.values() for d in v.c))
+        assert widest >= big
 
 
 class TestMonk:
