@@ -100,18 +100,16 @@ def _render_value(v: QPoly, q: Fraction | None) -> str:
 def cmd_schubert(args) -> int:
     _require_n(args.n, 1, MAX_N_TABLES, "schubert")
     table = schubert_table_strings(args.n)
-    keys = sorted(table, key=lambda s: tuple(int(v) for v in s.split(",")))
     if args.output == "json":
-        print(json.dumps({k: table[k] for k in keys}))
+        print(json.dumps(table))
     elif args.output == "csv":
         out = csv.writer(sys.stdout, lineterminator="\n")
         out.writerow(["w", "schubert"])
-        for k in keys:
-            out.writerow([k, table[k]])
+        out.writerows(table.items())
     else:
-        width = max(len(k) for k in keys)
-        for k in keys:
-            print(f"{k:<{width}}  {table[k]}")
+        width = max(map(len, table))
+        for k, poly in table.items():
+            print(f"{k:<{width}}  {poly}")
     return 0
 
 

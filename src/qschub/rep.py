@@ -63,14 +63,12 @@ from .perm import (
     coset_weight,
     cycle_type,
     length,
-    mult_right_s,
     partition_word,
     partitions_of,
     perms_of_length,
 )
 from .polyring import MPoly, QPoly, QP_ZERO, QP_ONE
 from .schubert import (
-    CoinvariantVector,
     SchubertTable,
     build_schubert_table,
     monomial_class,
@@ -119,9 +117,11 @@ def generator_matrix(action: str, i: int, k: int, table: SchubertTable) -> RepMa
     component, in the Schubert basis.
 
     Each column is the image of a basis Schubert polynomial, read by
-    ``schubert_coordinates``.  For the two deformed actions the structural
-    facts are checked on every column during the build: ascent columns are
-    unit columns and descent diagonals equal -q.
+    ``schubert_coordinates``.  For the two deformed actions every column is
+    checked by ``_check_column_shape`` during the build, and a matrix that
+    fails is not cached: an ascent column (w[i-1] < w[i]) is the unit
+    column; a descent column holds -q at w, and each of its other entries
+    sits at a class z with an ascent at i (z[i-1] < z[i]).
     """
     if action not in ACTIONS:
         raise ValueError(f"unknown action {action!r}")
@@ -136,21 +136,29 @@ def generator_matrix(action: str, i: int, k: int, table: SchubertTable) -> RepMa
     basis = table.basis(k)
     columns = {}
     for w in basis:
-        vec = schubert_coordinates(op(table[w], i), k)
+        col = schubert_coordinates(op(table[w], i), k).coords
         if action != "symq1":
-            _check_column_shape(i, w, vec)
-        columns[w] = vec.coords
+            _check_column_shape(i, w, col)
+        columns[w] = col
     out = RepMatrix(action, k, basis, columns)
     _GEN_CACHE[key] = out
     return out
 
 
-def _check_column_shape(i: int, w: Perm, vec: CoinvariantVector):
-    if length(mult_right_s(w, i)) > length(w):
-        if vec.coords != {w: QP_ONE}:
-            raise InvariantViolation(f"ascent column at {w} is not a unit column")
-    elif vec[w] != MINUS_Q:
-        raise InvariantViolation(f"descent diagonal at {w} is not -q")
+def _check_column_shape(i: int, w: Perm, col: dict[Perm, QPoly]):
+    """The column shape shared by the rho1 and rho2 generators, the only
+    place it is checked; raises ``InvariantViolation``, so it also runs under
+    ``python -O``."""
+    if w[i - 1] < w[i]:
+        if col != {w: QP_ONE}:
+            raise InvariantViolation(f"ascent column at i={i}, w={w} is not a unit column")
+    elif col.get(w) != MINUS_Q:
+        raise InvariantViolation(f"descent diagonal at i={i}, w={w} is not -q")
+    else:
+        for z in col:
+            if z[i - 1] > z[i] and z != w:
+                raise InvariantViolation(
+                    f"descent column at i={i}, w={w} has an entry at {z}, a descent at {i}")
 
 
 def apply_action_word(action: str, word, f: MPoly) -> MPoly:
@@ -310,7 +318,9 @@ def _right_cycle(w: Perm, a: int, b: int, c: int) -> Perm:
 @dataclass(frozen=True)
 class BCSplit:
     """Split of the off-diagonal entries of a randomized-action descent column
-    as (1-q)*b + c with integer b and c in {-1, 0, 1}."""
+    as (1-q)*b + c with integers b and c.  ``bc_split`` checks that c lies in
+    {-1, 0, 1}; b is only reported, and values outside {-1, 0, 1} do occur
+    (``BCScan.b_outliers``)."""
 
     i: int
     w: Perm
@@ -519,8 +529,10 @@ def _apply_columns(i: int, columns: dict[Perm, dict[Perm, QPoly]],
                    vec: dict[Perm, QPoly]) -> dict[Perm, QPoly]:
     """Apply the i-th rho1 generator, given by its columns, to a sparse vector.
 
-    An ascent of w at i (w[i-1] < w[i]) has the unit column, which
-    ``_check_column_shape`` enforced when the matrix was built.
+    Relies on the column shape that ``_check_column_shape`` enforced when the
+    matrix was built: an ascent of w at i (w[i-1] < w[i]) has the unit column,
+    which is not looked up; a descent column holds -q at w and its other
+    entries only at classes with an ascent at i.
     """
     out: dict[Perm, QPoly] = {}
     for w, c in vec.items():

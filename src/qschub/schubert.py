@@ -39,6 +39,7 @@ from .perm import (
     length,
     mult_left_s,
     mult_right_s,
+    perm_str,
     perms_by_length,
     perms_of_length,
 )
@@ -326,8 +327,7 @@ def _apply_transposition(w: Perm, j: int, k: int) -> Perm:
 
 
 def schubert_table_strings(n: int) -> dict[str, str]:
-    """Rendered table keyed by one-line notation, for the CLI and golden files."""
-    from .perm import perm_str
-
+    """Rendered table keyed by one-line notation in ``all_perms`` order, for
+    the CLI and golden files."""
     table = build_schubert_table(n)
     return {perm_str(w): str(table[w]) for w in all_perms(n)}

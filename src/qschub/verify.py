@@ -1,6 +1,8 @@
 """Verification suites: exhaustive and seeded-random checks of the exact
 identities the library is built on.  Failures are collected as report
-content; every suite is deterministic given (n, seed).
+content, except the structural invariants that the library checks as it
+builds (``InvariantViolation``), which raise; every suite is deterministic
+given (n, seed).
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ from .perm import (
 from .polyring import MPoly, ONE_MINUS_Q, QPoly, QP_ONE
 from .rep import (
     DIRECT_CROSS_CHECK_MAX_N,
-    MINUS_Q,
     descent_column_formula,
     descent_pairs,
     generator_matrix,
@@ -178,6 +179,9 @@ def suite_word_invariance(n: int, degree_bound: int = 3, seed: int = 11) -> Suit
 
 
 def suite_descent_columns(n: int, degree_bound: int = 0, seed: int = 0) -> SuiteResult:
+    """rho1's Monk-read descent columns against ``descent_column_formula``;
+    then every rho1 and rho2 generator is built, and with it each column's
+    shape is checked by ``generator_matrix``, which raises on a bad one."""
     res = SuiteResult("descent-columns")
     table = build_schubert_table(n)
     count = 0
@@ -195,44 +199,8 @@ def suite_descent_columns(n: int, degree_bound: int = 0, seed: int = 0) -> Suite
     for action in ("rho1", "rho2"):
         for i in range(1, n):
             for k in range(table.max_degree + 1):
-                matrix = generator_matrix(action, i, k, table)
-                for w in matrix.basis:
-                    col = matrix.column(w)
-                    if w[i - 1] < w[i]:
-                        res.check(
-                            col == {w: QP_ONE},
-                            f"{action} ascent column i={i}, w={perm_str(w)}",
-                        )
-                    else:
-                        support_ok = all(
-                            z == w or length(mult_right_s(z, i)) > length(z) for z in col
-                        )
-                        res.check(
-                            support_ok and col.get(w) == MINUS_Q,
-                            f"{action} descent column i={i}, w={perm_str(w)}",
-                        )
-                    structural += 1
+                structural += len(generator_matrix(action, i, k, table).basis)
     res.lines.append(f"column support and diagonal structure: {structural} columns")
-    return res
-
-
-def suite_diagonal_scaling(n: int, degree_bound: int = 0, seed: int = 0) -> SuiteResult:
-    """At a descent of w at i, row w of the i-th rho1 generator matrix holds
-    -q at w and nothing in any other column, so the generator scales the w
-    coordinate of every vector of the quotient by -q.  Checked exactly on the
-    cached generator matrices at every descent pair."""
-    res = SuiteResult("diagonal-scaling")
-    table = build_schubert_table(n)
-    pairs = descent_pairs(n)
-    for i, w in pairs:
-        matrix = generator_matrix("rho1", i, length(w), table)
-        row = {x: col[w] for x, col in matrix.columns.items() if w in col}
-        res.check(
-            row == {w: MINUS_Q},
-            f"i={i}, w={perm_str(w)}: row holds "
-            + ", ".join(f"{c} in column {perm_str(x)}" for x, c in row.items()),
-        )
-    res.lines.append(f"diagonal scaling at descents: {len(pairs)} rows")
     return res
 
 
@@ -412,7 +380,6 @@ SUITES = {
     "schubert-recursion": suite_schubert_recursion,
     "word-invariance": suite_word_invariance,
     "descent-columns": suite_descent_columns,
-    "diagonal-scaling": suite_diagonal_scaling,
     "a-minus-r": suite_a_minus_r,
     "kernels": suite_kernels,
     "characters": suite_characters,

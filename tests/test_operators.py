@@ -328,8 +328,7 @@ import contextlib
 import sys
 from unittest import mock
 from qschub import operators, rep, schubert
-from qschub.polyring import MPoly
-from qschub.schubert import CoinvariantVector
+from qschub.polyring import MPoly, QP_ONE
 
 def raises(call, *patch):
     with mock.patch.object(*patch) if patch else contextlib.nullcontext():
@@ -344,8 +343,10 @@ stair = schubert.staircase_monomial
 print(sys.flags.optimize)
 print(*[
     raises(lambda: operators.a_minus_r_factor(1, MPoly.variable(2, 1)), operators, "op_r", zero),
-    raises(lambda: rep._check_column_shape(1, (1, 2), CoinvariantVector(0, {}))),
-    raises(lambda: rep._check_column_shape(1, (2, 1), CoinvariantVector(1, {}))),
+    raises(lambda: rep._check_column_shape(1, (1, 2), {})),
+    raises(lambda: rep._check_column_shape(1, (2, 1), {})),
+    raises(lambda: rep._check_column_shape(1, (2, 1, 4, 3),
+                                           {(2, 1, 4, 3): rep.MINUS_Q, (3, 1, 2, 4): QP_ONE})),
     raises(lambda: schubert.build_schubert_table(3),
            schubert, "staircase_monomial", lambda n: MPoly.variable(n, 1)),
     raises(lambda: schubert.build_schubert_table(3),
@@ -370,8 +371,9 @@ class TestInvariantChecks:
         assert done.stdout.splitlines() == [
             "1",
             "A-R difference must be i-symmetric",
-            "ascent column at (1, 2) is not a unit column",
-            "descent diagonal at (2, 1) is not -q",
+            "ascent column at i=1, w=(1, 2) is not a unit column",
+            "descent diagonal at i=1, w=(2, 1) is not -q",
+            "descent column at i=1, w=(2, 1, 4, 3) has an entry at (3, 1, 2, 4), a descent at 1",
             "wrong degree at (3, 2, 1)",
             "non-positive coefficient at (3, 2, 1)",
             "the identity's Schubert polynomial is not 1",

@@ -16,6 +16,8 @@ from helpers import (
     upstairs_graded_traces_oracle,
     upstairs_traces_by_descent_steps,
 )
+from qschub import rep
+from qschub.operators import InvariantViolation
 from qschub.perm import (
     all_perms,
     identity,
@@ -51,7 +53,7 @@ from qschub.rep import (
     weight_character,
     word_matrix,
 )
-from qschub.schubert import build_schubert_table
+from qschub.schubert import CoinvariantVector, build_schubert_table
 
 MINUS_Q = QPoly((0, -1))
 
@@ -114,6 +116,39 @@ class TestGeneratorMatrix:
     def test_bad_action(self):
         with pytest.raises(ValueError):
             generator_matrix("rho3", 1, 1, build_schubert_table(2))
+
+    @staticmethod
+    def _read_column_with_stray_entry(monkeypatch, action, i, w, z):
+        """Empty the generator cache and make the Schubert read of the image
+        of S_w under the i-th generator return one extra entry 1 at z."""
+        image = rep._ACTION_OPS[action](build_schubert_table(len(w))[w], i)
+        genuine = rep.schubert_coordinates
+
+        def read(f, k):
+            vec = genuine(f, k)
+            if f == image:
+                assert z not in vec.coords
+                vec = CoinvariantVector(k, {**vec.coords, z: QP_ONE})
+            return vec
+
+        monkeypatch.setattr(rep, "_GEN_CACHE", {})
+        monkeypatch.setattr(rep, "schubert_coordinates", read)
+
+    def test_stray_entry_in_an_ascent_column_fails_the_build(self, monkeypatch):
+        self._read_column_with_stray_entry(monkeypatch, "rho1", 1, (1, 3, 2), (2, 1, 3))
+        with pytest.raises(InvariantViolation,
+                           match=r"^ascent column at i=1, w=\(1, 3, 2\) is not a unit column$"):
+            generator_matrix("rho1", 1, 1, build_schubert_table(3))
+        assert rep._GEN_CACHE == {}
+
+    def test_descent_column_entry_at_a_descent_class_fails_the_build(self, monkeypatch):
+        w, z = (2, 1, 4, 3), (3, 1, 2, 4)
+        self._read_column_with_stray_entry(monkeypatch, "rho2", 1, w, z)
+        with pytest.raises(InvariantViolation,
+                           match=r"^descent column at i=1, w=\(2, 1, 4, 3\) has an entry "
+                                 r"at \(3, 1, 2, 4\), a descent at 1$"):
+            generator_matrix("rho2", 1, 2, build_schubert_table(4))
+        assert rep._GEN_CACHE == {}
 
 
 class TestWordMatrix:
