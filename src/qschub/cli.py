@@ -40,7 +40,7 @@ the n=8 Schubert table (8! entries) takes 7 to 9 s and 570 MB, a small
 `matrix` at n=8 about 8 s and `schubert --n 8` about 30 s (94.5 MB of
 output).  verify/scan-b accept n <= 6;
 `scan-b` takes about 1 s at n=6, and the full verify suite about 1 s at
-n=4, 2 s at n=5 and 10 to 11.5 s at n=6.  verify --degree-bound is capped
+n=4, 2 s at n=5 and 8 s at n=6.  verify --degree-bound is capped
 at 6, where the kernels suite alone takes about 70 s at n=6 (18 s at 5)."""
 
 

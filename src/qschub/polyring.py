@@ -309,9 +309,6 @@ class MPoly:
             return None
         return degs.pop()
 
-    def constant_coefficient(self) -> QPoly:
-        return self.terms.get((0,) * self.n, QP_ZERO)
-
     def __str__(self) -> str:
         if not self.terms:
             return "0"

@@ -29,19 +29,25 @@ reads one coordinate by looking it up in the same classes.  The
 divided-difference sweep ``expand_homogeneous`` stays in ``schubert`` as the
 independent oracle for both.
 
-The trace-equivalence certificate compares the two actions at the p(n)
-elements T_mu of ``partition_word(mu)``, minimal-length representatives of
-the conjugacy classes, and spreads the traces to every basis element T_v by
-the class polynomials of ``perm.class_polynomial`` (Geck--Pfeiffer,
-*Characters of Finite Coxeter Groups and Iwahori--Hecke Algebras*, Thm 3.2.9
-and section 8.2): ``tr(T_v) = sum_mu f_{v,mu} * tr(T_mu)`` for every
-character.  rho1's quotient traces at T_mu are its graded characters
+The trace-equivalence certificate compares the two actions once, in the
+coinvariant algebra, at the p(n) elements T_mu of ``partition_word(mu)``,
+minimal-length representatives of the conjugacy classes.  A Hecke-algebra
+character is fixed by its values there: every basis element T_v takes
+``tr(T_v) = sum_mu f_{v,mu} * tr(T_mu)`` with the class polynomials of
+``perm.class_polynomial`` (Geck--Pfeiffer, *Characters of Finite Coxeter
+Groups and Iwahori--Hecke Algebras*, Thm 3.2.9 and section 8.2), one fixed
+linear map for every character, so equal traces at the T_mu are equal traces
+at every T_v.  rho1's quotient traces at T_mu are its graded characters
 (``quotient_class_traces``).  rho2's traces on the full polynomial
 components are computed on one exponent orbit per multiplicity type
 lam |- n, each orbit monomial pushed through the word, and weighted by the
-number of degree-d multisets of that type (``upstairs_class_traces``).  The
-polynomial routes and the left-descent recursions over every T_v that these
-replace are kept as test oracles only.
+number of degree-d multisets of that type (``upstairs_class_traces``); its
+coinvariant traces peel the symmetric Hilbert series off them
+(``coinvariant_traces_from_graded``).  That series has constant term 1, so
+the peeling is a bijection over Z[q], and equal coinvariant traces are
+equal full-component traces.  ``spread_class_traces`` carries class traces
+to every T_v for the oracles and the benchmark; the polynomial routes and
+the left-descent recursions over every T_v are kept as test oracles only.
 """
 
 from __future__ import annotations
@@ -136,7 +142,7 @@ def generator_matrix(action: str, i: int, k: int, table: SchubertTable) -> RepMa
     basis = table.basis(k)
     columns = {}
     for w in basis:
-        col = schubert_coordinates(op(table[w], i), k).coords
+        col = schubert_coordinates(op(table[w], i), k)
         if action != "symq1":
             _check_column_shape(i, w, col)
         columns[w] = col
@@ -194,8 +200,7 @@ def word_matrix(action: str, word, k: int, table: SchubertTable) -> RepMatrix:
     basis: apply the whole word upstairs, then read each column once with
     ``schubert_coordinates``."""
     basis = table.basis(k)
-    columns = {w: schubert_coordinates(apply_action_word(action, word, table[w]), k).coords
-               for w in basis}
+    columns = {w: schubert_coordinates(apply_action_word(action, word, table[w]), k) for w in basis}
     return RepMatrix(action, k, basis, columns)
 
 
@@ -359,25 +364,26 @@ def bc_split(i: int, w: Perm, table: SchubertTable) -> BCSplit:
 
 @dataclass
 class EquivalenceReport:
-    """Trace comparison of the two actions on every Hecke basis element.
+    """Trace comparison of the two actions at the class elements T_mu.
 
-    ``rows`` holds, per (element, degree), the trace of the q-commutator
-    action on the degree-k quotient basis against the coinvariant-component
-    trace of the monomial action.  The latter is derived from the action's
-    graded characters on the full polynomial components by dividing out the
-    symmetric-function Hilbert series; the monomial action does not preserve
-    the cutting ideal, so this subrepresentation character is its honest
-    quotient-level trace.  ``component_mismatches`` records the underlying fact,
-    checked at every T_mu: the two actions have equal traces on every full
-    degree component, where both are genuine representations.
+    ``rows`` holds ``(mu, k, rho1 trace, rho2 trace)`` for every mu |- n and
+    degree k, in (k, mu) order: the trace of the q-commutator action on the
+    degree-k quotient basis against the coinvariant-component trace of the
+    monomial action.  The latter is derived from the action's traces on the
+    full polynomial components by dividing out the symmetric-function Hilbert
+    series; the monomial action does not preserve the cutting ideal, so this
+    subrepresentation character is its honest quotient-level trace.  Equal
+    rows at every T_mu are equal traces at every Hecke basis element and on
+    every full degree component (see the module docstring).
+    ``cross_check_failures`` lists where rho1's quotient traces differ from
+    its coinvariant traces derived the same way from its upstairs traces.
     """
 
     n: int
-    rows: list[tuple[Perm, int, QPoly, QPoly]]
-    component_mismatches: list[str]
+    rows: list[tuple[Partition, int, QPoly, QPoly]]
     cross_check_failures: list[str]
 
-    def mismatches(self) -> list[tuple[Perm, int, QPoly, QPoly]]:
+    def mismatches(self) -> list[tuple[Partition, int, QPoly, QPoly]]:
         return [row for row in self.rows if row[2] != row[3]]
 
 
@@ -553,57 +559,40 @@ def _apply_columns(i: int, columns: dict[Perm, dict[Perm, QPoly]],
     return out
 
 
-def _component_failures(label: str, left: dict, right: dict) -> list[str]:
-    return [f"{label} at T_mu, mu={mu}, degree {d}: {left[(mu, d)]} vs {right[(mu, d)]}"
-            for mu, d in left if left[(mu, d)] != right[(mu, d)]]
-
-
 def trace_equivalence_report(n: int) -> EquivalenceReport:
-    """Certify that the two actions induce the same characters.
+    """Certify that the two actions induce the same graded characters on the
+    coinvariant algebra, by one comparison at every (mu, k), mu |- n and
+    k <= n(n-1)/2: rho1's quotient traces (``quotient_class_traces``,
+    products of generator matrices) against rho2's coinvariant traces derived
+    from its upstairs traces (``upstairs_class_traces``, one orbit per
+    multiplicity type).
 
-    A Hecke-algebra character is fixed by its values at the T_mu, mu |- n,
-    and every T_v takes ``sum_mu f_{v,mu} * tr(T_mu)`` for the class
-    polynomials f of ``perm.class_polynomial`` (Geck--Pfeiffer, Thm 3.2.9
-    and section 8.2).  The two actions are therefore compared at the T_mu,
-    and the traces are spread to every basis element for the rows:
+    Nothing more needs comparing.  The traces at the T_mu fix those at every
+    T_v through one linear map, the class polynomials, applied to both sides
+    alike.  The symmetric Hilbert series has constant term 1, so its
+    convolution and the deconvolution of ``coinvariant_traces_from_graded``
+    are inverse bijections over Z[q]: rho1's full-component traces, its
+    quotient traces convolved with the series by ideal invariance, equal
+    rho2's exactly when the rows agree.
 
-    * full polynomial components: the monomial action's upstairs traces
-      (``upstairs_class_traces``, one orbit per multiplicity type) against
-      the q-commutator side, for which the component trace is the
-      symmetric-series convolution of its quotient traces
-      (``quotient_class_traces``, products of generator matrices), by ideal
-      invariance.  For n <= ``DIRECT_CROSS_CHECK_MAX_N`` that derivation is
-      itself cross-checked against rho1's upstairs traces on every monomial;
-      above it that direct route is too slow and the cross-check is skipped;
-    * the coinvariant traces of the two actions, at every T_v.
+    For n <= ``DIRECT_CROSS_CHECK_MAX_N`` rho1's quotient traces are also
+    compared with the coinvariant traces derived from its upstairs traces on
+    every monomial; above it that direct route is too slow and the
+    cross-check is skipped.
     """
-    max_degree = n * (n - 1) // 2
+    top = n * (n - 1) // 2
     quotient1 = quotient_class_traces(n)
-    dims = symmetric_hilbert_dims(n, max_degree)
-    g1_derived = {
-        (mu, d): sum(
-            (quotient1[(mu, d - j)] * dims[j] for j in range(d + 1) if dims[j]),
-            start=QP_ZERO,
-        )
-        for mu in partitions_of(n)
-        for d in range(max_degree + 1)
-    }
-    g2 = upstairs_class_traces(n, "rho2", max_degree)
-    component_mismatches = _component_failures("component trace", g1_derived, g2)
+    derived2 = coinvariant_traces_from_graded(upstairs_class_traces(n, "rho2", top), n, top)
     cross_check_failures = []
     if n <= DIRECT_CROSS_CHECK_MAX_N:
-        g1_direct = upstairs_class_traces(n, "rho1", max_degree)
-        cross_check_failures = _component_failures(
-            "derived vs direct component trace", g1_derived, g1_direct
-        )
-    direct1 = spread_class_traces(quotient1, n, max_degree)
-    derived2 = spread_class_traces(coinvariant_traces_from_graded(g2, n, max_degree), n, max_degree)
-    rows = [
-        (v, k, direct1[(v, k)], derived2[(v, k)])
-        for k in range(max_degree + 1)
-        for v in all_perms(n)
-    ]
-    return EquivalenceReport(n, rows, component_mismatches, cross_check_failures)
+        derived1 = coinvariant_traces_from_graded(upstairs_class_traces(n, "rho1", top), n, top)
+        cross_check_failures = [
+            f"quotient vs upstairs-derived rho1 trace at T_mu, mu={mu}, degree {k}: "
+            f"{t} vs {derived1[(mu, k)]}"
+            for (mu, k), t in quotient1.items() if t != derived1[(mu, k)]
+        ]
+    rows = [(mu, k, t, derived2[(mu, k)]) for (mu, k), t in quotient1.items()]
+    return EquivalenceReport(n, rows, cross_check_failures)
 
 
 @lru_cache(maxsize=None)

@@ -259,17 +259,17 @@ def monomial_class(e: tuple[int, ...]) -> dict[Perm, int]:
     return out
 
 
-def schubert_coordinates(f: MPoly, k: int) -> CoinvariantVector:
-    """Coordinates of the degree-k part of f in the Schubert basis of the
-    quotient: the sum of c * monomial_class(e) over the terms c*x^e of f of
-    total degree k.  Terms of other degrees are ignored."""
+def schubert_coordinates(f: MPoly, k: int) -> dict[Perm, QPoly]:
+    """Nonzero coordinates of the degree-k part of f in the Schubert basis of
+    the quotient: the sum of c * monomial_class(e) over the terms c*x^e of f
+    of total degree k.  Terms of other degrees are ignored."""
     acc: dict[Perm, QPoly] = {}
     for e, c in f.terms.items():
         if sum(e) != k:
             continue
         for z, m in monomial_class(e).items():
             acc[z] = acc.get(z, QP_ZERO) + c * m
-    return CoinvariantVector(k, {z: c for z, c in acc.items() if c})
+    return {z: c for z, c in acc.items() if c}
 
 
 def monk_products(i: int, w: Perm) -> tuple[Perm, ...]:

@@ -108,7 +108,8 @@ def test_criterion_5_trace_equivalence():
     report(
         5,
         not failures,
-        "all basis-element traces of the two actions agree, n <= 5"
+        "the two actions' coinvariant traces agree at every class element T_mu, "
+        "hence at every basis element, n <= 5"
         + (f"; first failure: {failures[0]}" if failures else ""),
     )
 

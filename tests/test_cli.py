@@ -153,6 +153,12 @@ class TestVerify:
         assert code == 0
         assert out.count("[PASS]") == 2
 
+    def test_all_among_other_suites_runs_every_suite(self, capsys):
+        argv = ("verify", "--n", "3", "--degree-bound", "2", "--suite", "all")
+        code, out, _ = run_cli(capsys, *argv, "--suite", "knuth")
+        assert code == 0
+        assert out == run_cli(capsys, *argv)[1]
+
     def test_cap(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--n", "7")
         assert code == 2

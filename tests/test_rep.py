@@ -53,7 +53,7 @@ from qschub.rep import (
     weight_character,
     word_matrix,
 )
-from qschub.schubert import CoinvariantVector, build_schubert_table
+from qschub.schubert import build_schubert_table
 
 MINUS_Q = QPoly((0, -1))
 
@@ -125,11 +125,11 @@ class TestGeneratorMatrix:
         genuine = rep.schubert_coordinates
 
         def read(f, k):
-            vec = genuine(f, k)
+            coords = genuine(f, k)
             if f == image:
-                assert z not in vec.coords
-                vec = CoinvariantVector(k, {**vec.coords, z: QP_ONE})
-            return vec
+                assert z not in coords
+                coords = {**coords, z: QP_ONE}
+            return coords
 
         monkeypatch.setattr(rep, "_GEN_CACHE", {})
         monkeypatch.setattr(rep, "schubert_coordinates", read)
@@ -441,16 +441,47 @@ class TestEquivalence:
     def test_report(self, n):
         report = trace_equivalence_report(n)
         assert not report.mismatches()
-        assert not report.component_mismatches
         assert not report.cross_check_failures
-        assert len(report.rows) == math.factorial(n) * (n * (n - 1) // 2 + 1)
+        assert len(report.rows) == len(partitions_of(n)) * (n * (n - 1) // 2 + 1)
 
     def test_identity_element_rows_are_dimensions(self):
+        # T_mu at mu = (1, 1, 1) is the identity.
         report = trace_equivalence_report(3)
-        for v, k, t1, t2 in report.rows:
-            if v == identity(3):
-                dim = len(perms_of_length(3, k))
-                assert t1 == QPoly((dim,)) and t2 == QPoly((dim,))
+        identity_rows = [row for row in report.rows if row[0] == (1, 1, 1)]
+        assert [k for _, k, _, _ in identity_rows] == [0, 1, 2, 3]
+        for _, k, t1, t2 in identity_rows:
+            dim = len(perms_of_length(3, k))
+            assert t1 == QPoly((dim,)) and t2 == QPoly((dim,))
+
+    @pytest.mark.parametrize("action", ["rho2", "rho1"])
+    def test_a_corrupted_upstairs_trace_is_reported(self, monkeypatch, action):
+        # One unit too many in the rho2 trace at (mu, d) must fail that row;
+        # in rho1's direct upstairs trace, the cross-check.
+        n, mu, d = 3, (2, 1), 2
+        genuine = rep.upstairs_class_traces
+
+        def corrupted(n, which, max_degree):
+            traces = genuine(n, which, max_degree)
+            if which == action:
+                traces[(mu, d)] = traces[(mu, d)] + QP_ONE
+            return traces
+
+        monkeypatch.setattr(rep, "upstairs_class_traces", corrupted)
+        report = trace_equivalence_report(n)
+        if action == "rho2":
+            assert (mu, d) in [(m, k) for m, k, _, _ in report.mismatches()]
+            assert not report.cross_check_failures
+        else:
+            assert not report.mismatches()
+            assert any(f"mu={mu}, degree {d}:" in line for line in report.cross_check_failures)
+
+    def test_report_needs_no_spread(self, monkeypatch):
+        def no_spread(*args):
+            raise AssertionError("the report compares at the T_mu only")
+
+        monkeypatch.setattr(rep, "spread_class_traces", no_spread)
+        report = trace_equivalence_report(4)
+        assert not report.mismatches() and not report.cross_check_failures
 
     def test_graded_traces_recover_weights_at_subproducts(self):
         n = 3
@@ -617,7 +648,7 @@ class TestCoordinateExtraction:
                     k = length(z)
                     part = MPoly(n, {e: c for e, c in f.terms.items() if sum(e) == k})
                     got = coordinate_at(f, z)
-                    assert got == apply_partial_w(z, f).constant_coefficient()
+                    assert got == apply_partial_w(z, f).terms.get((0,) * n, QPoly())
                     assert got == expand_homogeneous(part, k, table)[z]
         assert schubert._MONOMIAL_CLASSES
 

@@ -82,12 +82,12 @@ def test_equivalence_report_line_names_the_cross_check_only_where_it_runs(monkey
     from qschub.rep import EquivalenceReport
 
     monkeypatch.setattr(verify, "trace_equivalence_report",
-                        lambda n: EquivalenceReport(n, [], [], []))
+                        lambda n: EquivalenceReport(n, [], []))
     assert verify.suite_equivalence(4).lines == [
-        "coinvariant trace pairs compared: 0; "
-        "full-component traces and the derived-vs-direct cross-check included"
+        "coinvariant trace pairs compared at the classes T_mu: 0; "
+        "rho1's quotient-vs-upstairs cross-check included"
     ]
     assert verify.suite_equivalence(5).lines == [
-        "coinvariant trace pairs compared: 0; full-component traces included; "
-        "the derived-vs-direct cross-check runs for n <= 4"
+        "coinvariant trace pairs compared at the classes T_mu: 0; "
+        "rho1's quotient-vs-upstairs cross-check runs for n <= 4"
     ]
