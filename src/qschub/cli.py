@@ -32,8 +32,8 @@ MAX_DEGREE_BOUND = 6
 
 COST_NOTE = """\
 cost guide (single runs on a shared 2-core Xeon VM): the full `char` table
-takes about 0.3 s at n=5, 2.6 s at n=6 (1.6 s with --jobs 2) and 79 s at
-n=7 (81 MB peak; 45 s with --jobs 2, each worker at most 72 MB); `char` is
+takes about 0.3 s at n=5, 2.0 s at n=6 (1.4 s with --jobs 2) and 42 to 53 s
+at n=7 (88 MB peak; 27 s with --jobs 2, each worker at most 74 MB); `char` is
 capped at n=7 on that time, and n=8 was not run.  One `matrix` takes under
 a second up to n=6 and about 2.5 s at n=7; n=8 only for `schubert`/`matrix`:
 the n=8 Schubert table (8! entries) takes 7 to 9 s and 570 MB, a small

@@ -23,8 +23,9 @@ Hecke relations exactly.
 Schubert coordinates come from ``schubert.monomial_class``: the class of
 each monomial in the quotient is built once by Monk's rule and memoized, and
 a polynomial's coordinates are its coefficients times those integer classes,
-summed over the terms of the degree being read.  Generator and word matrices
-read each column with ``schubert.schubert_coordinates``; ``coordinate_at``
+summed over the terms of the degree being read, on Kronecker-packed ints.
+Generator and word matrices read each column with
+``schubert.schubert_coordinates``; ``coordinate_at``
 reads one coordinate by looking it up in the same classes.  The
 divided-difference sweep ``expand_homogeneous`` stays in ``schubert`` as the
 independent oracle for both.
@@ -54,7 +55,7 @@ from __future__ import annotations
 
 import os
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import permutations
 
@@ -78,7 +79,9 @@ from .schubert import (
     SchubertTable,
     build_schubert_table,
     monomial_class,
+    pack,
     schubert_coordinates,
+    unpack,
 )
 
 ACTIONS = ("rho1", "rho2", "symq1")
@@ -100,14 +103,37 @@ class RepMatrix:
     k: int
     basis: tuple[Perm, ...]
     columns: dict[Perm, dict[Perm, QPoly]]
+    # shift -> the columns packed at q = 2^shift; filled by packed_columns.
+    _packed: dict[int, dict[Perm, dict[Perm, int]]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def column(self, w: Perm) -> dict[Perm, QPoly]:
         """The stored column of w; the returned dict is shared, do not
         mutate it."""
         return self.columns[w]
 
-    def trace(self) -> QPoly:
-        return sum((col[w] for w, col in self.columns.items() if w in col), QP_ZERO)
+    @cached_property
+    def norm(self) -> int:
+        """The largest L1 norm of a column, summed over every q-coefficient
+        of its entries: applying the matrix multiplies the L1 norm of a
+        vector by at most this."""
+        return max((sum(abs(v) for c in col.values() for v in c.c) for col in self.columns.values()),
+                   default=0)
+
+    @cached_property
+    def q_degree(self) -> int:
+        """The largest q-degree of an entry; 0 for the zero matrix."""
+        return max((c.degree for col in self.columns.values() for c in col.values()), default=0)
+
+    def packed_columns(self, shift: int) -> dict[Perm, dict[Perm, int]]:
+        """The columns with every entry packed at q = 2^shift
+        (``schubert.pack``), built once per shift; shared, do not mutate."""
+        out = self._packed.get(shift)
+        if out is None:
+            out = self._packed[shift] = {
+                w: {z: pack(c, shift) for z, c in col.items()} for w, col in self.columns.items()
+            }
+        return out
 
     @cached_property
     def entries(self) -> tuple[tuple[QPoly, ...], ...]:
@@ -238,6 +264,15 @@ def graded_character(action: str, mu, k: int, n: int) -> CharacterValue:
     whole degree whatever its mu: a table's cells cost the same in any
     order.  rho2 and symq1 apply the whole word to the Schubert polynomial
     of w upstairs.  Either way only the coordinate at w is read.
+
+    rho1's product runs on ints, the columns packed at q = 2^B
+    (``RepMatrix.packed_columns``), and the diagonal is summed as one int and
+    decoded once (``schubert.unpack``).  The bound comes from the matrices:
+    a word has at most n - 1 letters and each multiplies the L1 norm of a
+    vector by at most N, the largest column norm of the degree's generators
+    (``RepMatrix.norm``), so |basis_k| * N^(n-1) caps every q-coefficient of
+    the trace; B = bit_length(bound) + 1, and the trace has at most
+    1 + len(word) * (largest q-degree of an entry) digits.
     """
     source = {"rho1": "trace1", "rho2": "trace2", "symq1": "trace_sym"}[action]
     table = build_schubert_table(n)
@@ -245,14 +280,19 @@ def graded_character(action: str, mu, k: int, n: int) -> CharacterValue:
     word = partition_word(mu)
     value = QP_ZERO
     if action == "rho1":
-        generators = [generator_matrix(action, i, k, table).columns for i in range(1, n)]
-        steps = [(i, generators[i - 1]) for i in reversed(word)]
-        for w in table.basis(k):
-            vec = {w: QP_ONE}
+        generators = [generator_matrix(action, i, k, table) for i in range(1, n)]
+        basis = table.basis(k)
+        bound = len(basis) * max((g.norm for g in generators), default=1) ** (n - 1)
+        shift = bound.bit_length() + 1
+        digits = 1 + len(word) * max((g.q_degree for g in generators), default=0)
+        steps = [(i, generators[i - 1].packed_columns(shift)) for i in reversed(word)]
+        total = 0
+        for w in basis:
+            vec = {w: 1}
             for i, cols in steps:
                 vec = _apply_columns(i, cols, vec)
-            if w in vec:
-                value = value + vec[w]
+            total += vec.get(w, 0)
+        value = unpack(total, shift, digits, bound, "rho1 trace", f"mu={mu}, degree {k}")
     else:
         for w in table.basis(k):
             value = value + coordinate_at(apply_action_word(action, word, table[w]), w)
@@ -531,31 +571,25 @@ def quotient_basis_traces(n: int) -> dict[tuple[Perm, int], QPoly]:
     return spread_class_traces(quotient_class_traces(n), n, n * (n - 1) // 2)
 
 
-def _apply_columns(i: int, columns: dict[Perm, dict[Perm, QPoly]],
-                   vec: dict[Perm, QPoly]) -> dict[Perm, QPoly]:
-    """Apply the i-th rho1 generator, given by its columns, to a sparse vector.
+def _apply_columns(i: int, columns: dict[Perm, dict[Perm, int]],
+                   vec: dict[Perm, int]) -> dict[Perm, int]:
+    """Apply the i-th rho1 generator, given by its packed columns
+    (``RepMatrix.packed_columns``), to a sparse vector packed at the same
+    shift.  Entries may be zero; a zero adds nothing downstream.
 
     Relies on the column shape that ``_check_column_shape`` enforced when the
     matrix was built: an ascent of w at i (w[i-1] < w[i]) has the unit column,
     which is not looked up; a descent column holds -q at w and its other
     entries only at classes with an ascent at i.
     """
-    out: dict[Perm, QPoly] = {}
+    out: dict[Perm, int] = {}
+    get = out.get
     for w, c in vec.items():
         if w[i - 1] < w[i]:
-            terms = ((w, c),)
+            out[w] = get(w, 0) + c
         else:
-            terms = [(z, c * m) for z, m in columns[w].items()]
-        for z, t in terms:
-            acc = out.get(z)
-            if acc is None:
-                out[z] = t
-                continue
-            acc = acc + t
-            if acc:
-                out[z] = acc
-            else:
-                del out[z]
+            for z, m in columns[w].items():
+                out[z] = get(z, 0) + c * m
     return out
 
 

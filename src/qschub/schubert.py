@@ -7,7 +7,10 @@ module run on Python int coefficients: the table's chain on the integer
 Schubert coefficients, frozen to ``QPoly`` once checked, and the expansion
 sweep on Z[q] coefficients packed into ints by q -> 2^B (Kronecker
 substitution; Harvey, *J. Symbolic Comput.* 44, 2009), decoded once at the
-end.  Int coefficients never leave the two functions.
+end.  ``schubert_coordinates`` sums packed coefficients the same way.  One
+pair of functions does all packing, ``pack`` and ``unpack``; ``rep`` uses
+them for the products of its rho1 traces.  Every coordinate returned is a
+``QPoly``.
 
 Residue-class coordinates in the Schubert basis are read two independent ways:
 
@@ -139,20 +142,36 @@ def _sweep_plan(n: int) -> tuple[tuple[tuple[Perm, int, Perm], ...], ...]:
     return tuple(plan)
 
 
+def _l1(c: QPoly) -> int:
+    """The L1 norm of c: the sum of the absolute values of its coefficients."""
+    return sum(map(abs, c.c))
+
+
 def _coordinate_bound(f: MPoly, k: int) -> int:
     """k! times the L1 norm of f (every q-coefficient of every term): a bound
     on every q-coefficient met in the sweep of degree-k f, because a
     divided difference sends a degree-d term to at most d terms of weight
     +1 or -1."""
-    return factorial(k) * sum(abs(v) for c in f.terms.values() for v in c.c)
+    return factorial(k) * sum(map(_l1, f.terms.values()))
 
 
-def _unpack(v: int, shift: int, digits: int, bound: int, z: Perm) -> QPoly:
+def pack(c: QPoly, shift: int) -> int:
+    """c at q = 2^shift (Kronecker substitution), the int ``unpack`` reads
+    back.  Packing is a ring map: sums and products of packed values are the
+    packed sums and products."""
+    v = 0
+    for d in reversed(c.c):
+        v = (v << shift) + d
+    return v
+
+
+def unpack(v: int, shift: int, digits: int, bound: int, what: str, at) -> QPoly:
     """The QPoly packed as v = sum_d c_d 2^(shift*d), read as balanced digits.
 
-    The sweep never raises the q-degree, so only ``digits`` digits may be
-    nonzero, each at most ``bound`` in absolute value; anything else means
-    the packing was too narrow.
+    The caller knows that only ``digits`` digits may be nonzero, each at most
+    ``bound`` < 2^(shift-1) in absolute value; anything else means the packing
+    was too narrow, and raises ``InvariantViolation`` naming the packed
+    ``what`` and where it was read (``at``).
     """
     half = 1 << (shift - 1)
     mask = (1 << shift) - 1
@@ -166,7 +185,7 @@ def _unpack(v: int, shift: int, digits: int, bound: int, z: Perm) -> QPoly:
         out.append(d)
         v = (v - d) >> shift
     if v:
-        raise InvariantViolation(f"packed coordinate at {z} does not decode within the bound")
+        raise InvariantViolation(f"packed {what} at {at} does not decode within the bound")
     return QPoly(out)
 
 
@@ -203,7 +222,7 @@ def expand_homogeneous(f: MPoly, k: int, table: SchubertTable) -> CoinvariantVec
     bound = _coordinate_bound(f, k)
     shift = bound.bit_length() + 1
     digits = max(len(c.c) for c in f.terms.values())
-    packed = {e: sum(v << shift * d for d, v in enumerate(c.c)) for e, c in f.terms.items()}
+    packed = {e: pack(c, shift) for e, c in f.terms.items()}
     layer = {identity(n): _raw(n, packed)}
     plan = _sweep_plan(n)
     for j in range(1, k + 1):
@@ -223,7 +242,7 @@ def expand_homogeneous(f: MPoly, k: int, table: SchubertTable) -> CoinvariantVec
     for z, g in layer.items():
         v = g.terms.get(constant)
         if v:
-            coords[z] = _unpack(v, shift, digits, bound, z)
+            coords[z] = unpack(v, shift, digits, bound, "coordinate", z)
     return CoinvariantVector(k, coords)
 
 
@@ -262,14 +281,25 @@ def monomial_class(e: tuple[int, ...]) -> dict[Perm, int]:
 def schubert_coordinates(f: MPoly, k: int) -> dict[Perm, QPoly]:
     """Nonzero coordinates of the degree-k part of f in the Schubert basis of
     the quotient: the sum of c * monomial_class(e) over the terms c*x^e of f
-    of total degree k.  Terms of other degrees are ignored."""
-    acc: dict[Perm, QPoly] = {}
-    for e, c in f.terms.items():
-        if sum(e) != k:
-            continue
-        for z, m in monomial_class(e).items():
-            acc[z] = acc.get(z, QP_ZERO) + c * m
-    return {z: c for z, c in acc.items() if c}
+    of total degree k.  Terms of other degrees are ignored.
+
+    The sum runs on ints: each coefficient is packed at q = 2^B (``pack``)
+    with B = bit_length(bound) + 1, where the bound, the sum over the terms
+    of L1(c) times the largest |m| in the class of x^e, caps every
+    q-coefficient of every coordinate.  Only the nonzero sums are decoded
+    (``unpack``); a digit past the bound or past the largest coefficient
+    length of f raises ``InvariantViolation``.
+    """
+    terms = [(c, monomial_class(e)) for e, c in f.terms.items() if sum(e) == k]
+    bound = sum(_l1(c) * max(map(abs, cls.values()), default=0) for c, cls in terms)
+    shift = bound.bit_length() + 1
+    digits = max((len(c.c) for c, _ in terms), default=0)
+    acc: dict[Perm, int] = {}
+    for c, cls in terms:
+        v = pack(c, shift)
+        for z, m in cls.items():
+            acc[z] = acc.get(z, 0) + v * m
+    return {z: unpack(v, shift, digits, bound, "coordinate", z) for z, v in acc.items() if v}
 
 
 def monk_products(i: int, w: Perm) -> tuple[Perm, ...]:

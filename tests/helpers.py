@@ -153,6 +153,11 @@ def matrix_product(a: RepMatrix, b: RepMatrix) -> RepMatrix:
     return RepMatrix("product", a.k, a.basis, columns)
 
 
+def matrix_trace(m: RepMatrix) -> QPoly:
+    """The sum of the diagonal entries of m, read from its columns."""
+    return sum((col[w] for w, col in m.columns.items() if w in col), QP_ZERO)
+
+
 def monomial_exponents(n: int, degree: int) -> list[tuple[int, ...]]:
     out = []
     for combo in combinations_with_replacement(range(n), degree):

@@ -159,6 +159,12 @@ class TestVerify:
         assert code == 0
         assert out == run_cli(capsys, *argv)[1]
 
+    def test_a_suite_named_twice_runs_once(self, capsys):
+        argv = ("verify", "--n", "3", "--suite", "knuth")
+        code, out, _ = run_cli(capsys, *argv, "--suite", "knuth")
+        assert code == 0
+        assert out == run_cli(capsys, *argv)[1]
+
     def test_cap(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--n", "7")
         assert code == 2

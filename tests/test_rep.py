@@ -10,6 +10,7 @@ from helpers import (
     identity_matrix,
     left_descent_steps,
     matrix_product,
+    matrix_trace,
     quotient_basis_traces_oracle,
     quotient_traces_by_descent_steps,
     record_pool_sizes,
@@ -503,7 +504,7 @@ class TestEquivalence:
         traces = quotient_basis_traces(n)
         for v in all_perms(n):
             for k in range(4):
-                assert traces[(v, k)] == basis_element_matrix("rho1", v, k, table).trace()
+                assert traces[(v, k)] == matrix_trace(basis_element_matrix("rho1", v, k, table))
 
 
 class TestTraceKernels:
@@ -559,7 +560,40 @@ class TestTraceKernels:
             product = identity_matrix(k, table.basis(k))
             for i in partition_word(mu):
                 product = matrix_product(product, fake_generator("rho1", i, k, table))
-            assert trace == product.trace(), (mu, k)
+            assert trace == matrix_trace(product), (mu, k)
+
+    def test_quotient_traces_decode_wide_entries(self, monkeypatch):
+        # The rho1 product runs on entries packed at q = 2^B.  The real
+        # generators hold only 0, +-1 and +-q, so their products never carry
+        # from one q-digit into the next; these fakes have entries up to q^2
+        # with coefficients of both signs past 2^40, and unit ascent columns.
+        from qschub import rep
+
+        n = 4
+        table = build_schubert_table(n)
+        rng = random.Random(11)
+        big = 1 << 41
+        fakes = {}
+
+        def fake_generator(action, i, k, table):
+            if (i, k) not in fakes:
+                basis = table.basis(k)
+                columns = {w: {w: QP_ONE} if w[i - 1] < w[i]
+                              else {z: QPoly([rng.randint(-big, big) for _ in range(3)])
+                                    for z in basis if rng.random() < 0.6}
+                           for w in basis}
+                fakes[(i, k)] = rep.RepMatrix("fake", k, basis, columns)
+            return fakes[(i, k)]
+
+        monkeypatch.setattr(rep, "generator_matrix", fake_generator)
+        traces = quotient_class_traces(n)
+        for (mu, k), trace in traces.items():
+            product = identity_matrix(k, table.basis(k))
+            for i in partition_word(mu):
+                product = matrix_product(product, fake_generator("rho1", i, k, table))
+            assert trace == matrix_trace(product), (mu, k)
+        assert any(t.degree == 6 and min(t.c) < -(1 << 120) < (1 << 120) < max(t.c)
+                   for t in traces.values())
 
     @pytest.mark.parametrize("action", ["rho2", "symq1"])
     @pytest.mark.parametrize("n", [2, 3, 4])

@@ -225,6 +225,17 @@ class TestPackedExpansion:
             widest = max(widest, *(abs(d) for v in vec.coords.values() for d in v.c))
         assert widest >= big
 
+    def test_a_class_multiple_past_one_widens_the_packing(self):
+        # The first monomial class with a multiple past 1 is at n = 6.  With a
+        # one-digit coefficient the coordinate is twice its L1 norm, so the
+        # packing bound must count the class multiple too.
+        e, z = (2, 0, 4, 2, 0, 0), (4, 2, 6, 3, 1, 5)
+        assert monomial_class(e)[z] == 2
+        f = MPoly.monomial(6, e, QPoly(((1 << 70) + 1,)))
+        coords = schubert_coordinates(f, 8)
+        assert coords[z] == QPoly(((1 << 71) + 2,))
+        assert coords == expand_homogeneous(f, 8, build_schubert_table(6)).coords
+
 
 class TestMonk:
     def test_examples(self):
