@@ -22,26 +22,30 @@ from .verify import CHARACTER_COLUMNS, SUITES, character_table, run_suites
 
 DEFAULT_SEED = 20201
 MAX_N_TABLES = 8
-# The full char table takes about 80 s serial at n=7 (81 MB peak), most of it
-# the Monk-read rho1 generator matrices; n=8 was not run.
+# The full char table takes about 27 to 30 s serial at n=7 (89 MB peak), more
+# than half of it the rho2 column; n=8 was not run.
 MAX_N_CHAR = 7
-MAX_N_VERIFY = 6
-# verify's kernels suite at n=6 took 3.4, 17.7 and 69.3 s for degree bounds
-# 4, 5 and 6 (single runs): about fourfold per degree.
+MAX_N_VERIFY = 7
+MAX_N_SCAN_B = 7
+# verify's kernels suite took 3.4, 17.7 and 69.3 s at n=6 for degree bounds
+# 4, 5 and 6, and 9.9, 59 and 292 s at n=7 (single runs):
+# about fourfold per degree, so n=7 stops one bound lower.
 MAX_DEGREE_BOUND = 6
+MAX_DEGREE_BOUND_N7 = 5
 
 COST_NOTE = """\
 cost guide (single runs on a shared 2-core Xeon VM): the full `char` table
-takes about 0.3 s at n=5, 2.0 s at n=6 (1.4 s with --jobs 2) and 42 to 53 s
-at n=7 (88 MB peak; 27 s with --jobs 2, each worker at most 74 MB); `char` is
-capped at n=7 on that time, and n=8 was not run.  One `matrix` takes under
-a second up to n=6 and about 2.5 s at n=7; n=8 only for `schubert`/`matrix`:
-the n=8 Schubert table (8! entries) takes 7 to 9 s and 570 MB, a small
-`matrix` at n=8 about 8 s and `schubert --n 8` about 30 s (94.5 MB of
-output).  verify/scan-b accept n <= 6;
-`scan-b` takes about 1 s at n=6, and the full verify suite about 1 s at
-n=4, 2 s at n=5 and 8 s at n=6.  verify --degree-bound is capped
-at 6, where the kernels suite alone takes about 70 s at n=6 (18 s at 5)."""
+takes about 0.3 s at n=5, 2.0 s at n=6 (1.4 s with --jobs 2) and 27 to 30 s
+at n=7 (89 MB peak; 17 to 23 s with --jobs 2, each worker at most 78 MB);
+`char` is capped at n=7 on that time, and n=8 was not run.  One `matrix`
+takes under a second up to n=6 and about 1 s at n=7; n=8 only for
+`schubert`/`matrix`: the n=8 Schubert table (8! entries) takes 7 to 9 s and
+570 MB, a small `matrix` at n=8 about 8 s and `schubert --n 8` about 30 s
+(94.5 MB of output).  verify/scan-b accept n <= 7: `scan-b` takes about 1 s
+at n=6 and 7 s at n=7, and the full verify suite about 1 s at n=4, 2 s at
+n=5, 8 s at n=6 and 63 s at n=7 (109 MB peak).  verify --degree-bound is
+capped at 6, where the kernels suite alone takes about 70 s at n=6 (18 s at
+5), and at 5 for n=7, where it takes about 60 s (290 s at 6)."""
 
 
 class SystemExit2(SystemExit):
@@ -205,6 +209,8 @@ def cmd_matrix(args) -> int:
 
 def cmd_verify(args) -> int:
     _require_n(args.n, 2, MAX_N_VERIFY, "verify")
+    if args.n == 7 and args.degree_bound > MAX_DEGREE_BOUND_N7:
+        raise SystemExit2(f"degree bound is capped at {MAX_DEGREE_BOUND_N7} for n=7")
     results = run_suites(args.suite or ["all"], args.n, args.degree_bound, args.seed)
     all_passed = all(r.passed for r in results)
     if args.output == "json":
@@ -226,7 +232,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_scan_b(args) -> int:
-    _require_n(args.n, 2, MAX_N_VERIFY, "scan-b")
+    _require_n(args.n, 2, MAX_N_SCAN_B, "scan-b")
     scan = bc_scan(args.n, args.jobs)
     hist = scan.b_histogram()
     outliers = scan.b_outliers()
@@ -301,7 +307,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subcommand("verify", cmd_verify, "run verification suites", outputs=("json", "text"))
     p.add_argument("--degree-bound", type=_degree_bound, default=4,
-                   help=f"monomial degree bound for operator checks, at most {MAX_DEGREE_BOUND}")
+                   help=f"monomial degree bound for operator checks, at most {MAX_DEGREE_BOUND} "
+                        f"({MAX_DEGREE_BOUND_N7} at n=7)")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED,
                    help="seed for the randomized property checks")
     p.add_argument("--suite", action="append", default=None,

@@ -11,6 +11,12 @@ a monomial.  The divided difference's rule is the closed form
 (Macdonald, *Notes on Schubert Polynomials*, 1991, ch. II), so nothing is
 divided and no remainder can arise.  A_i and B_i are composites of the
 divided difference and multiplication by x_i; s_i is ``swap_variables``.
+
+A_i, R_i and s_i take q as a value, the indeterminate ``Q`` by default.
+Evaluating at an integer q is a ring map Z[q] -> Z, so on a polynomial with
+int coefficients and an int q each of them returns the Z[q] result evaluated
+at q, with int coefficients throughout: ``rep`` reads its matrix columns
+that way at q = 2^B (Kronecker substitution, ``schubert.pack``).
 """
 
 from __future__ import annotations
@@ -44,9 +50,12 @@ def _pairwise(f: MPoly, i: int, rule) -> MPoly:
 
     Each term c*x^e is sent to sum_k w_k*c*x^(e_k), where rule(e_i, e_{i+1})
     gives the pairs ((a_k, b_k), w_k) and e_k is e with (e_i, e_{i+1})
-    replaced by (a_k, b_k).  A weight is +1, -1 or a QPoly.  When every
-    weight is +1 or -1, as in the divided difference, c may also be a Python
-    int: the Schubert layer runs its divided-difference chains that way.
+    replaced by (a_k, b_k).  A weight is a nonzero int or a QPoly.  When
+    every weight is an int, c may also be a Python int, and the result keeps
+    int coefficients: the Schubert layer runs its divided-difference chains
+    that way, and ``rep`` runs R_i at an integer q.  A unit weight stores c
+    itself, so the common weights 1 of the divided difference and the sorting
+    rules cost no multiplication.
     """
     if not 1 <= i < f.n:
         raise ValueError(f"operator index {i} out of range for n={f.n}")
@@ -55,7 +64,7 @@ def _pairwise(f: MPoly, i: int, rule) -> MPoly:
     for e, c in f.terms.items():
         for pair, w in rule(e[ii], e[ii + 1]):
             key = e[:ii] + pair + e[ii + 2:]
-            term = c * w if w.__class__ is QPoly else c if w > 0 else -c
+            term = c if w.__class__ is not QPoly and w == 1 else c * w
             acc = out.get(key)
             if acc is None:
                 # The first contribution is stored as is, not added to a zero:
@@ -84,20 +93,28 @@ def _difference_rule(a: int, b: int) -> tuple:
 def _sorting_rule(descent_swap, ascent_stay, ascent_swap):
     """Rule of a sorting operator: a descending exponent pair is swapped with
     one weight, an ascending one stays and swaps with two more, and a balanced
-    one is fixed."""
+    one is fixed.  A pair of weight zero is left out."""
 
     @lru_cache(maxsize=None)
     def rule(a: int, b: int) -> tuple:
         if a == b:
             return (((a, b), 1),)
         if a > b:
-            return (((b, a), descent_swap),)
-        return (((a, b), ascent_stay), ((b, a), ascent_swap))
+            pairs = (((b, a), descent_swap),)
+        else:
+            pairs = (((a, b), ascent_stay), ((b, a), ascent_swap))
+        return tuple(p for p in pairs if p[1])
 
     return rule
 
 
-_R_RULE = _sorting_rule(Q, ONE_MINUS_Q, 1)
+@lru_cache(maxsize=None)
+def _r_rule(q):
+    """The rule of R_i at q (``Q`` or an int), memoized per q."""
+    return _sorting_rule(q, 1 - q, 1)
+
+
+_R_RULE = _r_rule(Q)
 _RSTAR_RULE = _sorting_rule(1, ONE_MINUS_Q, Q)
 
 
@@ -112,16 +129,19 @@ def mul_x(f: MPoly, i: int) -> MPoly:
     if not 1 <= i <= f.n:
         raise ValueError(f"variable index {i} out of range for n={f.n}")
     ii = i - 1
-    return MPoly(f.n, {e[:ii] + (e[ii] + 1,) + e[ii + 1:]: c for e, c in f.terms.items()})
+    return _raw(f.n, {e[:ii] + (e[ii] + 1,) + e[ii + 1:]: c for e, c in f.terms.items()})
 
 
-def op_s(f: MPoly, i: int) -> MPoly:
+def op_s(f: MPoly, i: int, q=Q) -> MPoly:
+    """Exchange x_i and x_{i+1}; q, taken for a common signature with op_a
+    and op_r, is not used."""
     return swap_variables(f, i)
 
 
-def op_a(f: MPoly, i: int) -> MPoly:
-    """q-commutator of the divided difference with multiplication by x_i."""
-    return divided_difference(mul_x(f, i), i) - mul_x(divided_difference(f, i), i).scale(Q)
+def op_a(f: MPoly, i: int, q=Q) -> MPoly:
+    """q-commutator of the divided difference with multiplication by x_i,
+    at q (``Q`` or an int)."""
+    return divided_difference(mul_x(f, i), i) - mul_x(divided_difference(f, i), i).scale(q)
 
 
 def op_b(f: MPoly, i: int) -> MPoly:
@@ -129,10 +149,10 @@ def op_b(f: MPoly, i: int) -> MPoly:
     return mul_x(divided_difference(f, i), i + 1).scale(Q) - divided_difference(mul_x(f, i + 1), i)
 
 
-def op_r(f: MPoly, i: int) -> MPoly:
+def op_r(f: MPoly, i: int, q=Q) -> MPoly:
     """Descending exponent pairs are swapped with weight q; ascending ones mix
-    (1-q)*stay + swap; balanced monomials are fixed."""
-    return _pairwise(f, i, _R_RULE)
+    (1-q)*stay + swap; balanced monomials are fixed.  q is ``Q`` or an int."""
+    return _pairwise(f, i, _R_RULE if q is Q else _r_rule(q))
 
 
 def op_rstar(f: MPoly, i: int) -> MPoly:

@@ -9,6 +9,13 @@ a sparse map from exponent tuples to nonzero QPoly values:
 
     (1-q)*x1^2*x2 + q^2*x3   ->   {(2, 1, 0): 1-q, (0, 0, 1): q^2}
 
+The Schubert and representation layers also run chains of MPolys whose
+coefficients are Python ints: integer Schubert polynomials, and Z[q]
+coefficients evaluated at an integer q (see ``schubert.pack``).  Addition,
+negation, subtraction, ``scale`` by an int, ``swap_variables`` and ``_raw``
+keep int coefficients ints, as do ``operators.mul_x`` and the operators'
+term kernel.
+
 All values are immutable after construction and every operation is pure, so
 they can be shared freely between workers.  Equality is structural; terms are
 printed in decreasing lexicographic order of exponent vectors, which makes
@@ -239,11 +246,15 @@ class MPoly:
         self._check_ambient(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
-            acc = out.get(e, QP_ZERO) + c
+            acc = out.get(e)
+            if acc is None:
+                out[e] = c
+                continue
+            acc = acc + c
             if acc:
                 out[e] = acc
             else:
-                out.pop(e, None)
+                del out[e]
         return _raw(self.n, out)
 
     def __neg__(self) -> "MPoly":
@@ -283,7 +294,8 @@ class MPoly:
         return out
 
     def scale(self, c) -> "MPoly":
-        c = _as_qpoly(c)
+        if c.__class__ is not int:
+            c = _as_qpoly(c)
         if not c:
             return MPoly.zero(self.n)
         return _raw(self.n, {e: v * c for e, v in self.terms.items()})

@@ -23,12 +23,15 @@ Hecke relations exactly.
 Schubert coordinates come from ``schubert.monomial_class``: the class of
 each monomial in the quotient is built once by Monk's rule and memoized, and
 a polynomial's coordinates are its coefficients times those integer classes,
-summed over the terms of the degree being read, on Kronecker-packed ints.
-Generator and word matrices read each column with
-``schubert.schubert_coordinates``; ``coordinate_at``
-reads one coordinate by looking it up in the same classes.  The
-divided-difference sweep ``expand_homogeneous`` stays in ``schubert`` as the
-independent oracle for both.
+summed over the terms of the degree being read.  Generator and word matrices
+read every column on ints (``_read_column``): the Schubert polynomial, whose
+coefficients are integers, is pushed through the word at q = 2^B, a ring map
+Z[q] -> Z (Kronecker substitution; Harvey, *J. Symbolic Comput.* 44, 2009),
+its packed coordinates are summed by ``schubert.packed_class_sum``, and each
+nonzero one is decoded once (``schubert.unpack``).  ``coordinate_at`` reads
+one coordinate of a Z[q] polynomial by looking it up in the same classes.
+The divided-difference sweep ``expand_homogeneous`` stays in ``schubert`` as
+the independent oracle for both.
 
 The trace-equivalence certificate compares the two actions once, in the
 coinvariant algebra, at the p(n) elements T_mu of ``partition_word(mu)``,
@@ -74,13 +77,13 @@ from .perm import (
     partitions_of,
     perms_of_length,
 )
-from .polyring import MPoly, QPoly, QP_ZERO, QP_ONE
+from .polyring import MPoly, Q, QPoly, QP_ZERO, QP_ONE, _raw
 from .schubert import (
     SchubertTable,
     build_schubert_table,
     monomial_class,
     pack,
-    schubert_coordinates,
+    packed_class_sum,
     unpack,
 )
 
@@ -149,11 +152,12 @@ def generator_matrix(action: str, i: int, k: int, table: SchubertTable) -> RepMa
     component, in the Schubert basis.
 
     Each column is the image of a basis Schubert polynomial, read by
-    ``schubert_coordinates``.  For the two deformed actions every column is
-    checked by ``_check_column_shape`` during the build, and a matrix that
-    fails is not cached: an ascent column (w[i-1] < w[i]) is the unit
-    column; a descent column holds -q at w, and each of its other entries
-    sits at a class z with an ascent at i (z[i-1] < z[i]).
+    ``_read_column`` for the one-letter word (i,).  For the two deformed
+    actions every column is checked by ``_check_column_shape`` during the
+    build, and a matrix that fails is not cached: an ascent column
+    (w[i-1] < w[i]) is the unit column; a descent column holds -q at w, and
+    each of its other entries sits at a class z with an ascent at i
+    (z[i-1] < z[i]).
     """
     if action not in ACTIONS:
         raise ValueError(f"unknown action {action!r}")
@@ -164,11 +168,10 @@ def generator_matrix(action: str, i: int, k: int, table: SchubertTable) -> RepMa
     cached = _GEN_CACHE.get(key)
     if cached is not None:
         return cached
-    op = _ACTION_OPS[action]
     basis = table.basis(k)
     columns = {}
     for w in basis:
-        col = schubert_coordinates(op(table[w], i), k)
+        col = _read_column(action, (i,), w, k, table)
         if action != "symq1":
             _check_column_shape(i, w, col)
         columns[w] = col
@@ -193,21 +196,67 @@ def _check_column_shape(i: int, w: Perm, col: dict[Perm, QPoly]):
                     f"descent column at i={i}, w={w} has an entry at {z}, a descent at {i}")
 
 
-def apply_action_word(action: str, word, f: MPoly) -> MPoly:
+def apply_action_word(action: str, word, f: MPoly, q=Q) -> MPoly:
     """Apply the action's generators along an index word, right to left,
-    on the polynomial ring."""
+    on the polynomial ring, at q (``Q`` or an int; see ``operators``)."""
     op = _ACTION_OPS[action]
     for i in reversed(tuple(word)):
-        f = op(f, i)
+        f = op(f, i, q)
     return f
+
+
+def _letter_mass(action: str, k: int) -> int:
+    """A mass m with L1(g f) <= m * L1(f) for every generator g of the action
+    and every homogeneous f of degree k, where L1 sums the absolute values of
+    every q-coefficient of every term.
+
+    R_i sends a term c*x^e to q*c, to c, or to (1-q)*c and c: m = 3.  In
+    A_i = d_i x_i - q x_i d_i, multiplying by x_i or by q keeps L1, and the
+    divided difference sends a term of exponent pair (a, b) to |a - b| terms
+    of weight +1 or -1, with |a - b| <= k + 1 on x_i f and <= k on f:
+    m = 2k + 1.  s_i only moves terms: m = 1."""
+    return 2 * k + 1 if action == "rho1" else 3 if action == "rho2" else 1
+
+
+def _read_column(action: str, word: tuple[int, ...], w: Perm, k: int,
+                 table: SchubertTable) -> dict[Perm, QPoly]:
+    """Nonzero Schubert coordinates of the image of S_w, w of length k,
+    under the action's word applied right to left upstairs: the column of w
+    in the word's matrix.
+
+    Runs on ints.  S_w has positive integer coefficients, so the word is
+    applied at q = 2^B (``apply_action_word``).  The image is homogeneous of
+    degree k, as S_w is; ``schubert.packed_class_sum`` gives its packed
+    coordinates, and ``schubert.unpack`` decodes each nonzero one once.
+    B = bit_length(bound) + 1 with
+
+        bound = L1(S_w) * m^len(word) * (n - 1)^k,
+
+    m the mass of one letter (``_letter_mass``).  The image has L1 norm at
+    most L1(S_w) * m^len(word), a coordinate is a sum of coefficients times
+    class multiples, and a degree-k class multiple is at most (n - 1)^k
+    (``schubert.monomial_class``), so the bound caps every q-coefficient of
+    every coordinate.  Every letter raises the q-degree by at most one, so a
+    coordinate has at most 1 + len(word) digits; a wider one, or a digit past
+    the bound, raises ``InvariantViolation``.
+    """
+    n = table.n
+    terms = {e: c.as_int() for e, c in table[w].terms.items()}
+    bound = sum(terms.values()) * _letter_mass(action, k) ** len(word) * (n - 1) ** k
+    shift = bound.bit_length() + 1
+    image = apply_action_word(action, word, _raw(n, terms), 1 << shift)
+    digits = 1 + len(word)
+    return {z: unpack(v, shift, digits, bound, "coordinate", z)
+            for z, v in packed_class_sum(image.terms).items() if v}
 
 
 def coordinate_at(f: MPoly, z: Perm) -> QPoly:
     """Schubert coordinate of f at z: the sum of c * monomial_class(e)[z]
     over the terms c*x^e of f of total degree length(z).
 
-    The same sum as ``schubert_coordinates(f, length(z))[z]``, with z looked
-    up in each memoized monomial class instead of the whole vector built.
+    The same sum as ``schubert.schubert_coordinates(f, length(z))[z]``, with
+    z looked up in each memoized monomial class instead of the whole vector
+    built.
     """
     if f.n != len(z):
         raise ValueError(f"ambient mismatch: polynomial n={f.n}, permutation n={len(z)}")
@@ -224,9 +273,10 @@ def coordinate_at(f: MPoly, z: Perm) -> QPoly:
 def word_matrix(action: str, word, k: int, table: SchubertTable) -> RepMatrix:
     """Matrix of the composite operator of an index word on the degree-k
     basis: apply the whole word upstairs, then read each column once with
-    ``schubert_coordinates``."""
+    ``_read_column``."""
+    word = tuple(word)
     basis = table.basis(k)
-    columns = {w: schubert_coordinates(apply_action_word(action, word, table[w]), k) for w in basis}
+    columns = {w: _read_column(action, word, w, k, table) for w in basis}
     return RepMatrix(action, k, basis, columns)
 
 

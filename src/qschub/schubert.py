@@ -7,8 +7,11 @@ module run on Python int coefficients: the table's chain on the integer
 Schubert coefficients, frozen to ``QPoly`` once checked, and the expansion
 sweep on Z[q] coefficients packed into ints by q -> 2^B (Kronecker
 substitution; Harvey, *J. Symbolic Comput.* 44, 2009), decoded once at the
-end.  ``schubert_coordinates`` sums packed coefficients the same way.  One
-pair of functions does all packing, ``pack`` and ``unpack``; ``rep`` uses
+end.  ``packed_class_sum`` sums packed coefficients times the integer
+monomial classes: ``schubert_coordinates`` packs a Z[q] polynomial and reads
+it through that sum, and ``rep`` reads every matrix column through it, the
+operators applied to the integer Schubert polynomial at q = 2^B.  One pair
+of functions does all packing, ``pack`` and ``unpack``; ``rep`` also uses
 them for the products of its rho1 traces.  Every coordinate returned is a
 ``QPoly``.
 
@@ -19,8 +22,9 @@ Residue-class coordinates in the Schubert basis are read two independent ways:
   applying the chain of z.
 * ``schubert_coordinates`` sums memoized monomial classes
   (``monomial_class``), each built one variable at a time by Monk's rule
-  (``x_action_on_schubert``) in integer arithmetic.  The representation
-  layer reads every coordinate this way.
+  (``x_action_on_schubert``) in integer arithmetic, with
+  ``packed_class_sum``.  The representation layer reads every matrix column
+  through the same sum.
 
 The divided-difference sweep is the oracle the Monk classes are tested
 against; it must not be rebuilt on ``monomial_class``, or a wrong Monk term
@@ -246,9 +250,10 @@ def expand_homogeneous(f: MPoly, k: int, table: SchubertTable) -> CoinvariantVec
     return CoinvariantVector(k, coords)
 
 
-# e -> {z: m}: the class of the monomial x^e in the coinvariant algebra,
-# x^e = sum of m * S_z modulo the ideal, nonzero m only; filled on demand.
-_MONOMIAL_CLASSES: dict[tuple[int, ...], dict[Perm, int]] = {}
+# e -> ({z: m}, max |m|): the class of the monomial x^e in the coinvariant
+# algebra, x^e = sum of m * S_z modulo the ideal, nonzero m only, and its
+# largest multiple (0 for an empty class); filled on demand.
+_MONOMIAL_CLASSES: dict[tuple[int, ...], tuple[dict[Perm, int], int]] = {}
 
 
 def monomial_class(e: tuple[int, ...]) -> dict[Perm, int]:
@@ -258,10 +263,21 @@ def monomial_class(e: tuple[int, ...]) -> dict[Perm, int]:
     of positive exponent, x^e is x_v times x^(e - unit_v), and multiplying a
     class by x_v is ``x_action_on_schubert`` term by term.  Memoized per e in
     ``_MONOMIAL_CLASSES``; the returned dict is shared, do not mutate it.
+
+    Each x_v has at most n - 1 Monk terms, all of sign +1 or -1, so a class
+    of degree k has L1 norm, and every multiple, at most (n - 1)^k.
     """
-    out = _MONOMIAL_CLASSES.get(e)
-    if out is not None:
-        return out
+    entry = _MONOMIAL_CLASSES.get(e)
+    if entry is None:
+        entry = _monomial_class_entry(e)
+    return entry[0]
+
+
+def _monomial_class_entry(e: tuple[int, ...]) -> tuple[dict[Perm, int], int]:
+    """The memo entry of x^e, (class, largest |multiple|), built if absent."""
+    entry = _MONOMIAL_CLASSES.get(e)
+    if entry is not None:
+        return entry
     v = next((v for v, a in enumerate(e) if a), None)
     if v is None:
         out = {identity(len(e)): 1}
@@ -274,8 +290,21 @@ def monomial_class(e: tuple[int, ...]) -> dict[Perm, int]:
             for z in minus:
                 acc[z] = acc.get(z, 0) - m
         out = {z: m for z, m in acc.items() if m}
-    _MONOMIAL_CLASSES[e] = out
-    return out
+    entry = _MONOMIAL_CLASSES[e] = (out, max(map(abs, out.values()), default=0))
+    return entry
+
+
+def packed_class_sum(terms: dict[tuple[int, ...], int]) -> dict[Perm, int]:
+    """The sum of v * monomial_class(e) over the items (e, v) of a term dict
+    with int coefficients, such as Z[q] coefficients packed at q = 2^B
+    (``pack``): the packed Schubert coordinates of the polynomial, each in
+    the degree of its monomials.  Zero sums may remain."""
+    acc: dict[Perm, int] = {}
+    get = acc.get
+    for e, v in terms.items():
+        for z, m in monomial_class(e).items():
+            acc[z] = get(z, 0) + v * m
+    return acc
 
 
 def schubert_coordinates(f: MPoly, k: int) -> dict[Perm, QPoly]:
@@ -284,21 +313,18 @@ def schubert_coordinates(f: MPoly, k: int) -> dict[Perm, QPoly]:
     of total degree k.  Terms of other degrees are ignored.
 
     The sum runs on ints: each coefficient is packed at q = 2^B (``pack``)
-    with B = bit_length(bound) + 1, where the bound, the sum over the terms
-    of L1(c) times the largest |m| in the class of x^e, caps every
-    q-coefficient of every coordinate.  Only the nonzero sums are decoded
-    (``unpack``); a digit past the bound or past the largest coefficient
-    length of f raises ``InvariantViolation``.
+    and summed by ``packed_class_sum``, with B = bit_length(bound) + 1, where
+    the bound, the sum over the terms of L1(c) times the largest |m| in the
+    class of x^e (memoized with the class), caps every q-coefficient of every
+    coordinate.  Only the nonzero sums are decoded (``unpack``); a digit past
+    the bound or past the largest coefficient length of f raises
+    ``InvariantViolation``.
     """
-    terms = [(c, monomial_class(e)) for e, c in f.terms.items() if sum(e) == k]
-    bound = sum(_l1(c) * max(map(abs, cls.values()), default=0) for c, cls in terms)
+    terms = {e: c for e, c in f.terms.items() if sum(e) == k}
+    bound = sum(_l1(c) * _monomial_class_entry(e)[1] for e, c in terms.items())
     shift = bound.bit_length() + 1
-    digits = max((len(c.c) for c, _ in terms), default=0)
-    acc: dict[Perm, int] = {}
-    for c, cls in terms:
-        v = pack(c, shift)
-        for z, m in cls.items():
-            acc[z] = acc.get(z, 0) + v * m
+    digits = max((len(c.c) for c in terms.values()), default=0)
+    acc = packed_class_sum({e: pack(c, shift) for e, c in terms.items()})
     return {z: unpack(v, shift, digits, bound, "coordinate", z) for z, v in acc.items() if v}
 
 

@@ -4,7 +4,7 @@ import pytest
 
 from helpers import record_pool_sizes
 
-from qschub.cli import MAX_DEGREE_BOUND, main
+from qschub.cli import MAX_DEGREE_BOUND, MAX_DEGREE_BOUND_N7, main
 
 
 def run_cli(capsys, *argv):
@@ -166,11 +166,18 @@ class TestVerify:
         assert out == run_cli(capsys, *argv)[1]
 
     def test_cap(self, capsys):
-        code, _, err = run_cli(capsys, "verify", "--n", "7")
+        code, _, err = run_cli(capsys, "verify", "--n", "8")
         assert code == 2
+        assert "verify is capped at n <= 7" in err
 
 
 class TestScanB:
+    def test_cap(self, capsys):
+        code, out, err = run_cli(capsys, "scan-b", "--n", "8")
+        assert code == 2
+        assert out == ""
+        assert "scan-b is capped at n <= 7" in err
+
     def test_n2_empty(self, capsys):
         code, out, _ = run_cli(capsys, "scan-b", "--n", "2", "--output", "json")
         assert code == 0
@@ -248,6 +255,16 @@ class TestDeterminismAndConfig:
         assert f"degree bound is capped at {MAX_DEGREE_BOUND}" in err
         code, _, _ = run_cli(capsys, "verify", "--n", "2", "--suite", "kernels",
                              "--degree-bound", str(MAX_DEGREE_BOUND))
+        assert code == 0
+
+    def test_n7_caps_the_degree_bound_one_lower(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--n", "7", "--suite", "commutation",
+                                 "--degree-bound", str(MAX_DEGREE_BOUND_N7 + 1))
+        assert code == 2
+        assert out == ""
+        assert f"degree bound is capped at {MAX_DEGREE_BOUND_N7} for n=7" in err
+        code, _, _ = run_cli(capsys, "verify", "--n", "7", "--suite", "commutation",
+                             "--degree-bound", str(MAX_DEGREE_BOUND_N7))
         assert code == 0
 
     @pytest.mark.parametrize("argv", [

@@ -31,7 +31,9 @@ from qschub.polyring import (
     is_i_symmetric,
     swap_variables,
 )
+from qschub.polyring import _raw
 from qschub.rep import apply_action_word
+from qschub.schubert import unpack
 
 
 def x(i, n=2):
@@ -232,6 +234,39 @@ class TestGeneratorOps:
             mul_x(x(1), 3)
 
 
+class TestIntegerQ:
+    """At an integer q the operators are the Z[q] operators followed by the
+    ring map q -> q value: read back from q = 2^SHIFT, the image is the
+    symbolic one."""
+
+    SHIFT = 16
+
+    @pytest.mark.parametrize("op", [op_a, op_r, op_s])
+    def test_image_at_a_power_of_two_unpacks_to_the_symbolic_image(self, op):
+        bound = (1 << (self.SHIFT - 1)) - 1
+        checked = with_q = 0
+        for n in (2, 3, 4):
+            for f in monomials_up_to(n, 4):
+                f_int = _raw(n, {e: c.as_int() for e, c in f.terms.items()})
+                for i in range(1, n):
+                    packed = op(f_int, i, 1 << self.SHIFT)
+                    assert all(type(v) is int for v in packed.terms.values())
+                    image = MPoly(n, {e: unpack(v, self.SHIFT, 2, bound, "coefficient", e)
+                                      for e, v in packed.terms.items()})
+                    expected = op(f, i)
+                    assert image == expected, (n, i, f)
+                    checked += 1
+                    with_q += any(c.degree > 0 for c in expected.terms.values())
+        assert checked == 295 and (with_q > 0) == (op is not op_s)
+
+    def test_a_weight_that_vanishes_at_q_stores_no_term(self):
+        # R_i at q = 1 keeps an ascending pair with weight 1 - q = 0, and at
+        # q = 0 swaps a descending one with weight q = 0.
+        assert op_r(_raw(2, {(0, 1): 5}), 1, 1).terms == {(1, 0): 5}
+        assert op_r(_raw(2, {(1, 0): 5}), 1, 0).terms == {}
+        assert op_r(_raw(2, {(0, 1): 5}), 1, 0).terms == {(0, 1): 5, (1, 0): 5}
+
+
 class TestWords:
     def test_empty_word(self):
         f = x(1) ** 2
@@ -358,6 +393,8 @@ print(*[
            schubert, "_coordinate_bound", lambda f, k: 0),
     raises(lambda: schubert.schubert_coordinates(MPoly.variable(3, 1).scale(3), 1),
            schubert, "_l1", lambda c: 0),
+    raises(lambda: rep.generator_matrix("rho1", 1, 1, schubert.build_schubert_table(3)),
+           rep, "_letter_mass", lambda action, k: 0),
     raises(lambda: rep.graded_character("rho1", (2, 1), 1, 3), rep.RepMatrix, "norm", 0),
 ], sep="\\n")
 """
@@ -382,5 +419,6 @@ class TestInvariantChecks:
             "the identity's Schubert polynomial is not 1",
             "packed coordinate at (2, 1, 3) does not decode within the bound",
             "packed coordinate at (2, 1, 3) does not decode within the bound",
+            "packed coordinate at (1, 3, 2) does not decode within the bound",
             "packed rho1 trace at mu=(2, 1), degree 1 does not decode within the bound",
         ]

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import act_variable_permutation, from_word
+from qschub.operators import mul_x
 from qschub.polyring import (
     MPoly,
     ONE_MINUS_Q,
@@ -11,6 +12,7 @@ from qschub.polyring import (
     QPoly,
     QP_ONE,
     QP_ZERO,
+    _raw,
     is_i_symmetric,
     minus_q_power,
     swap_variables,
@@ -128,6 +130,33 @@ class TestMPolyArithmetic:
             assert (a * b) * c == a * (b * c)
             assert a * (b + c) == a * b + a * c
             assert a * b == b * a
+
+
+class TestIntCoefficients:
+    """The integer and packed chains of the Schubert and representation
+    layers keep int coefficients ints."""
+
+    f = _raw(3, {(1, 0, 0): 3, (0, 2, 0): -5})
+    g = _raw(3, {(1, 0, 0): -3, (0, 0, 1): 7})
+
+    def test_add_sub_neg_scale_and_mul_x_stay_int(self):
+        f, g = self.f, self.g
+        for h in (f + g, f - g, -f, f.scale(4), f.scale(-1), mul_x(f, 2), swap_variables(f, 1)):
+            assert h and all(type(c) is int for c in h.terms.values()), h
+        assert (f + g).terms == {(0, 2, 0): -5, (0, 0, 1): 7}
+        assert (f - g).terms == {(1, 0, 0): 6, (0, 2, 0): -5, (0, 0, 1): -7}
+        assert f.scale(-2).terms == {(1, 0, 0): -6, (0, 2, 0): 10}
+        assert mul_x(f, 2).terms == {(1, 1, 0): 3, (0, 3, 0): -5}
+
+    def test_cancellation_and_zero_scale_leave_no_term(self):
+        assert (self.f - self.f).terms == {}
+        assert (self.f + -self.f).terms == {}
+        assert self.f.scale(0).terms == {}
+
+    def test_an_int_meets_a_qpoly(self):
+        assert (self.f + x(1).scale(Q)).terms == {(1, 0, 0): QPoly((3, 1)), (0, 2, 0): -5}
+        assert self.f.scale(Q).terms == {(1, 0, 0): QPoly((0, 3)), (0, 2, 0): QPoly((0, -5))}
+        assert self.f == x(1).scale(3) - (x(2) ** 2).scale(5)
 
 
 class TestVariablePermutation:

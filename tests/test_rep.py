@@ -1,6 +1,7 @@
 import math
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -18,7 +19,7 @@ from helpers import (
     upstairs_traces_by_descent_steps,
 )
 from qschub import rep
-from qschub.operators import InvariantViolation
+from qschub.operators import InvariantViolation, monomials_up_to
 from qschub.perm import (
     all_perms,
     identity,
@@ -120,20 +121,19 @@ class TestGeneratorMatrix:
 
     @staticmethod
     def _read_column_with_stray_entry(monkeypatch, action, i, w, z):
-        """Empty the generator cache and make the Schubert read of the image
-        of S_w under the i-th generator return one extra entry 1 at z."""
-        image = rep._ACTION_OPS[action](build_schubert_table(len(w))[w], i)
-        genuine = rep.schubert_coordinates
+        """Empty the generator cache and make the column read of S_w under
+        the i-th generator return one extra entry 1 at z."""
+        genuine = rep._read_column
 
-        def read(f, k):
-            coords = genuine(f, k)
-            if f == image:
-                assert z not in coords
-                coords = {**coords, z: QP_ONE}
-            return coords
+        def read(action_, word, v, k, table):
+            col = genuine(action_, word, v, k, table)
+            if (action_, word, v) == (action, (i,), w):
+                assert z not in col
+                col = {**col, z: QP_ONE}
+            return col
 
         monkeypatch.setattr(rep, "_GEN_CACHE", {})
-        monkeypatch.setattr(rep, "schubert_coordinates", read)
+        monkeypatch.setattr(rep, "_read_column", read)
 
     def test_stray_entry_in_an_ascent_column_fails_the_build(self, monkeypatch):
         self._read_column_with_stray_entry(monkeypatch, "rho1", 1, (1, 3, 2), (2, 1, 3))
@@ -208,6 +208,46 @@ class TestWordMatrix:
         m = basis_element_matrix("rho2", (3, 2, 1), 2, table)
         alt = word_matrix("rho2", (1, 2, 1), 2, table)
         assert m.entries == alt.entries
+
+
+class TestPackedColumns:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_packed_columns_match_the_symbolic_read(self, n):
+        # The Z[q] route the packed reader replaces: the word applied to the
+        # Schubert polynomial over Z[q], then read by schubert_coordinates.
+        from qschub.schubert import schubert_coordinates
+
+        table = build_schubert_table(n)
+        rng = random.Random(n)
+        words = [(), (1,), (n - 1, 1, n - 1)] + [
+            tuple(rng.randrange(1, n) for _ in range(rng.randint(2, 6))) for _ in range(3)]
+        for action in ACTIONS:
+            for word in words:
+                for k in range(table.max_degree + 1):
+                    for w in table.basis(k):
+                        image = apply_action_word(action, word, table[w])
+                        assert rep._read_column(action, word, w, k, table) == \
+                            schubert_coordinates(image, k), (action, word, w)
+
+    def test_one_letter_grows_the_l1_norm_by_at_most_its_mass(self):
+        # The premise of _read_column's packing bound; every mass is reached
+        # in each degree k >= 1, so none can be lowered.
+        def l1(f):
+            return sum(abs(d) for c in f.terms.values() for d in c.c)
+
+        worst = {}
+        for n in (2, 3, 4):
+            for f in monomials_up_to(n, 5):
+                k = f.total_degree()
+                for action, op in rep._ACTION_OPS.items():
+                    for i in range(1, n):
+                        for c in (QP_ONE, QPoly((1, -1)), QPoly((0, 2, -1))):
+                            g = f.scale(c)
+                            ratio = Fraction(l1(op(g, i)), l1(g))
+                            assert ratio <= rep._letter_mass(action, k)
+                            worst[(action, k)] = max(worst.get((action, k), 0), ratio)
+        assert all(worst[(action, k)] == rep._letter_mass(action, k)
+                   for action in ACTIONS for k in range(1, 6))
 
 
 class TestCharacters:
