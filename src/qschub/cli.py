@@ -27,11 +27,10 @@ MAX_N_TABLES = 8
 MAX_N_CHAR = 7
 MAX_N_VERIFY = 7
 MAX_N_SCAN_B = 7
-# verify's kernels suite took 3.4, 17.7 and 69.3 s at n=6 for degree bounds
-# 4, 5 and 6, and 9.9, 59 and 292 s at n=7 (single runs):
-# about fourfold per degree, so n=7 stops one bound lower.
+# The degree bound reaches relations, commutation, word-invariance, a-minus-r
+# and kernels.  At n=7 and bound 6 they took 12.7, 1.4, 3.0, 0.2 and 2.0 to
+# 2.8 s (single runs), and the whole verify 73 s, so one cap serves every n.
 MAX_DEGREE_BOUND = 6
-MAX_DEGREE_BOUND_N7 = 5
 
 COST_NOTE = """\
 cost guide (single runs on a shared 2-core Xeon VM): the full `char` table
@@ -42,10 +41,10 @@ takes under a second up to n=6 and about 1 s at n=7; n=8 only for
 `schubert`/`matrix`: the n=8 Schubert table (8! entries) takes 7 to 9 s and
 570 MB, a small `matrix` at n=8 about 8 s and `schubert --n 8` about 30 s
 (94.5 MB of output).  verify/scan-b accept n <= 7: `scan-b` takes about 1 s
-at n=6 and 7 s at n=7, and the full verify suite about 1 s at n=4, 2 s at
-n=5, 8 s at n=6 and 63 s at n=7 (109 MB peak).  verify --degree-bound is
-capped at 6, where the kernels suite alone takes about 70 s at n=6 (18 s at
-5), and at 5 for n=7, where it takes about 60 s (290 s at 6)."""
+at n=6 and 7 s at n=7, and the full verify suite about 0.5 s at n=4, 1 s at
+n=5, 3.5 s at n=6 and 60 s at n=7 (108 MB peak).  verify --degree-bound is
+capped at 6 for every n; at n=7 and bound 6 the full verify takes about
+73 s, the kernels suite 2 to 3 s of it."""
 
 
 class SystemExit2(SystemExit):
@@ -209,8 +208,6 @@ def cmd_matrix(args) -> int:
 
 def cmd_verify(args) -> int:
     _require_n(args.n, 2, MAX_N_VERIFY, "verify")
-    if args.n == 7 and args.degree_bound > MAX_DEGREE_BOUND_N7:
-        raise SystemExit2(f"degree bound is capped at {MAX_DEGREE_BOUND_N7} for n=7")
     results = run_suites(args.suite or ["all"], args.n, args.degree_bound, args.seed)
     all_passed = all(r.passed for r in results)
     if args.output == "json":
@@ -307,8 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subcommand("verify", cmd_verify, "run verification suites", outputs=("json", "text"))
     p.add_argument("--degree-bound", type=_degree_bound, default=4,
-                   help=f"monomial degree bound for operator checks, at most {MAX_DEGREE_BOUND} "
-                        f"({MAX_DEGREE_BOUND_N7} at n=7)")
+                   help=f"monomial degree bound for operator checks, at most {MAX_DEGREE_BOUND}")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED,
                    help="seed for the randomized property checks")
     p.add_argument("--suite", action="append", default=None,

@@ -254,9 +254,8 @@ def coordinate_at(f: MPoly, z: Perm) -> QPoly:
     """Schubert coordinate of f at z: the sum of c * monomial_class(e)[z]
     over the terms c*x^e of f of total degree length(z).
 
-    The same sum as ``schubert.schubert_coordinates(f, length(z))[z]``, with
-    z looked up in each memoized monomial class instead of the whole vector
-    built.
+    Only z is looked up in each memoized monomial class; no other coordinate
+    is built.  ``schubert.expand_homogeneous`` is its oracle.
     """
     if f.n != len(z):
         raise ValueError(f"ambient mismatch: polynomial n={f.n}, permutation n={len(z)}")

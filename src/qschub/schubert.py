@@ -8,23 +8,21 @@ Schubert coefficients, frozen to ``QPoly`` once checked, and the expansion
 sweep on Z[q] coefficients packed into ints by q -> 2^B (Kronecker
 substitution; Harvey, *J. Symbolic Comput.* 44, 2009), decoded once at the
 end.  ``packed_class_sum`` sums packed coefficients times the integer
-monomial classes: ``schubert_coordinates`` packs a Z[q] polynomial and reads
-it through that sum, and ``rep`` reads every matrix column through it, the
+monomial classes, and ``rep`` reads every matrix column through it, the
 operators applied to the integer Schubert polynomial at q = 2^B.  One pair
 of functions does all packing, ``pack`` and ``unpack``; ``rep`` also uses
-them for the products of its rho1 traces.  Every coordinate returned is a
-``QPoly``.
+them for its column reads and the products of its rho1 traces.  Every
+decoded coordinate is a ``QPoly``.
 
 Residue-class coordinates in the Schubert basis are read two independent ways:
 
 * ``expand_homogeneous`` uses the duality of divided-difference chains with
   the Schubert basis: the coordinate at z is the constant obtained by
   applying the chain of z.
-* ``schubert_coordinates`` sums memoized monomial classes
-  (``monomial_class``), each built one variable at a time by Monk's rule
-  (``x_action_on_schubert``) in integer arithmetic, with
-  ``packed_class_sum``.  The representation layer reads every matrix column
-  through the same sum.
+* ``packed_class_sum`` sums memoized monomial classes (``monomial_class``),
+  each built one variable at a time by Monk's rule
+  (``x_action_on_schubert``) in integer arithmetic.  The representation
+  layer reads every matrix column through this sum.
 
 The divided-difference sweep is the oracle the Monk classes are tested
 against; it must not be rebuilt on ``monomial_class``, or a wrong Monk term
@@ -146,17 +144,12 @@ def _sweep_plan(n: int) -> tuple[tuple[tuple[Perm, int, Perm], ...], ...]:
     return tuple(plan)
 
 
-def _l1(c: QPoly) -> int:
-    """The L1 norm of c: the sum of the absolute values of its coefficients."""
-    return sum(map(abs, c.c))
-
-
 def _coordinate_bound(f: MPoly, k: int) -> int:
     """k! times the L1 norm of f (every q-coefficient of every term): a bound
     on every q-coefficient met in the sweep of degree-k f, because a
     divided difference sends a degree-d term to at most d terms of weight
     +1 or -1."""
-    return factorial(k) * sum(map(_l1, f.terms.values()))
+    return factorial(k) * sum(abs(d) for c in f.terms.values() for d in c.c)
 
 
 def pack(c: QPoly, shift: int) -> int:
@@ -211,7 +204,7 @@ def expand_homogeneous(f: MPoly, k: int, table: SchubertTable) -> CoinvariantVec
     past the bound or the input's q-degree raises ``InvariantViolation``.
 
     This sweep is the independent oracle for ``monomial_class`` and
-    ``schubert_coordinates``: it must not be rebuilt on them.
+    ``packed_class_sum``: it must not be rebuilt on them.
     """
     n = table.n
     if f.n != n:
@@ -250,10 +243,9 @@ def expand_homogeneous(f: MPoly, k: int, table: SchubertTable) -> CoinvariantVec
     return CoinvariantVector(k, coords)
 
 
-# e -> ({z: m}, max |m|): the class of the monomial x^e in the coinvariant
-# algebra, x^e = sum of m * S_z modulo the ideal, nonzero m only, and its
-# largest multiple (0 for an empty class); filled on demand.
-_MONOMIAL_CLASSES: dict[tuple[int, ...], tuple[dict[Perm, int], int]] = {}
+# e -> {z: m}: the class of the monomial x^e in the coinvariant algebra,
+# x^e = sum of m * S_z modulo the ideal, nonzero m only; filled on demand.
+_MONOMIAL_CLASSES: dict[tuple[int, ...], dict[Perm, int]] = {}
 
 
 def monomial_class(e: tuple[int, ...]) -> dict[Perm, int]:
@@ -267,17 +259,9 @@ def monomial_class(e: tuple[int, ...]) -> dict[Perm, int]:
     Each x_v has at most n - 1 Monk terms, all of sign +1 or -1, so a class
     of degree k has L1 norm, and every multiple, at most (n - 1)^k.
     """
-    entry = _MONOMIAL_CLASSES.get(e)
-    if entry is None:
-        entry = _monomial_class_entry(e)
-    return entry[0]
-
-
-def _monomial_class_entry(e: tuple[int, ...]) -> tuple[dict[Perm, int], int]:
-    """The memo entry of x^e, (class, largest |multiple|), built if absent."""
-    entry = _MONOMIAL_CLASSES.get(e)
-    if entry is not None:
-        return entry
+    out = _MONOMIAL_CLASSES.get(e)
+    if out is not None:
+        return out
     v = next((v for v, a in enumerate(e) if a), None)
     if v is None:
         out = {identity(len(e)): 1}
@@ -290,8 +274,8 @@ def _monomial_class_entry(e: tuple[int, ...]) -> tuple[dict[Perm, int], int]:
             for z in minus:
                 acc[z] = acc.get(z, 0) - m
         out = {z: m for z, m in acc.items() if m}
-    entry = _MONOMIAL_CLASSES[e] = (out, max(map(abs, out.values()), default=0))
-    return entry
+    _MONOMIAL_CLASSES[e] = out
+    return out
 
 
 def packed_class_sum(terms: dict[tuple[int, ...], int]) -> dict[Perm, int]:
@@ -305,27 +289,6 @@ def packed_class_sum(terms: dict[tuple[int, ...], int]) -> dict[Perm, int]:
         for z, m in monomial_class(e).items():
             acc[z] = get(z, 0) + v * m
     return acc
-
-
-def schubert_coordinates(f: MPoly, k: int) -> dict[Perm, QPoly]:
-    """Nonzero coordinates of the degree-k part of f in the Schubert basis of
-    the quotient: the sum of c * monomial_class(e) over the terms c*x^e of f
-    of total degree k.  Terms of other degrees are ignored.
-
-    The sum runs on ints: each coefficient is packed at q = 2^B (``pack``)
-    and summed by ``packed_class_sum``, with B = bit_length(bound) + 1, where
-    the bound, the sum over the terms of L1(c) times the largest |m| in the
-    class of x^e (memoized with the class), caps every q-coefficient of every
-    coordinate.  Only the nonzero sums are decoded (``unpack``); a digit past
-    the bound or past the largest coefficient length of f raises
-    ``InvariantViolation``.
-    """
-    terms = {e: c for e, c in f.terms.items() if sum(e) == k}
-    bound = sum(_l1(c) * _monomial_class_entry(e)[1] for e, c in terms.items())
-    shift = bound.bit_length() + 1
-    digits = max((len(c.c) for c in terms.values()), default=0)
-    acc = packed_class_sum({e: pack(c, shift) for e, c in terms.items()})
-    return {z: unpack(v, shift, digits, bound, "coordinate", z) for z, v in acc.items() if v}
 
 
 def monk_products(i: int, w: Perm) -> tuple[Perm, ...]:

@@ -248,6 +248,13 @@ def suite_kernels(n: int, degree_bound: int = 5, seed: int = 3) -> SuiteResult:
 
     A probabilistic certificate: a wrong generic dimension would show up at a
     random specialization with overwhelming probability.
+
+    A_i and R_i change only the exponents at positions i and i+1, and keep
+    their sum, so each maps the span of the degree-d monomials x^e sharing
+    e[:i-1] + e[i+1:] into itself: op - 1 is block diagonal over these
+    blocks, of at most d + 1 monomials each, and its rank is the sum of the
+    block ranks.  That closure is checked on every image, not assumed: a
+    term outside its block is a failure naming the operator, i and e.
     """
     res = SuiteResult("kernels")
     rng = random.Random(seed)
@@ -256,29 +263,23 @@ def suite_kernels(n: int, degree_bound: int = 5, seed: int = 3) -> SuiteResult:
         r = Fraction(rng.choice([-1, 1]) * rng.randint(1, 12), rng.randint(1, 12))
         if r != -1 and r not in points:
             points.append(r)
+    by_degree: dict[int, list[tuple[int, ...]]] = {d: [] for d in range(degree_bound + 1)}
+    for f in monomials_up_to(n, degree_bound):
+        e = next(iter(f.terms))
+        by_degree[sum(e)].append(e)
     count = 0
     for i in range(1, n):
-        for d in range(degree_bound + 1):
-            monos = [f for f in monomials_up_to(n, d) if f.total_degree() == d]
-            exps = [next(iter(f.terms)) for f in monos]
-            index = {e: pos for pos, e in enumerate(exps)}
+        for d, exps in by_degree.items():
             symmetric = sum(1 for e in exps if e[i - 1] == e[i])
             expected = (len(exps) + symmetric) // 2
-            for r in points:
-                for name, op in (("A", op_a), ("R", op_r)):
-                    rows = []
-                    for f in monos:
-                        image = op(f, i)
-                        col = [Fraction(0)] * len(exps)
-                        for e, c in image.terms.items():
-                            col[index[e]] = Fraction(c.evaluate(r))
-                        rows.append(col)
-                    # columns of (op - 1) indexed like exps
-                    mat = [
-                        [rows[cj][ri] - (1 if ri == cj else 0) for cj in range(len(exps))]
-                        for ri in range(len(exps))
-                    ]
-                    dim = len(exps) - _rank(mat)
+            dims = {}
+            for name, op in (("A", op_a), ("R", op_r)):
+                dims[name], leaks = _fixed_space_dims(op, i, exps, points)
+                res.failures.extend(
+                    f"{name} image of x^{e} at i={i} leaves its block: {t}" for e, t in leaks)
+            for j, r in enumerate(points):
+                for name in ("A", "R"):
+                    dim = dims[name][j]
                     res.check(
                         dim == expected,
                         f"{name} fixed space i={i}, degree {d}, q={r}: {dim} vs {expected}",
@@ -286,6 +287,40 @@ def suite_kernels(n: int, degree_bound: int = 5, seed: int = 3) -> SuiteResult:
                     count += 1
     res.lines.append(f"fixed-space dimensions at {KERNEL_POINTS} random rational q: {count} checks")
     return res
+
+
+def _fixed_space_dims(op, i: int, exps, points) -> tuple[list[int], list[tuple]]:
+    """The fixed-space dimension of ``op(., i)`` on the span of the monomials
+    x^e, e in ``exps`` (all of one degree), at each q in ``points``, summed
+    over the blocks of monomials that agree off positions i and i+1; and the
+    pairs (e, t) where the image of x^e has a term x^t outside that block,
+    which the dimensions leave out.  Each image is computed once, over Z[q],
+    and evaluated at every point."""
+    blocks: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
+    for e in exps:
+        block = blocks.setdefault(e[:i - 1] + e[i + 1:], {})
+        block[e] = len(block)
+    leaks = []
+    images = []
+    for block in blocks.values():
+        entries = []
+        for e, col in block.items():
+            for t, c in op(MPoly.monomial(len(e), e), i).terms.items():
+                if t in block:
+                    entries.append((block[t], col, c))
+                else:
+                    leaks.append((e, t))
+        images.append((len(block), entries))
+    dims = []
+    for r in points:
+        dim = 0
+        for size, entries in images:
+            mat = [[-Fraction(row == col) for col in range(size)] for row in range(size)]
+            for row, col, c in entries:
+                mat[row][col] += c.evaluate(r)
+            dim += size - _rank(mat)
+        dims.append(dim)
+    return dims, leaks
 
 
 def suite_equivalence(n: int, degree_bound: int = 0, seed: int = 0) -> SuiteResult:

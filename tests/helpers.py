@@ -1,4 +1,5 @@
-"""Shared test oracles: exact Fraction linear algebra, ideal membership,
+"""Shared test oracles: exact Fraction linear algebra, dense fixed-space
+dimensions of a generator on one degree, ideal membership,
 polynomials specialized at a rational q, the divided difference by synthetic
 division, permutation and matrix products, the variable-permutation action,
 and the trace recursions over every T_v by left descents -- on polynomials
@@ -37,6 +38,7 @@ from qschub.rep import (
     orbit_type_counts,
 )
 from qschub.schubert import build_schubert_table
+from qschub.verify import _rank
 
 
 def solve_exact(rows: list[list[Fraction]], rhs: list[Fraction]):
@@ -69,6 +71,19 @@ def solve_exact(rows: list[list[Fraction]], rhs: list[Fraction]):
     for r, col in enumerate(pivots):
         x[col] = aug[r][cols]
     return x
+
+
+def dense_fixed_space_dim(op, i: int, exps, r) -> int:
+    """The fixed-space dimension of ``op(., i)`` on the span of the monomials
+    x^e, e in ``exps``, at q = r: the corank of the whole (op - 1) matrix
+    over the rationals, one dense matrix with no block structure."""
+    index = {e: pos for pos, e in enumerate(exps)}
+    size = len(exps)
+    mat = [[-Fraction(row == col) for col in range(size)] for row in range(size)]
+    for col, e in enumerate(exps):
+        for t, c in op(MPoly.monomial(len(e), e), i).terms.items():
+            mat[index[t]][col] += c.evaluate(Fraction(r))
+    return size - _rank(mat)
 
 
 def specialize_q(f: MPoly, r) -> dict[tuple[int, ...], Fraction]:

@@ -4,7 +4,7 @@ import pytest
 
 from helpers import record_pool_sizes
 
-from qschub.cli import MAX_DEGREE_BOUND, MAX_DEGREE_BOUND_N7, main
+from qschub.cli import MAX_DEGREE_BOUND, main
 
 
 def run_cli(capsys, *argv):
@@ -257,15 +257,22 @@ class TestDeterminismAndConfig:
                              "--degree-bound", str(MAX_DEGREE_BOUND))
         assert code == 0
 
-    def test_n7_caps_the_degree_bound_one_lower(self, capsys):
-        code, out, err = run_cli(capsys, "verify", "--n", "7", "--suite", "commutation",
-                                 "--degree-bound", str(MAX_DEGREE_BOUND_N7 + 1))
-        assert code == 2
-        assert out == ""
-        assert f"degree bound is capped at {MAX_DEGREE_BOUND_N7} for n=7" in err
-        code, _, _ = run_cli(capsys, "verify", "--n", "7", "--suite", "commutation",
-                             "--degree-bound", str(MAX_DEGREE_BOUND_N7))
+    def test_n7_accepts_the_degree_bound_cap(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--n", "7", "--suite", "kernels",
+                               "--degree-bound", str(MAX_DEGREE_BOUND))
         assert code == 0
+        assert "[PASS] kernels" in out
+
+    def test_n7_rejects_past_the_cap_as_every_n_does(self, capsys):
+        above = str(MAX_DEGREE_BOUND + 1)
+        errors = set()
+        for n in ("2", "5", "7"):
+            code, out, err = run_cli(capsys, "verify", "--n", n, "--suite", "kernels",
+                                     "--degree-bound", above)
+            assert code == 2 and out == ""
+            errors.add(err)
+        assert len(errors) == 1
+        assert f"degree bound is capped at {MAX_DEGREE_BOUND}" in errors.pop()
 
     @pytest.mark.parametrize("argv", [
         ("schubert", "--n", "2", "--jobs", "2"),

@@ -213,9 +213,10 @@ class TestWordMatrix:
 class TestPackedColumns:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_packed_columns_match_the_symbolic_read(self, n):
-        # The Z[q] route the packed reader replaces: the word applied to the
-        # Schubert polynomial over Z[q], then read by schubert_coordinates.
-        from qschub.schubert import schubert_coordinates
+        # The Z[q] route, independent of the Monk classes: the word applied
+        # to the Schubert polynomial over Z[q], then read by the
+        # divided-difference sweep.
+        from qschub.schubert import expand_homogeneous
 
         table = build_schubert_table(n)
         rng = random.Random(n)
@@ -227,7 +228,7 @@ class TestPackedColumns:
                     for w in table.basis(k):
                         image = apply_action_word(action, word, table[w])
                         assert rep._read_column(action, word, w, k, table) == \
-                            schubert_coordinates(image, k), (action, word, w)
+                            expand_homogeneous(image, k, table).coords, (action, word, w)
 
     def test_one_letter_grows_the_l1_norm_by_at_most_its_mass(self):
         # The premise of _read_column's packing bound; every mass is reached

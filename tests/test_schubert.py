@@ -18,12 +18,12 @@ from qschub import schubert
 from qschub.operators import divided_difference
 from qschub.perm import all_perms, identity, length, mult_right_s, perms_of_length
 from qschub.polyring import MPoly, QPoly, QP_ONE
+from qschub.rep import coordinate_at
 from qschub.schubert import (
     build_schubert_table,
     expand_homogeneous,
     monk_products,
     monomial_class,
-    schubert_coordinates,
     schubert_table_strings,
     staircase_monomial,
     x_action_on_schubert,
@@ -188,6 +188,13 @@ class TestExpansion:
                     assert solution[j] == Fraction(vec[z].evaluate(q))
 
 
+def monk_coordinates(f, k, table):
+    """The nonzero degree-k Schubert coordinates of f by the Monk route on
+    Z[q] coefficients, with no packing: ``coordinate_at`` at each z."""
+    coords = {z: coordinate_at(f, z) for z in table.basis(k)}
+    return {z: c for z, c in coords.items() if c}
+
+
 class TestPackedExpansion:
     @pytest.mark.parametrize("n", [4, 5])
     def test_wide_coefficients_match_the_monk_route(self, n):
@@ -214,27 +221,16 @@ class TestPackedExpansion:
         for k in range(table.max_degree + 1):
             g = random_poly(k, 6) + table[rng.choice(table.basis(k))].scale(wide())
             vec = expand_homogeneous(g, k, table)
-            assert vec.coords and vec.coords == schubert_coordinates(g, k), k
+            assert vec.coords and vec.coords == monk_coordinates(g, k, table), k
             z, c = next(iter(vec.coords.items()))
             f = g - table[z].scale(c)
             if k:
                 f = f + e1 * random_poly(k - 1, 3)
             expected = {y: v for y, v in vec.coords.items() if y != z}
             assert expand_homogeneous(f, k, table).coords == expected, k
-            assert schubert_coordinates(f, k) == expected, k
+            assert monk_coordinates(f, k, table) == expected, k
             widest = max(widest, *(abs(d) for v in vec.coords.values() for d in v.c))
         assert widest >= big
-
-    def test_a_class_multiple_past_one_widens_the_packing(self):
-        # The first monomial class with a multiple past 1 is at n = 6.  With a
-        # one-digit coefficient the coordinate is twice its L1 norm, so the
-        # packing bound must count the class multiple too.
-        e, z = (2, 0, 4, 2, 0, 0), (4, 2, 6, 3, 1, 5)
-        assert monomial_class(e)[z] == 2
-        f = MPoly.monomial(6, e, QPoly(((1 << 70) + 1,)))
-        coords = schubert_coordinates(f, 8)
-        assert coords[z] == QPoly(((1 << 71) + 2,))
-        assert coords == expand_homogeneous(f, 8, build_schubert_table(6)).coords
 
 
 class TestMonk:
@@ -323,13 +319,6 @@ class TestMonomialClass:
     def test_ideal_members_have_no_class(self):
         assert monomial_class((3, 0, 0)) == {}  # x1^n lies in the ideal
         assert monomial_class((2, 1, 1)) == {}  # past the top degree
-
-    def test_coordinates_read_only_the_requested_degree(self):
-        f = x(1) * x(1) + x(1).scale(QPoly((2, 3))) + MPoly.const(3, 5)
-        assert schubert_coordinates(f, 1) == {(2, 1, 3): QPoly((2, 3))}
-        assert schubert_coordinates(f, 0) == {(1, 2, 3): QPoly((5,))}
-        assert schubert_coordinates(f, 2) == {(3, 1, 2): QP_ONE}
-        assert schubert_coordinates(f, 3) == {}
 
 
 class TestOracleIndependence:

@@ -2,14 +2,18 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import diagonal_scaling_samples
+from helpers import dense_fixed_space_dim, diagonal_scaling_samples, monomial_exponents
+from qschub import verify
+from qschub.operators import op_a, op_r
 from qschub.perm import perm_str
+from qschub.polyring import MPoly
 from qschub.rep import MINUS_Q, descent_pairs
 from qschub.verify import (
     SUITES,
     SuiteResult,
     character_table,
     run_suites,
+    _fixed_space_dims,
     _mahonian,
     _rank,
 )
@@ -67,6 +71,41 @@ def test_rank():
     assert _rank([[F(1), F(2)], [F(2), F(4)]]) == 1
     assert _rank([[F(1), F(0)], [F(0), F(1)]]) == 2
     assert _rank([[F(0), F(0)]]) == 0
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_block_fixed_space_dims_equal_the_dense_corank(n):
+    # The special values -1, 0 and 1 too, where the dimensions may leave the
+    # generic count: the block sum must still equal the dense corank there.
+    points = [Fraction(-1), Fraction(0), Fraction(1), Fraction(-3, 7), Fraction(5, 2)]
+    for op in (op_a, op_r):
+        for i in range(1, n):
+            for d in range(5):
+                exps = monomial_exponents(n, d)
+                dims, leaks = _fixed_space_dims(op, i, exps, points)
+                assert leaks == []
+                assert dims == [dense_fixed_space_dim(op, i, exps, r) for r in points], (op, i, d)
+
+
+def test_a_term_leaving_its_block_fails_the_kernels_suite(monkeypatch):
+    def leaky_r(f, i):
+        out = op_r(f, i)
+        if i == 1 and f == MPoly.monomial(3, (0, 0, 1)):
+            out = out + MPoly.monomial(3, (1, 0, 0))
+        return out
+
+    monkeypatch.setattr(verify, "op_r", leaky_r)
+    result = verify.suite_kernels(3, degree_bound=2)
+    assert result.failures == ["R image of x^(0, 0, 1) at i=1 leaves its block: (1, 0, 0)"]
+
+
+def test_a_wrong_fixed_space_fails_the_kernels_suite(monkeypatch):
+    monkeypatch.setattr(verify, "op_a", lambda f, i: f)
+    result = verify.suite_kernels(3, degree_bound=2)
+    assert result.failures
+    assert all(f.startswith("A fixed space i=") for f in result.failures)
+    first = result.failures[0]
+    assert first.startswith("A fixed space i=1, degree 1, q=") and first.endswith(": 3 vs 2")
 
 
 def test_result_rendering():
