@@ -24,6 +24,7 @@ printed in decreasing lexicographic order of exponent vectors, which makes
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterator
 
 
@@ -326,11 +327,7 @@ class MPoly:
             return "0"
         out = []
         for e, c in self.sorted_terms():
-            mono = "*".join(
-                (f"x{i + 1}" if p == 1 else f"x{i + 1}^{p}")
-                for i, p in enumerate(e)
-                if p
-            )
+            mono = _monomial_str(e)
             if c.n_terms() > 1:
                 body = f"({c})" + (f"*{mono}" if mono else "")
                 sign = "+"
@@ -354,6 +351,13 @@ class MPoly:
 
     def __repr__(self) -> str:
         return f"MPoly[{self.n}]({self})"
+
+
+@lru_cache(maxsize=None)
+def _monomial_str(e: Exponents) -> str:
+    """The monomial x^e as ``MPoly.__str__`` prints it, "" for x^0; memoized
+    per exponent vector, since a table's polynomials share their monomials."""
+    return "*".join((f"x{i + 1}" if p == 1 else f"x{i + 1}^{p}") for i, p in enumerate(e) if p)
 
 
 def _raw(n: int, terms: dict) -> MPoly:

@@ -29,9 +29,14 @@ coefficients are integers, is pushed through the word at q = 2^B, a ring map
 Z[q] -> Z (Kronecker substitution; Harvey, *J. Symbolic Comput.* 44, 2009),
 its packed coordinates are summed by ``schubert.packed_class_sum``, and each
 nonzero one is decoded once (``schubert.unpack``).  ``coordinate_at`` reads
-one coordinate of a Z[q] polynomial by looking it up in the same classes.
-The divided-difference sweep ``expand_homogeneous`` stays in ``schubert`` as
-the independent oracle for both.
+one coordinate of a polynomial, Z[q] or packed, by looking it up in the same
+classes.  rho2's and symq1's graded characters run the same way: each basis
+Schubert polynomial is pushed through the word at q = 2^B, its packed
+coordinate at its own class is read by ``coordinate_at``, and the cell's
+packed sum is decoded once.  No trace in ``graded_character`` runs on Z[q]
+arithmetic; the polynomial route is the tests' oracle.  The
+divided-difference sweep ``expand_homogeneous`` stays in ``schubert`` as the
+independent oracle for the Monk classes.
 
 The trace-equivalence certificate compares the two actions once, in the
 coinvariant algebra, at the p(n) elements T_mu of ``partition_word(mu)``,
@@ -255,12 +260,15 @@ def coordinate_at(f: MPoly, z: Perm) -> QPoly:
     over the terms c*x^e of f of total degree length(z).
 
     Only z is looked up in each memoized monomial class; no other coordinate
-    is built.  ``schubert.expand_homogeneous`` is its oracle.
+    is built.  ``schubert.expand_homogeneous`` is its oracle.  The sum is in
+    f's coefficient ring: a QPoly on Z[q] coefficients, an int on packed
+    ints (``graded_character``), and the int 0, equal to ``QP_ZERO``, when
+    no term contributes.
     """
     if f.n != len(z):
         raise ValueError(f"ambient mismatch: polynomial n={f.n}, permutation n={len(z)}")
     k = length(z)
-    acc = QP_ZERO
+    acc = 0
     for e, c in f.terms.items():
         if sum(e) == k:
             m = monomial_class(e).get(z)
@@ -314,20 +322,35 @@ def graded_character(action: str, mu, k: int, n: int) -> CharacterValue:
     order.  rho2 and symq1 apply the whole word to the Schubert polynomial
     of w upstairs.  Either way only the coordinate at w is read.
 
-    rho1's product runs on ints, the columns packed at q = 2^B
-    (``RepMatrix.packed_columns``), and the diagonal is summed as one int and
-    decoded once (``schubert.unpack``).  The bound comes from the matrices:
-    a word has at most n - 1 letters and each multiplies the L1 norm of a
-    vector by at most N, the largest column norm of the degree's generators
-    (``RepMatrix.norm``), so |basis_k| * N^(n-1) caps every q-coefficient of
-    the trace; B = bit_length(bound) + 1, and the trace has at most
+    Both run on ints packed at q = 2^B, and the diagonal is summed as one
+    int and decoded once (``schubert.unpack``); B = bit_length(bound) + 1.
+
+    rho1's product packs the columns (``RepMatrix.packed_columns``).  The
+    bound comes from the matrices: a word has at most n - 1 letters and each
+    multiplies the L1 norm of a vector by at most N, the largest column norm
+    of the degree's generators (``RepMatrix.norm``), so |basis_k| * N^(n-1)
+    caps every q-coefficient of the trace, which has at most
     1 + len(word) * (largest q-degree of an entry) digits.
+
+    rho2 and symq1 push each S_w, with its int coefficients, through the
+    word at q = 2^B (``apply_action_word``), as ``_read_column`` does, and
+    ``coordinate_at`` reads the packed coordinate at w.  The bound is
+
+        bound = sum over w of L1(S_w) * m^len(word) * (n - 1)^k,
+
+    m the mass of one letter (``_letter_mass``).  The image of S_w has L1
+    norm at most L1(S_w) * m^len(word); its coordinate at w is a sum of its
+    coefficients times class multiples, each at most (n - 1)^k in a degree-k
+    class (``schubert.monomial_class``); so the w-th term of the trace has
+    every q-coefficient within the w-th summand, and the trace within the
+    bound.  S_w has q-degree 0 and every letter raises the q-degree by at
+    most one, so the trace has at most 1 + len(word) digits.  A wider one,
+    or a digit past the bound, raises ``InvariantViolation``.
     """
     source = {"rho1": "trace1", "rho2": "trace2", "symq1": "trace_sym"}[action]
     table = build_schubert_table(n)
     mu = check_partition(mu, n)
     word = partition_word(mu)
-    value = QP_ZERO
     if action == "rho1":
         generators = [generator_matrix(action, i, k, table) for i in range(1, n)]
         basis = table.basis(k)
@@ -343,8 +366,14 @@ def graded_character(action: str, mu, k: int, n: int) -> CharacterValue:
             total += vec.get(w, 0)
         value = unpack(total, shift, digits, bound, "rho1 trace", f"mu={mu}, degree {k}")
     else:
-        for w in table.basis(k):
-            value = value + coordinate_at(apply_action_word(action, word, table[w]), w)
+        polys = [(w, {e: c.as_int() for e, c in table[w].terms.items()}) for w in table.basis(k)]
+        bound = (sum(sum(t.values()) for _, t in polys)
+                 * _letter_mass(action, k) ** len(word) * (n - 1) ** k)
+        shift = bound.bit_length() + 1
+        total = sum(coordinate_at(apply_action_word(action, word, _raw(n, t), 1 << shift), w)
+                    for w, t in polys)
+        value = unpack(total, shift, 1 + len(word), bound, f"{action} trace",
+                       f"mu={mu}, degree {k}")
     return CharacterValue(k, mu, value, source)
 
 

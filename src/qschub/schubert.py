@@ -11,7 +11,7 @@ end.  ``packed_class_sum`` sums packed coefficients times the integer
 monomial classes, and ``rep`` reads every matrix column through it, the
 operators applied to the integer Schubert polynomial at q = 2^B.  One pair
 of functions does all packing, ``pack`` and ``unpack``; ``rep`` also uses
-them for its column reads and the products of its rho1 traces.  Every
+them for its column reads and its graded-character cells.  Every
 decoded coordinate is a ``QPoly``.
 
 Residue-class coordinates in the Schubert basis are read two independent ways:

@@ -394,6 +394,8 @@ print(*[
     raises(lambda: rep.generator_matrix("rho1", 1, 1, schubert.build_schubert_table(3)),
            rep, "_letter_mass", lambda action, k: 0),
     raises(lambda: rep.graded_character("rho1", (2, 1), 1, 3), rep.RepMatrix, "norm", 0),
+    raises(lambda: rep.graded_character("rho2", (2, 1), 1, 3),
+           rep, "_letter_mass", lambda action, k: 0),
 ], sep="\\n")
 """
 
@@ -418,4 +420,5 @@ class TestInvariantChecks:
             "packed coordinate at (2, 1, 3) does not decode within the bound",
             "packed coordinate at (1, 3, 2) does not decode within the bound",
             "packed rho1 trace at mu=(2, 1), degree 1 does not decode within the bound",
+            "packed rho2 trace at mu=(2, 1), degree 1 does not decode within the bound",
         ]

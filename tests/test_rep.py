@@ -282,10 +282,13 @@ class TestCharacters:
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_rho1_matches_the_polynomial_oracle(self, n):
-        for k in range(n * (n - 1) // 2 + 1):
-            for mu in partitions_of(n):
-                got = graded_character("rho1", mu, k, n).value
-                assert got == graded_character_oracle("rho1", mu, k, n), (mu, k)
+        # Every action's packed cells, rho1's column products and the packed
+        # upstairs words of rho2 and symq1, against the Z[q] route.
+        for action in ACTIONS:
+            for k in range(n * (n - 1) // 2 + 1):
+                for mu in partitions_of(n):
+                    got = graded_character(action, mu, k, n).value
+                    assert got == graded_character_oracle(action, mu, k, n), (action, mu, k)
 
     def test_character_value_metadata(self):
         cv = graded_character("rho2", (2, 1), 1, 3)
