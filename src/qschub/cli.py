@@ -35,12 +35,12 @@ MAX_DEGREE_BOUND = 6
 COST_NOTE = """\
 cost guide (single runs on a shared 2-core Xeon VM): the full `char` table
 takes about 0.3 s at n=5, 0.9 to 1.2 s at n=6 (0.9 s with --jobs 2) and
-about 26 s at n=7 (88 MB peak; rho1 10 s, rho2 11.5 s, weights 2 s; 13 to
-17 s with --jobs 2, each worker at most 74 MB); `char` is capped at n=7 on
-that time, and n=8 was not run.  One `matrix` takes under a second up to n=6
-and about 1 s at n=7; n=8 only for `schubert`/`matrix`: the n=8 Schubert
+21 to 26 s at n=7 (88 MB peak; rho1 10 s, rho2 11.5 s, weights 0.5 s; 13
+to 17 s with --jobs 2, each worker at most 74 MB); `char` is capped at n=7
+on that time, and n=8 was not run.  One `matrix` takes under a second up to
+n=6 and about 1 s at n=7; n=8 only for `schubert`/`matrix`: the n=8 Schubert
 table (8! entries) takes 7 to 9 s and 570 MB, a small `matrix` at n=8 about
-8 s and `schubert --n 8` about 19 s (94.5 MB of output).  verify/scan-b
+8 s and `schubert --n 8` about 14 s (94.5 MB of output).  verify/scan-b
 accept n <= 7: `scan-b` takes about 1 s at n=6 and 7 s at n=7, and the full
 verify suite about 0.5 s at n=4, 1 s at n=5, 3.5 s at n=6 and 46 s at n=7
 (109 MB peak).  verify --degree-bound is capped at 6 for every n; at n=7 and

@@ -57,6 +57,18 @@ def has_left_descent(w: Perm, i: int) -> bool:
     return w.index(i) > w.index(i + 1)
 
 
+def is_cover(w: Perm, j: int, k: int) -> bool:
+    """True iff length(w t_jk) = length(w) + 1, t_jk swapping positions j and
+    k (1-based).  For j < k that holds iff w(j) < w(k) and no w(t) with
+    j < t < k lies between them (the Bruhat cover criterion; Bjorner--Brenti,
+    *Combinatorics of Coxeter Groups*, 2005, ch. 2): an O(n) read, where two
+    length counts are O(n^2)."""
+    if j > k:
+        j, k = k, j
+    a, b = w[j - 1], w[k - 1]
+    return a < b and not any(a < v < b for v in w[j:k - 1])
+
+
 def canonical_reduced_word(w: Perm) -> Word:
     """Deterministic reduced word for w, via peeling the minimum to the front.
 
@@ -171,13 +183,29 @@ def coset_decompose(w: Perm, mu) -> CosetDecomposition:
 
 
 def coset_weight(w: Perm, mu) -> QPoly:
-    """Product of valley weights over the block components of w."""
-    out = QP_ONE
-    for block in coset_decompose(w, mu).blocks:
-        out = out * valley_weight(block)
-        if not out:
+    """Product of valley weights over the block components of w, read in one
+    pass over w.
+
+    Standardizing a block keeps the order of its values, so each mu-block of
+    w is read raw: it must fall strictly to its minimum and rise strictly
+    after it, or the weight is zero; otherwise it contributes (-q)^p, p the
+    position of its minimum in the block, and the weight is (-q)^(sum of p).
+    The product of ``valley_weight`` over ``coset_decompose(w, mu).blocks``
+    is the tests' oracle.
+    """
+    m = start = 0
+    for part in check_partition(mu, len(w)):
+        end = start + part
+        t = start
+        while t + 1 < end and w[t] > w[t + 1]:
+            t += 1
+        m += t - start
+        while t + 1 < end and w[t] < w[t + 1]:
+            t += 1
+        if t + 1 < end:
             return QP_ZERO
-    return out
+        start = end
+    return minus_q_power(m)
 
 
 @lru_cache(maxsize=None)

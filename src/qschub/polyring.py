@@ -25,7 +25,6 @@ printed in decreasing lexicographic order of exponent vectors, which makes
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterator
 
 
 class QPoly:
@@ -148,9 +147,6 @@ class QPoly:
 
     def __repr__(self) -> str:
         return f"QPoly({self})"
-
-    def n_terms(self) -> int:
-        return sum(1 for v in self.c if v)
 
 
 def _q_piece(mag: int, d: int) -> str:
@@ -301,11 +297,6 @@ class MPoly:
             return MPoly.zero(self.n)
         return _raw(self.n, {e: v * c for e, v in self.terms.items()})
 
-    def sorted_terms(self) -> Iterator[tuple[Exponents, QPoly]]:
-        """Terms in decreasing lexicographic order of exponent vectors."""
-        for e in sorted(self.terms, reverse=True):
-            yield e, self.terms[e]
-
     def total_degree(self) -> int:
         """Maximal total degree; -1 for the zero polynomial."""
         return max((sum(e) for e in self.terms), default=-1)
@@ -323,30 +314,22 @@ class MPoly:
         return degs.pop()
 
     def __str__(self) -> str:
-        if not self.terms:
+        """Terms in decreasing lexicographic order of exponent vectors."""
+        terms = self.terms
+        if not terms:
             return "0"
         out = []
-        for e, c in self.sorted_terms():
+        for e in sorted(terms, reverse=True):
+            sign, head = _coefficient_str(terms[e].c)
             mono = _monomial_str(e)
-            if c.n_terms() > 1:
-                body = f"({c})" + (f"*{mono}" if mono else "")
-                sign = "+"
+            if not mono:
+                body = head or "1"
             else:
-                d = c.degree
-                v = c.c[d]
-                sign = "-" if v < 0 else "+"
-                parts = []
-                if abs(v) != 1 or (d == 0 and not mono):
-                    parts.append(str(abs(v)))
-                if d:
-                    parts.append("q" if d == 1 else f"q^{d}")
-                if mono:
-                    parts.append(mono)
-                body = "*".join(parts)
-            if not out:
-                out.append(("-" if sign == "-" else "") + body)
-            else:
+                body = f"{head}*{mono}" if head else mono
+            if out:
                 out.append(f" {sign} {body}")
+            else:
+                out.append(body if sign == "+" else "-" + body)
         return "".join(out)
 
     def __repr__(self) -> str:
@@ -358,6 +341,23 @@ def _monomial_str(e: Exponents) -> str:
     """The monomial x^e as ``MPoly.__str__`` prints it, "" for x^0; memoized
     per exponent vector, since a table's polynomials share their monomials."""
     return "*".join((f"x{i + 1}" if p == 1 else f"x{i + 1}^{p}") for i, p in enumerate(e) if p)
+
+
+@lru_cache(maxsize=None)
+def _coefficient_str(c: tuple[int, ...]) -> tuple[str, str]:
+    """(sign, text) of the coefficient with q-coefficients c as ``MPoly.__str__``
+    prints it before the monomial: a sum of several q-powers in parentheses
+    with sign "+", else the magnitude (left out if 1) and the q-power, "" for
+    the unit.  Memoized per coefficient, since a table's polynomials share a
+    few coefficients."""
+    if sum(1 for v in c if v) > 1:
+        return "+", f"({QPoly(c)})"
+    d = len(c) - 1
+    v = c[d]
+    parts = [str(abs(v))] if abs(v) != 1 else []
+    if d:
+        parts.append("q" if d == 1 else f"q^{d}")
+    return "-" if v < 0 else "+", "*".join(parts)
 
 
 def _raw(n: int, terms: dict) -> MPoly:

@@ -23,7 +23,8 @@ Hecke relations exactly.
 Schubert coordinates come from ``schubert.monomial_class``: the class of
 each monomial in the quotient is built once by Monk's rule and memoized, and
 a polynomial's coordinates are its coefficients times those integer classes,
-summed over the terms of the degree being read.  Generator and word matrices
+summed over all its terms: a class holds only permutations of its monomial's
+degree, so no term needs a degree filter.  Generator and word matrices
 read every column on ints (``_read_column``): the Schubert polynomial, whose
 coefficients are integers, is pushed through the word at q = 2^B, a ring map
 Z[q] -> Z (Kronecker substitution; Harvey, *J. Symbolic Comput.* 44, 2009),
@@ -257,23 +258,24 @@ def _read_column(action: str, word: tuple[int, ...], w: Perm, k: int,
 
 def coordinate_at(f: MPoly, z: Perm) -> QPoly:
     """Schubert coordinate of f at z: the sum of c * monomial_class(e)[z]
-    over the terms c*x^e of f of total degree length(z).
+    over the terms c*x^e of f.
 
-    Only z is looked up in each memoized monomial class; no other coordinate
-    is built.  ``schubert.expand_homogeneous`` is its oracle.  The sum is in
-    f's coefficient ring: a QPoly on Z[q] coefficients, an int on packed
-    ints (``graded_character``), and the int 0, equal to ``QP_ZERO``, when
-    no term contributes.
+    No degree filter is needed: each Monk step raises the length by one, so
+    the class of a degree-d monomial holds only permutations of length d,
+    and a term of another degree than length(z) never meets z.  Only z is
+    looked up in each memoized monomial class; no other coordinate is built.
+    ``schubert.expand_homogeneous`` is its oracle.  The sum is in f's
+    coefficient ring: a QPoly on Z[q] coefficients, an int on packed ints
+    (``graded_character``), and the int 0, equal to ``QP_ZERO``, when no
+    term contributes.
     """
     if f.n != len(z):
         raise ValueError(f"ambient mismatch: polynomial n={f.n}, permutation n={len(z)}")
-    k = length(z)
     acc = 0
     for e, c in f.terms.items():
-        if sum(e) == k:
-            m = monomial_class(e).get(z)
-            if m:
-                acc = acc + c * m
+        m = monomial_class(e).get(z)
+        if m:
+            acc = acc + c * m
     return acc
 
 

@@ -41,6 +41,7 @@ from .perm import (
     all_perms,
     has_left_descent,
     identity,
+    is_cover,
     length,
     mult_left_s,
     mult_right_s,
@@ -295,19 +296,15 @@ def monk_products(i: int, w: Perm) -> tuple[Perm, ...]:
     """Transposition terms of the product of the i-th elementary Schubert
     class with the class of w, inside S_n.
 
-    All w t_{jk} with j <= i < k <= n whose length is length(w)+1, sorted.
+    All w t_{jk} with j <= i < k <= n that cover w in the Bruhat order
+    (``is_cover``: length(w t_{jk}) = length(w) + 1), sorted.
     """
     n = len(w)
     if not 1 <= i < n:
         raise ValueError(f"index {i} out of range for n={n}")
-    lw = length(w)
-    out = []
-    for j in range(1, i + 1):
-        for k in range(i + 1, n + 1):
-            wt = _apply_transposition(w, j, k)
-            if length(wt) == lw + 1:
-                out.append(wt)
-    return tuple(sorted(out))
+    return tuple(sorted(_apply_transposition(w, j, k)
+                        for j in range(1, i + 1) for k in range(i + 1, n + 1)
+                        if is_cover(w, j, k)))
 
 
 @lru_cache(maxsize=None)
@@ -316,26 +313,16 @@ def x_action_on_schubert(i: int, w: Perm) -> tuple[tuple[Perm, ...], tuple[Perm,
     rule in the quotient), memoized per (i, w).
 
     Returns (plus, minus): transposition images t_{ik} with k > i count
-    positively, t_{ji} with j < i negatively; only length(w)+1 images enter.
+    positively, t_{ji} with j < i negatively; only images that cover w
+    (``is_cover``, an O(n) read with no length count) enter.
     """
     n = len(w)
     if not 1 <= i <= n:
         raise ValueError(f"variable index {i} out of range for n={n}")
-    lw = length(w)
-    plus = tuple(
-        sorted(
-            wt
-            for k in range(i + 1, n + 1)
-            if length(wt := _apply_transposition(w, i, k)) == lw + 1
-        )
-    )
-    minus = tuple(
-        sorted(
-            wt
-            for j in range(1, i)
-            if length(wt := _apply_transposition(w, j, i)) == lw + 1
-        )
-    )
+    plus = tuple(sorted(_apply_transposition(w, i, k)
+                        for k in range(i + 1, n + 1) if is_cover(w, i, k)))
+    minus = tuple(sorted(_apply_transposition(w, j, i)
+                         for j in range(1, i) if is_cover(w, j, i)))
     return plus, minus
 
 

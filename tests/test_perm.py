@@ -13,6 +13,7 @@ from qschub.perm import (
     coset_weight,
     cycle_type,
     identity,
+    is_cover,
     knuth_classes,
     length,
     mult_left_s,
@@ -156,6 +157,44 @@ class TestCosetWeight:
     def test_singleton_blocks(self, n):
         for w in all_perms(n):
             assert coset_weight(w, (1,) * n) == QP_ONE
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_one_pass_matches_the_block_product(self, n):
+        # The oracle: standardize every block, multiply the valley weights.
+        zeros = 0
+        for mu in partitions_of(n):
+            for w in all_perms(n):
+                expected = QP_ONE
+                for block in coset_decompose(w, mu).blocks:
+                    expected = expected * valley_weight(block)
+                assert coset_weight(w, mu) == expected, (w, mu)
+                zeros += not expected
+        assert zeros or n < 3
+
+    def test_bad_partition(self):
+        with pytest.raises(ValueError):
+            coset_weight((1, 2, 3), (2, 2))
+        with pytest.raises(ValueError):
+            coset_weight((1, 2, 3), (1, 2))
+
+
+class TestCover:
+    def test_examples(self):
+        assert is_cover((1, 2, 3), 1, 2) and is_cover((1, 2, 3), 2, 3)
+        assert not is_cover((1, 2, 3), 1, 3)  # 2 lies between 1 and 3
+        assert is_cover((1, 3, 2), 1, 3) and not is_cover((1, 3, 2), 2, 3)
+        assert is_cover((1, 2, 3), 2, 1)  # t_21 = t_12
+        assert not is_cover((1, 2, 3), 2, 2)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_against_lengths(self, n):
+        for w in all_perms(n):
+            lw = length(w)
+            for j in range(1, n + 1):
+                for k in range(1, n + 1):
+                    wt = list(w)
+                    wt[j - 1], wt[k - 1] = wt[k - 1], wt[j - 1]
+                    assert is_cover(w, j, k) == (length(tuple(wt)) - lw == 1), (w, j, k)
 
 
 class TestEnumeration:

@@ -730,6 +730,26 @@ class TestCoordinateExtraction:
                     assert got == expand_homogeneous(part, k, table)[z]
         assert schubert._MONOMIAL_CLASSES
 
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_inhomogeneous_input_is_the_sum_over_its_degrees(self, n):
+        # No degree filter: a term of another degree never meets z, so the
+        # coordinate of f is the sum of the coordinates of its homogeneous
+        # parts, each read on its own.
+        rng = random.Random(55 + n)
+        top = n * (n - 1) // 2
+        f = MPoly.zero(n)
+        for _ in range(30):
+            e = tuple(rng.randint(0, n - j) for j in range(1, n + 1))
+            f = f + MPoly.monomial(n, e, QPoly((rng.randint(-3, 3), rng.randint(-2, 2))))
+        parts = [MPoly(n, {e: c for e, c in f.terms.items() if sum(e) == d}) for d in range(top + 1)]
+        assert sum(bool(part) for part in parts) > 2
+        nonzero = 0
+        for z in all_perms(n):
+            got = coordinate_at(f, z)
+            assert got == sum((coordinate_at(part, z) for part in parts), QPoly())
+            nonzero += bool(got)
+        assert nonzero
+
     def test_ambient_mismatch_raises(self):
         with pytest.raises(ValueError, match="ambient mismatch"):
             coordinate_at(MPoly.variable(5, 1), (2, 1, 3))

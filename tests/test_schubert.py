@@ -233,7 +233,37 @@ class TestPackedExpansion:
         assert widest >= big
 
 
+def swap_positions(w, j, k):
+    out = list(w)
+    out[j - 1], out[k - 1] = out[k - 1], out[j - 1]
+    return tuple(out)
+
+
+def monk_products_by_length(i, w):
+    """Monk's rule by its definition: every w t_jk, j <= i < k, one longer."""
+    n = len(w)
+    return tuple(sorted(wt for j in range(1, i + 1) for k in range(i + 1, n + 1)
+                        if length(wt := swap_positions(w, j, k)) == length(w) + 1))
+
+
+def x_action_by_length(i, w):
+    """x_i on the class of w by its definition: w t_ik (k > i) positively,
+    w t_ji (j < i) negatively, the images one longer than w only."""
+    n = len(w)
+    plus = [wt for k in range(i + 1, n + 1) if length(wt := swap_positions(w, i, k)) == length(w) + 1]
+    minus = [wt for j in range(1, i) if length(wt := swap_positions(w, j, i)) == length(w) + 1]
+    return tuple(sorted(plus)), tuple(sorted(minus))
+
+
 class TestMonk:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_cover_reads_match_the_length_definition(self, n):
+        for w in all_perms(n):
+            for i in range(1, n):
+                assert monk_products(i, w) == monk_products_by_length(i, w), (i, w)
+            for i in range(1, n + 1):
+                assert x_action_on_schubert(i, w) == x_action_by_length(i, w), (i, w)
+
     def test_examples(self):
         assert monk_products(1, (2, 1, 3)) == ((3, 1, 2),)
         assert monk_products(1, (1, 2)) == ((2, 1),)
