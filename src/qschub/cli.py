@@ -22,8 +22,8 @@ from .verify import CHARACTER_COLUMNS, SUITES, character_table, run_suites
 
 DEFAULT_SEED = 20201
 MAX_N_TABLES = 8
-# The full char table takes about 26 s serial at n=7 (88 MB peak), the rho1
-# and rho2 columns about 10 and 11.5 s of it; n=8 was not run.
+# The full char table takes about 17 s serial at n=7 (88 MB peak), the rho1
+# and rho2 columns about 8 and 9.3 s of it; n=8 was not run.
 MAX_N_CHAR = 7
 MAX_N_VERIFY = 7
 MAX_N_SCAN_B = 7
@@ -34,14 +34,15 @@ MAX_DEGREE_BOUND = 6
 
 COST_NOTE = """\
 cost guide (single runs on a shared 2-core Xeon VM): the full `char` table
-takes about 0.3 s at n=5, 0.9 to 1.2 s at n=6 (0.9 s with --jobs 2) and
-21 to 26 s at n=7 (88 MB peak; rho1 10 s, rho2 11.5 s, weights 0.5 s; 13
-to 17 s with --jobs 2, each worker at most 74 MB); `char` is capped at n=7
+takes about 0.3 s at n=5, 0.7 to 1.2 s at n=6 (0.5 to 0.9 s with --jobs 2)
+and about 17 s at n=7 (88 MB peak; rho1 8 s, rho2 9.3 s, weights 0.3 s;
+about 10 s with --jobs 2, no process above 76 MB); `char` is capped at n=7
 on that time, and n=8 was not run.  One `matrix` takes under a second up to
 n=6 and about 1 s at n=7; n=8 only for `schubert`/`matrix`: the n=8 Schubert
 table (8! entries) takes 7 to 9 s and 570 MB, a small `matrix` at n=8 about
 8 s and `schubert --n 8` about 14 s (94.5 MB of output).  verify/scan-b
-accept n <= 7: `scan-b` takes about 1 s at n=6 and 7 s at n=7, and the full
+accept n <= 7: `scan-b` takes about 0.4 s at n=6 and 5 s at n=7 (about 3 s
+with --jobs 2, which hands each worker whole degrees), and the full
 verify suite about 0.5 s at n=4, 1 s at n=5, 3.5 s at n=6 and 46 s at n=7
 (109 MB peak).  verify --degree-bound is capped at 6 for every n; at n=7 and
 bound 6 the full verify takes about 55 s, the kernels suite 2 to 3 s of it."""

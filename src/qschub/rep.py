@@ -155,15 +155,14 @@ _GEN_CACHE: dict[tuple[int, str, int, int], RepMatrix] = {}
 
 def generator_matrix(action: str, i: int, k: int, table: SchubertTable) -> RepMatrix:
     """Matrix of the i-th generator of the given action on the degree-k
-    component, in the Schubert basis.
+    component, in the Schubert basis: ``word_matrix`` of the one-letter word
+    (i,), cached.
 
-    Each column is the image of a basis Schubert polynomial, read by
-    ``_read_column`` for the one-letter word (i,).  For the two deformed
-    actions every column is checked by ``_check_column_shape`` during the
-    build, and a matrix that fails is not cached: an ascent column
-    (w[i-1] < w[i]) is the unit column; a descent column holds -q at w, and
-    each of its other entries sits at a class z with an ascent at i
-    (z[i-1] < z[i]).
+    For the two deformed actions every column is checked by
+    ``_check_column_shape`` before the matrix is cached, and a matrix that
+    fails is not cached: an ascent column (w[i-1] < w[i]) is the unit column;
+    a descent column holds -q at w, and each of its other entries sits at a
+    class z with an ascent at i (z[i-1] < z[i]).
     """
     if action not in ACTIONS:
         raise ValueError(f"unknown action {action!r}")
@@ -174,14 +173,10 @@ def generator_matrix(action: str, i: int, k: int, table: SchubertTable) -> RepMa
     cached = _GEN_CACHE.get(key)
     if cached is not None:
         return cached
-    basis = table.basis(k)
-    columns = {}
-    for w in basis:
-        col = _read_column(action, (i,), w, k, table)
-        if action != "symq1":
+    out = word_matrix(action, (i,), k, table)
+    if action != "symq1":
+        for w, col in out.columns.items():
             _check_column_shape(i, w, col)
-        columns[w] = col
-    out = RepMatrix(action, k, basis, columns)
     _GEN_CACHE[key] = out
     return out
 
@@ -763,21 +758,42 @@ class BCScan:
         return [row for row in self.entries if row[3] not in (-1, 0, 1)]
 
 
+def _bc_degree(args) -> dict[tuple[int, Perm], list[tuple[int, Perm, Perm, int, int]] | str]:
+    """The ledger rows of every descent pair (i, w) with w of length k, or
+    the structural violation that ``bc_split`` raised there, keyed by the
+    pair."""
+    n, k = args
+    table = build_schubert_table(n)
+    out = {}
+    for w in table.basis(k):
+        for i in range(1, n):
+            if w[i - 1] > w[i]:
+                try:
+                    split = bc_split(i, w, table)
+                except ValueError as exc:
+                    out[(i, w)] = str(exc)
+                    continue
+                out[(i, w)] = [(i, w, z, split.b[z], split.c[z]) for z in sorted(split.b)]
+    return out
+
+
 def bc_scan(n: int, jobs: int = 1) -> BCScan:
     """Split every off-diagonal descent-column entry of the randomized action
-    and collect the (b, c) ledger together with the observed b-range."""
-    table = build_schubert_table(n)
-    precompute_generator_matrices(n, ("rho2",), jobs)
+    and collect the (b, c) ledger together with the observed b-range, in the
+    (i, w) order of ``descent_pairs``.  Each degree is one job for
+    ``parallel_map``, so a worker builds the rho2 generator matrices of only
+    the degrees it is given."""
+    by_pair = {}
+    for part in parallel_map(_bc_degree, [(n, k) for k in range(n * (n - 1) // 2 + 1)], jobs):
+        by_pair.update(part)
     entries = []
     violations = []
-    for i, w in descent_pairs(n):
-        try:
-            split = bc_split(i, w, table)
-        except ValueError as exc:
-            violations.append(str(exc))
-            continue
-        for z in sorted(split.b):
-            entries.append((i, w, z, split.b[z], split.c[z]))
+    for pair in descent_pairs(n):
+        rows = by_pair[pair]
+        if isinstance(rows, str):
+            violations.append(rows)
+        else:
+            entries.extend(rows)
     return BCScan(n, entries, violations)
 
 
@@ -796,24 +812,3 @@ def parallel_map(fn, items, jobs: int = 1) -> list:
 
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
-
-
-def _matrix_job(key: tuple[int, str, int, int]) -> RepMatrix:
-    n, action, i, k = key
-    return generator_matrix(action, i, k, build_schubert_table(n))
-
-
-def precompute_generator_matrices(n: int, actions, jobs: int = 1):
-    """Build all generator matrices for the given actions that are not yet
-    cached, on ``parallel_map``; pool results are merged into the cache in
-    key order."""
-    table = build_schubert_table(n)
-    keys = [
-        (n, action, i, k)
-        for action in actions
-        for i in range(1, n)
-        for k in range(table.max_degree + 1)
-        if (n, action, i, k) not in _GEN_CACHE
-    ]
-    for key, matrix in zip(keys, parallel_map(_matrix_job, keys, jobs)):
-        _GEN_CACHE.setdefault(key, matrix)

@@ -42,7 +42,6 @@ from .perm import (
     has_left_descent,
     identity,
     is_cover,
-    length,
     mult_left_s,
     mult_right_s,
     perm_str,
@@ -98,15 +97,17 @@ def build_schubert_table(n: int) -> SchubertTable:
             i = next(i for i in range(1, n) if w[i - 1] < w[i])  # first ascent
             polys[w] = divided_difference(polys[mult_right_s(w, i)], i)
     shared = {1: QP_ONE}
-    for w, f in polys.items():
-        if f.homogeneous_degree() != length(w):
-            raise InvariantViolation(f"wrong degree at {w}")
-        for c in f.terms.values():
-            if c not in shared:
-                if c <= 0:
-                    raise InvariantViolation(f"non-positive coefficient at {w}")
-                shared[c] = QPoly((c,))
-        polys[w] = _raw(n, {e: shared[c] for e, c in f.terms.items()})
+    for k in range(top, -1, -1):
+        for w in by_len[k]:
+            f = polys[w]
+            if f.homogeneous_degree() != k:
+                raise InvariantViolation(f"wrong degree at {w}")
+            for c in f.terms.values():
+                if c not in shared:
+                    if c <= 0:
+                        raise InvariantViolation(f"non-positive coefficient at {w}")
+                    shared[c] = QPoly((c,))
+            polys[w] = _raw(n, {e: shared[c] for e, c in f.terms.items()})
     if polys[identity(n)] != MPoly.const(n, 1):
         raise InvariantViolation("the identity's Schubert polynomial is not 1")
     return SchubertTable(n, polys)

@@ -766,18 +766,20 @@ class TestWorkerCount:
     def test_pools_are_clamped_to_cpus_and_tasks(self, monkeypatch):
         from qschub import rep, verify
 
+        serial = bc_scan(4)
         sizes = record_pool_sizes(monkeypatch, cpus=3)
         monkeypatch.setattr(rep, "_GEN_CACHE", {})
-        rep.precompute_generator_matrices(3, ("rho2",), jobs=1000)  # 8 matrices
-        assert len(rep._GEN_CACHE) == 8
+        assert bc_scan(4, jobs=1000) == serial  # 7 degrees
         cells = verify.character_table(3, jobs=1000)  # 4 degrees
         assert all(len(set(values)) == 1 for values in cells.values())
         monkeypatch.setattr("os.cpu_count", lambda: 64)
+        assert bc_scan(4, jobs=1000) == serial
         verify.character_table(3, jobs=1000)
         assert rep.parallel_map(abs, [-2, 1, -3], jobs=2) == [2, 1, 3]
         monkeypatch.setattr("os.cpu_count", lambda: None)
-        verify.character_table(3, jobs=1000)  # one worker: no pool
-        assert sizes == [3, 3, 4, 2]
+        assert bc_scan(4, jobs=1000) == serial  # one worker: no pool
+        verify.character_table(3, jobs=1000)
+        assert sizes == [3, 3, 7, 4, 2]
 
     def test_a_degree_job_builds_only_its_degree(self, monkeypatch):
         from qschub import rep, verify
@@ -787,19 +789,40 @@ class TestWorkerCount:
         assert len(row) == len(partitions_of(4))
         assert all(len(set(values)) == 1 for values in row)
         assert set(rep._GEN_CACHE) == {(4, "rho1", i, 2) for i in range(1, 4)}
+        monkeypatch.setattr(rep, "_GEN_CACHE", {})
+        part = rep._bc_degree((4, 2))
+        assert set(part) == {(i, w) for i, w in descent_pairs(4) if length(w) == 2}
+        assert set(rep._GEN_CACHE) == {(4, "rho2", i, 2) for i in range(1, 4)}
 
     def test_one_worker_keeps_cached_matrices(self, monkeypatch):
         from qschub import rep
 
-        table = build_schubert_table(3)
-        cached = rep.generator_matrix("rho1", 1, 1, table)
-        monkeypatch.setattr(rep, "_GEN_CACHE", {(3, "rho1", 1, 1): cached})
-        rep.precompute_generator_matrices(3, ("rho1",), jobs=1)
-        assert rep._GEN_CACHE[(3, "rho1", 1, 1)] is cached
-        assert len(rep._GEN_CACHE) == 8
+        expected = bc_scan(3)
+        cached = dict(rep._GEN_CACHE)
 
         def no_build(*args):
             raise AssertionError("a cached generator matrix was rebuilt")
 
-        monkeypatch.setattr(rep, "generator_matrix", no_build)
-        rep.precompute_generator_matrices(3, ("rho1",), jobs=1)
+        monkeypatch.setattr(rep, "word_matrix", no_build)
+        assert bc_scan(3, jobs=1) == expected
+        assert rep._GEN_CACHE == cached
+
+    @pytest.mark.parametrize("jobs", [1, 1000])
+    def test_violations_keep_the_descent_pair_order(self, monkeypatch, jobs):
+        n = 4
+        genuine = bc_scan(n)
+        bad = descent_pairs(n)[::3]
+        degrees = [length(w) for _, w in bad]
+        assert degrees != sorted(degrees)  # a merge grouped by degree would reorder them
+        split = rep.bc_split
+
+        def failing_split(i, w, table):
+            if (i, w) in bad:
+                raise ValueError(f"structural violation at ({i}, {w})")
+            return split(i, w, table)
+
+        record_pool_sizes(monkeypatch, cpus=2)
+        monkeypatch.setattr(rep, "bc_split", failing_split)
+        scan = bc_scan(n, jobs=jobs)
+        assert scan.structural_violations == [f"structural violation at ({i}, {w})" for i, w in bad]
+        assert scan.entries == [row for row in genuine.entries if row[:2] not in bad]
