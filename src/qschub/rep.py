@@ -455,11 +455,13 @@ def bc_split(i: int, w: Perm, table: SchubertTable) -> BCSplit:
     as the q = 1 value, which lands in {-1, 0, 1}.  Anything else is reported
     as a structural violation.
     """
-    n = table.n
     if w[i - 1] < w[i]:
         raise ValueError(f"{w} has an ascent at {i}; nothing to decompose")
-    matrix = generator_matrix("rho2", i, length(w), table)
-    column = matrix.column(w)
+    return _split_column(i, w, generator_matrix("rho2", i, length(w), table).column(w))
+
+
+def _split_column(i: int, w: Perm, column: dict[Perm, QPoly]) -> BCSplit:
+    """``bc_split`` of the rho2 descent column of w at i, given the column."""
     b: dict[Perm, int] = {}
     c: dict[Perm, int] = {}
     for z, e in sorted(column.items()):
@@ -760,16 +762,18 @@ class BCScan:
 
 def _bc_degree(args) -> dict[tuple[int, Perm], list[tuple[int, Perm, Perm, int, int]] | str]:
     """The ledger rows of every descent pair (i, w) with w of length k, or
-    the structural violation that ``bc_split`` raised there, keyed by the
-    pair."""
+    the structural violation that ``bc_split`` raises there, keyed by the
+    pair: each rho2 generator of degree k is read once, and its descent
+    columns split."""
     n, k = args
     table = build_schubert_table(n)
     out = {}
-    for w in table.basis(k):
-        for i in range(1, n):
+    for i in range(1, n):
+        matrix = generator_matrix("rho2", i, k, table)
+        for w, column in matrix.columns.items():
             if w[i - 1] > w[i]:
                 try:
-                    split = bc_split(i, w, table)
+                    split = _split_column(i, w, column)
                 except ValueError as exc:
                     out[(i, w)] = str(exc)
                     continue

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -169,6 +170,16 @@ class TestVerify:
         code, _, err = run_cli(capsys, "verify", "--n", "8")
         assert code == 2
         assert "verify is capped at n <= 7" in err
+
+    @pytest.mark.parametrize("output, digest", [
+        ("text", "7dcd3ef25fc8ca853ad002ce83f51927cd55f82470e4eb18e5a611e9ebd6b7a3"),
+        ("json", "eb6d3931811ca113fed014e11a7e27d9ee091cf442b7f9b616a7ef71886fca08"),
+    ])
+    def test_n4_stdout_is_pinned(self, capsys, output, digest):
+        # Every suite's summary lines, in suite order, byte for byte.
+        code, out, _ = run_cli(capsys, "verify", "--n", "4", "--output", output)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestScanB:

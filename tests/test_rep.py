@@ -814,15 +814,15 @@ class TestWorkerCount:
         bad = descent_pairs(n)[::3]
         degrees = [length(w) for _, w in bad]
         assert degrees != sorted(degrees)  # a merge grouped by degree would reorder them
-        split = rep.bc_split
+        split = rep._split_column
 
-        def failing_split(i, w, table):
+        def failing_split(i, w, column):
             if (i, w) in bad:
                 raise ValueError(f"structural violation at ({i}, {w})")
-            return split(i, w, table)
+            return split(i, w, column)
 
         record_pool_sizes(monkeypatch, cpus=2)
-        monkeypatch.setattr(rep, "bc_split", failing_split)
+        monkeypatch.setattr(rep, "_split_column", failing_split)
         scan = bc_scan(n, jobs=jobs)
         assert scan.structural_violations == [f"structural violation at ({i}, {w})" for i, w in bad]
         assert scan.entries == [row for row in genuine.entries if row[:2] not in bad]

@@ -6,7 +6,7 @@ from helpers import dense_fixed_space_dim, diagonal_scaling_samples, monomial_ex
 from qschub import verify
 from qschub.operators import op_a, op_r
 from qschub.perm import perm_str
-from qschub.polyring import MPoly
+from qschub.polyring import MPoly, Q
 from qschub.rep import MINUS_Q, descent_pairs
 from qschub.verify import (
     SUITES,
@@ -130,3 +130,21 @@ def test_equivalence_report_line_names_the_cross_check_only_where_it_runs(monkey
         "coinvariant trace pairs compared at the classes T_mu: 0; "
         "rho1's quotient-vs-upstairs cross-check runs for n <= 4"
     ]
+
+
+def test_a_failing_relation_renders_its_counterexamples(monkeypatch):
+    from qschub import operators
+
+    monkeypatch.setitem(operators.FAMILY_OPS, "Rstar", lambda f, i: f.scale(Q))
+    result = verify.suite_relations(2, 1)
+    assert result.render() == "\n".join([
+        "[FAIL] relations",
+        "  S relations: 3 identities checked, PASS",
+        "  A relations: 3 identities checked, PASS",
+        "  B relations: 3 identities checked, PASS",
+        "  R relations: 3 identities checked, PASS",
+        "  Rstar relations: 3 identities checked, FAIL (3 counterexamples)",
+        "  counterexample: Rstar: quadratic i=1 on 1",
+        "  counterexample: Rstar: quadratic i=1 on x1",
+        "  counterexample: Rstar: quadratic i=1 on x2",
+    ])
