@@ -39,10 +39,10 @@ and about 17 s at n=7 (88 MB peak; rho1 8 s, rho2 9.3 s, weights 0.3 s;
 about 10 s with --jobs 2, no process above 76 MB); `char` is capped at n=7
 on that time, and n=8 was not run.  One `matrix` takes under a second up to
 n=6 and about 1 s at n=7; n=8 only for `schubert`/`matrix`: the n=8 Schubert
-table (8! entries) takes 7 to 9 s and 570 MB, a small `matrix` at n=8 about
-8 s and `schubert --n 8` about 14 s (94.5 MB of output).  verify/scan-b
-accept n <= 7: `scan-b` takes about 0.4 s at n=6 and 5 s at n=7 (about 3 s
-with --jobs 2, which hands each worker whole degrees), and the full
+table (8! entries) takes about 6 s and 175 MB, a small `matrix` at n=8 about
+6 s and `schubert --n 8` about 13 s (274 MB peak, 94.5 MB of output).
+verify/scan-b accept n <= 7: `scan-b` takes about 0.4 s at n=6 and 5 s at
+n=7 (about 3 s with --jobs 2, which hands each worker whole degrees), and the full
 verify suite about 0.5 s at n=4, 1 s at n=5, 3.5 s at n=6 and 30 to 40 s at
 n=7 (108 MB peak).  verify --degree-bound is capped at 6 for every n; at n=7 and
 bound 6 the full verify takes about 55 s, the kernels suite 2 to 3 s of it."""

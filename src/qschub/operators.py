@@ -68,9 +68,8 @@ def _pairwise(f: MPoly, i: int, rule) -> MPoly:
             acc = out.get(key)
             if acc is None:
                 # The first contribution is stored as is, not added to a zero:
-                # under a unit weight it is f's own (immutable) coefficient, so
-                # the polynomials of a Schubert table share their coefficient
-                # objects, which keeps peak memory down.
+                # under a unit weight it is f's own (immutable) coefficient,
+                # so a chain allocates no new coefficient objects for it.
                 out[key] = term
                 continue
             acc = acc + term

@@ -14,7 +14,8 @@ coefficients are Python ints: integer Schubert polynomials, and Z[q]
 coefficients evaluated at an integer q (see ``schubert.pack``).  Addition,
 negation, subtraction, ``scale`` by an int, ``swap_variables`` and ``_raw``
 keep int coefficients ints, as do ``operators.mul_x`` and the operators'
-term kernel.
+term kernel.  An int coefficient equals, hashes and prints as the constant
+QPoly of the same value.
 
 All values are immutable after construction and every operation is pure, so
 they can be shared freely between workers.  Equality is structural; terms are
@@ -55,7 +56,9 @@ class QPoly:
         return other is not NotImplemented and self.c == other.c
 
     def __hash__(self) -> int:
-        return hash(self.c)
+        # A constant equals its int, so it hashes as that int (zero as 0).
+        c = self.c
+        return hash(c) if len(c) > 1 else hash(c[0]) if c else 0
 
     def __add__(self, other) -> "QPoly":
         other = _as_qpoly(other)
@@ -320,7 +323,7 @@ class MPoly:
             return "0"
         out = []
         for e in sorted(terms, reverse=True):
-            sign, head = _coefficient_str(terms[e].c)
+            sign, head = _coefficient_str(terms[e])
             mono = _monomial_str(e)
             if not mono:
                 body = head or "1"
@@ -344,12 +347,13 @@ def _monomial_str(e: Exponents) -> str:
 
 
 @lru_cache(maxsize=None)
-def _coefficient_str(c: tuple[int, ...]) -> tuple[str, str]:
-    """(sign, text) of the coefficient with q-coefficients c as ``MPoly.__str__``
-    prints it before the monomial: a sum of several q-powers in parentheses
-    with sign "+", else the magnitude (left out if 1) and the q-power, "" for
-    the unit.  Memoized per coefficient, since a table's polynomials share a
-    few coefficients."""
+def _coefficient_str(coeff) -> tuple[str, str]:
+    """(sign, text) of a QPoly or int coefficient as ``MPoly.__str__`` prints
+    it before the monomial: a sum of several q-powers in parentheses with
+    sign "+", else the magnitude (left out if 1) and the q-power, "" for the
+    unit.  Memoized per coefficient, since a table's polynomials share a few
+    coefficients; an int and the constant QPoly equal to it share an entry."""
+    c = _as_qpoly(coeff).c
     if sum(1 for v in c if v) > 1:
         return "+", f"({QPoly(c)})"
     d = len(c) - 1

@@ -83,7 +83,7 @@ from .perm import (
     partitions_of,
     perms_of_length,
 )
-from .polyring import MPoly, Q, QPoly, QP_ZERO, QP_ONE, _raw
+from .polyring import MPoly, Q, QPoly, QP_ZERO, QP_ONE
 from .schubert import (
     SchubertTable,
     build_schubert_table,
@@ -242,10 +242,10 @@ def _read_column(action: str, word: tuple[int, ...], w: Perm, k: int,
     the bound, raises ``InvariantViolation``.
     """
     n = table.n
-    terms = {e: c.as_int() for e, c in table[w].terms.items()}
-    bound = sum(terms.values()) * _letter_mass(action, k) ** len(word) * (n - 1) ** k
+    f = table.polys[w]
+    bound = sum(f.terms.values()) * _letter_mass(action, k) ** len(word) * (n - 1) ** k
     shift = bound.bit_length() + 1
-    image = apply_action_word(action, word, _raw(n, terms), 1 << shift)
+    image = apply_action_word(action, word, f, 1 << shift)
     digits = 1 + len(word)
     return {z: unpack(v, shift, digits, bound, "coordinate", z)
             for z, v in packed_class_sum(image.terms).items() if v}
@@ -363,12 +363,12 @@ def graded_character(action: str, mu, k: int, n: int) -> CharacterValue:
             total += vec.get(w, 0)
         value = unpack(total, shift, digits, bound, "rho1 trace", f"mu={mu}, degree {k}")
     else:
-        polys = [(w, {e: c.as_int() for e, c in table[w].terms.items()}) for w in table.basis(k)]
-        bound = (sum(sum(t.values()) for _, t in polys)
+        polys = [(w, table.polys[w]) for w in table.basis(k)]
+        bound = (sum(sum(f.terms.values()) for _, f in polys)
                  * _letter_mass(action, k) ** len(word) * (n - 1) ** k)
         shift = bound.bit_length() + 1
-        total = sum(coordinate_at(apply_action_word(action, word, _raw(n, t), 1 << shift), w)
-                    for w, t in polys)
+        total = sum(coordinate_at(apply_action_word(action, word, f, 1 << shift), w)
+                    for w, f in polys)
         value = unpack(total, shift, 1 + len(word), bound, f"{action} trace",
                        f"mu={mu}, degree {k}")
     return CharacterValue(k, mu, value, source)

@@ -4,15 +4,16 @@ The table for S_n starts from the staircase monomial x_1^{n-1} x_2^{n-2} ...
 at the longest element and walks down one divided difference per permutation.
 Every weight of a divided difference is +1 or -1, so both chains of this
 module run on Python int coefficients: the table's chain on the integer
-Schubert coefficients, frozen to ``QPoly`` once checked, and the expansion
-sweep on Z[q] coefficients packed into ints by q -> 2^B (Kronecker
-substitution; Harvey, *J. Symbolic Comput.* 44, 2009), decoded once at the
-end.  ``packed_class_sum`` sums packed coefficients times the integer
-monomial classes, and ``rep`` reads every matrix column through it, the
-operators applied to the integer Schubert polynomial at q = 2^B.  One pair
-of functions does all packing, ``pack`` and ``unpack``; ``rep`` also uses
-them for its column reads and its graded-character cells.  Every
-decoded coordinate is a ``QPoly``.
+Schubert coefficients, which the table keeps as ints on one shared set of
+staircase exponent tuples, and the expansion sweep on Z[q] coefficients
+packed into ints by q -> 2^B (Kronecker substitution; Harvey, *J. Symbolic
+Comput.* 44, 2009), decoded once at the end.  ``packed_class_sum`` sums
+packed coefficients times the integer monomial classes, and ``rep`` reads
+every matrix column through it, the operators applied to the integer
+Schubert polynomial at q = 2^B.  One pair of functions does all packing,
+``pack`` and ``unpack``; ``rep`` also uses them for its column reads and its
+graded-character cells.  Every decoded coordinate is a ``QPoly``, as is
+every coefficient of the table's Z[q] view.
 
 Residue-class coordinates in the Schubert basis are read two independent ways:
 
@@ -33,6 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 from math import factorial
 
 from .operators import InvariantViolation, divided_difference
@@ -48,18 +50,28 @@ from .perm import (
     perms_by_length,
     perms_of_length,
 )
-from .polyring import MPoly, QPoly, QP_ONE, QP_ZERO, _raw
+from .polyring import MPoly, QPoly, QP_ZERO, _raw
 
 
 @dataclass(frozen=True)
 class SchubertTable:
-    """All Schubert polynomials of S_n; immutable and shared."""
+    """All Schubert polynomials of S_n; immutable and shared.
+
+    ``polys[w]`` is S_w with its positive int coefficients, keyed on the
+    table's one shared set of staircase exponent tuples; the production
+    readers take it as is.  ``table[w]`` is the Z[q] view of the same
+    polynomial.
+    """
 
     n: int
     polys: dict[Perm, MPoly]
 
     def __getitem__(self, w: Perm) -> MPoly:
-        return self.polys[w]
+        """S_w over Z[q]: one constant ``QPoly`` per distinct coefficient,
+        built on every read and not kept, so the table stays on ints."""
+        terms = self.polys[w].terms
+        shared = {c: QPoly((c,)) for c in set(terms.values())}
+        return _raw(self.n, {e: shared[c] for e, c in terms.items()})
 
     def basis(self, k: int) -> tuple[Perm, ...]:
         """Length-k permutations in lexicographic order: the degree-k basis."""
@@ -79,35 +91,44 @@ def build_schubert_table(n: int) -> SchubertTable:
     """Compute all n! Schubert polynomials by divided differences.
 
     The chain runs on int coefficients, seeded from the staircase monomial
-    through ``QPoly.as_int``.  Every polynomial is checked to be homogeneous
-    of the right degree with positive integer coefficients (classical
-    positivity), then frozen to QPoly coefficients, one shared QPoly per
-    distinct value, before the table is returned.
+    through ``QPoly.as_int``.  The i-th divided difference sends an exponent
+    pair (a, b) at i, i + 1 to pairs with both entries below max(a, b), so
+    every monomial of the chain lies under the staircase: e_j <= n - j.
+    Those n! exponent vectors are made once, and each polynomial, the seed
+    included, is re-keyed onto them as it is produced, so the table's terms
+    share one tuple per exponent vector.  The same pass checks each term: on
+    the staircase, of degree length(w), with a positive integer coefficient
+    (classical positivity).  A zero polynomial counts as of the wrong degree.
     """
     if n < 1:
         raise ValueError("need n >= 1")
     by_len = perms_by_length(n)
     top = n * (n - 1) // 2
+    staircase = {e: (e, sum(e)) for e in product(*(range(n - j) for j in range(n)))}
+    polys: dict[Perm, MPoly] = {}
+
+    def keep(w: Perm, k: int, f: MPoly):
+        terms = {}
+        for e, c in f.terms.items():
+            key = staircase.get(e)
+            if key is None:
+                raise InvariantViolation(f"exponent {e} off the staircase at {w}")
+            e, degree = key
+            if degree != k:
+                raise InvariantViolation(f"wrong degree at {w}")
+            if c <= 0:
+                raise InvariantViolation(f"non-positive coefficient at {w}")
+            terms[e] = c
+        if not terms:
+            raise InvariantViolation(f"wrong degree at {w}")
+        polys[w] = _raw(n, terms)
+
     seed = staircase_monomial(n)
-    polys: dict[Perm, MPoly] = {
-        by_len[top][0]: _raw(n, {e: c.as_int() for e, c in seed.terms.items()})
-    }
+    keep(by_len[top][0], top, _raw(n, {e: c.as_int() for e, c in seed.terms.items()}))
     for k in range(top - 1, -1, -1):
         for w in by_len[k]:
             i = next(i for i in range(1, n) if w[i - 1] < w[i])  # first ascent
-            polys[w] = divided_difference(polys[mult_right_s(w, i)], i)
-    shared = {1: QP_ONE}
-    for k in range(top, -1, -1):
-        for w in by_len[k]:
-            f = polys[w]
-            if f.homogeneous_degree() != k:
-                raise InvariantViolation(f"wrong degree at {w}")
-            for c in f.terms.values():
-                if c not in shared:
-                    if c <= 0:
-                        raise InvariantViolation(f"non-positive coefficient at {w}")
-                    shared[c] = QPoly((c,))
-            polys[w] = _raw(n, {e: shared[c] for e, c in f.terms.items()})
+            keep(w, k, divided_difference(polys[mult_right_s(w, i)], i))
     if polys[identity(n)] != MPoly.const(n, 1):
         raise InvariantViolation("the identity's Schubert polynomial is not 1")
     return SchubertTable(n, polys)
@@ -336,5 +357,5 @@ def _apply_transposition(w: Perm, j: int, k: int) -> Perm:
 def schubert_table_strings(n: int) -> dict[str, str]:
     """Rendered table keyed by one-line notation in ``all_perms`` order, for
     the CLI and golden files."""
-    table = build_schubert_table(n)
-    return {perm_str(w): str(table[w]) for w in all_perms(n)}
+    polys = build_schubert_table(n).polys
+    return {perm_str(w): str(polys[w]) for w in all_perms(n)}

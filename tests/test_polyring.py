@@ -56,6 +56,13 @@ class TestQPoly:
                 assert not scaled.c or scaled.c[-1] != 0
         assert (ONE_MINUS_Q * 0).c == () and not QP_ZERO * 5
 
+    def test_constants_hash_as_their_ints(self):
+        for v in (0, 1, -1, 2, -7, 1 << 70):
+            assert QPoly((v,)) == v and hash(QPoly((v,))) == hash(v)
+            assert len({QPoly((v,)), v}) == 1
+        assert hash(QP_ZERO) == hash(0) == 0 and len({QP_ONE, 1}) == 1
+        assert len({QP_ZERO, 0, QP_ONE, 1, Q}) == 3
+
     def test_evaluate(self):
         p = QPoly((1, -2, 1))
         assert p.evaluate(1) == 0
@@ -157,6 +164,11 @@ class TestIntCoefficients:
         assert (self.f + x(1).scale(Q)).terms == {(1, 0, 0): QPoly((3, 1)), (0, 2, 0): -5}
         assert self.f.scale(Q).terms == {(1, 0, 0): QPoly((0, 3)), (0, 2, 0): QPoly((0, -5))}
         assert self.f == x(1).scale(3) - (x(2) ** 2).scale(5)
+
+    def test_equal_qpoly_polynomial_hashes_and_prints_alike(self):
+        same = x(1).scale(3) - (x(2) ** 2).scale(5)
+        assert hash(self.f) == hash(same) and len({self.f, same}) == 1
+        assert str(self.f) == str(same) == "3*x1 - 5*x2^2"
 
 
 class TestVariablePermutation:

@@ -16,7 +16,7 @@ from helpers import (
 
 from qschub import schubert
 from qschub.operators import divided_difference
-from qschub.perm import all_perms, identity, length, mult_right_s, perms_of_length
+from qschub.perm import all_perms, identity, length, mult_right_s, perms_by_length, perms_of_length
 from qschub.polyring import MPoly, QPoly, QP_ONE
 from qschub.rep import coordinate_at
 from qschub.schubert import (
@@ -81,21 +81,52 @@ class TestTable:
         table = build_schubert_table(n)
         for w, f in table.polys.items():
             assert f.homogeneous_degree() == length(w)
-            assert all(c.is_int() and c.as_int() > 0 for c in f.terms.values())
+            assert all(c.__class__ is int and c > 0 for c in f.terms.values())
 
-    def test_coefficients_are_shared_qpolys(self):
-        # The chains run on ints; none may leave the table or the expansion.
-        table = build_schubert_table(5)
-        by_value = {}
+    def test_coefficients_are_ints_on_shared_staircase_keys(self):
+        # The table stays on ints, keyed on one tuple per staircase exponent
+        # vector; the Z[q] view and the expansion hand out QPolys.
+        n = 5
+        table = build_schubert_table(n)
+        staircase = set(itertools.product(*(range(n - j) for j in range(n))))
+        keys, values = {}, set()
         for f in table.polys.values():
-            for c in f.terms.values():
-                assert c.__class__ is QPoly
-                assert by_value.setdefault(c, c) is c
-        assert sorted(c.as_int() for c in by_value) == [1, 2]
+            for e, c in f.terms.items():
+                assert e in staircase
+                assert keys.setdefault(e, e) is e
+                values.add(c)
+        assert len(keys) == len(staircase) == math.factorial(n)
+        assert sorted(values) == [1, 2] and all(c.__class__ is int for c in values)
         vec = expand_homogeneous(MPoly.monomial(5, (0, 2, 2, 0, 0)), 4, table)
         assert len(vec.coords) > 1
         assert all(c.__class__ is QPoly for c in vec.coords.values())
         assert expand_homogeneous(MPoly.const(5, 7), 0, table).coords == {identity(5): QPoly((7,))}
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_view_matches_a_qpoly_chain(self, n):
+        # Oracle: the chain rerun on Z[q] coefficients from the QPoly
+        # staircase, each w reached from its last ascent rather than the
+        # table's first.
+        table = build_schubert_table(n)
+        by_len = perms_by_length(n)
+        top = len(by_len) - 1
+        oracle = {by_len[top][0]: staircase_monomial(n)}
+        for k in range(top - 1, -1, -1):
+            for w in by_len[k]:
+                i = max(i for i in range(1, n) if w[i - 1] < w[i])
+                oracle[w] = divided_difference(oracle[mult_right_s(w, i)], i)
+        for w in all_perms(n):
+            view = table[w]
+            assert view == oracle[w] and view is not table[w]
+            assert all(c.__class__ is QPoly for c in view.terms.values())
+            shared = {}
+            assert all(shared.setdefault(c, c) is c for c in view.terms.values())
+
+    def test_int_table_and_view_are_equal_and_hash_alike(self):
+        table = build_schubert_table(4)
+        for w in all_perms(4):
+            f, view = table.polys[w], table[w]
+            assert f == view and hash(f) == hash(view) and len({f, view}) == 1
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_basis_sizes(self, n):
