@@ -17,7 +17,7 @@ from fractions import Fraction
 from .perm import partition_str, partitions_of, perm_str
 from .polyring import QPoly
 from .rep import bc_scan, generator_matrix
-from .schubert import build_schubert_table, schubert_table_strings
+from .schubert import build_schubert_table, schubert_table_rows
 from .verify import CHARACTER_COLUMNS, SUITES, character_table, run_suites
 
 DEFAULT_SEED = 20201
@@ -40,7 +40,8 @@ about 10 s with --jobs 2, no process above 76 MB); `char` is capped at n=7
 on that time, and n=8 was not run.  One `matrix` takes under a second up to
 n=6 and about 1 s at n=7; n=8 only for `schubert`/`matrix`: the n=8 Schubert
 table (8! entries) takes about 6 s and 175 MB, a small `matrix` at n=8 about
-6 s and `schubert --n 8` about 13 s (274 MB peak, 94.5 MB of output).
+6 s and `schubert --n 8` about 11 s (180 MB peak, the table's: its 94.5 MB
+of output is printed one row at a time).
 verify/scan-b accept n <= 7: `scan-b` takes about 0.4 s at n=6 and 5 s at
 n=7 (about 3 s with --jobs 2, which hands each worker whole degrees), and the full
 verify suite about 0.5 s at n=4, 1 s at n=5, 3.5 s at n=6 and 30 to 40 s at
@@ -103,17 +104,21 @@ def _render_value(v: QPoly, q: Fraction | None) -> str:
 
 def cmd_schubert(args) -> int:
     _require_n(args.n, 1, MAX_N_TABLES, "schubert")
-    table = schubert_table_strings(args.n)
+    rows = schubert_table_rows(args.n)
     if args.output == "json":
-        print(json.dumps(table))
+        # The bytes of json.dumps of the whole dict, written row by row.
+        sep = "{"
+        for k, poly in rows:
+            sys.stdout.write(sep + json.dumps(k) + ": " + json.dumps(poly))
+            sep = ", "
+        sys.stdout.write("}\n")
     elif args.output == "csv":
         out = csv.writer(sys.stdout, lineterminator="\n")
         out.writerow(["w", "schubert"])
-        out.writerows(table.items())
+        out.writerows(rows)
     else:
-        width = max(map(len, table))
-        for k, poly in table.items():
-            print(f"{k:<{width}}  {poly}")
+        for k, poly in rows:  # every key of S_n has the same length
+            print(f"{k}  {poly}")
     return 0
 
 

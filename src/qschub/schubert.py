@@ -19,7 +19,10 @@ Residue-class coordinates in the Schubert basis are read two independent ways:
 
 * ``expand_homogeneous`` uses the duality of divided-difference chains with
   the Schubert basis: the coordinate at z is the constant obtained by
-  applying the chain of z.
+  applying the chain of z.  Since d_z = d_i d_{s_i z} for every left descent
+  i of z (Macdonald, *Notes on Schubert Polynomials*, ch. II), a zero at any
+  s_i z makes z zero, and every nonzero source gives the same value; the
+  sweep skips such z and differentiates the source with the fewest terms.
 * ``packed_class_sum`` sums memoized monomial classes (``monomial_class``),
   each built one variable at a time by Monk's rule
   (``x_action_on_schubert``) in integer arithmetic.  The representation
@@ -153,17 +156,23 @@ class CoinvariantVector:
 
 
 @lru_cache(maxsize=None)
-def _sweep_plan(n: int) -> tuple[tuple[tuple[Perm, int, Perm], ...], ...]:
-    """Index j holds (z, i, s_i z) for every z of length j, lexicographically,
-    with i the first left descent of z: the value at z is the i-th divided
-    difference of the value at s_i z."""
+def _sweep_plan(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Index j lists, for the p-th permutation z of ``perms_by_length(n)[j]``,
+    every left descent i of z with the position of s_i z in layer j - 1,
+    flat as (i, p_i, i', p_i', ...): the value at z is the i-th divided
+    difference of the value at s_i z, for each of these i alike."""
+    by_len = perms_by_length(n)
     plan: list[tuple] = [()]
-    for layer in perms_by_length(n)[1:]:
-        steps = []
-        for z in layer:
-            i = next(i for i in range(1, n) if has_left_descent(z, i))
-            steps.append((z, i, mult_left_s(z, i)))
-        plan.append(tuple(steps))
+    for j in range(1, len(by_len)):
+        where = {w: p for p, w in enumerate(by_len[j - 1])}
+        layer = []
+        for z in by_len[j]:
+            steps = []
+            for i in range(1, n):
+                if has_left_descent(z, i):
+                    steps += (i, where[mult_left_s(z, i)])
+            layer.append(tuple(steps))
+        plan.append(tuple(layer))
     return tuple(plan)
 
 
@@ -214,8 +223,12 @@ def expand_homogeneous(f: MPoly, k: int, table: SchubertTable) -> CoinvariantVec
 
     Runs one breadth-first sweep over permutations by length, reusing each
     partial divided-difference chain: the value at z of length j is the i-th
-    divided difference of the value at s_i z for the first left descent i
-    (``_sweep_plan``).  Degree-k input collapses to constants exactly at the
+    divided difference of the value at s_i z, and because d_z = d_i d_{s_i z}
+    for every left descent i, any such i gives it (``_sweep_plan`` lists them
+    all).  So z is skipped as zero when the value at any s_i z is zero, and
+    otherwise the source with the fewest terms is differentiated.  Each
+    layer's values are a list aligned with that layer of ``perms_by_length``,
+    None for zero.  Degree-k input collapses to constants exactly at the
     length-k layer.
 
     The sweep runs on ints: each coefficient c is packed as the integer
@@ -239,28 +252,33 @@ def expand_homogeneous(f: MPoly, k: int, table: SchubertTable) -> CoinvariantVec
         return CoinvariantVector(k, {})
     if deg != k:
         raise ValueError(f"polynomial is homogeneous of degree {deg}, not {k}")
+    by_len = perms_by_length(n)
+    if k >= len(by_len):
+        return CoinvariantVector(k, {})
     bound = _coordinate_bound(f, k)
     shift = bound.bit_length() + 1
     digits = max(len(c.c) for c in f.terms.values())
     packed = {e: pack(c, shift) for e, c in f.terms.items()}
-    layer = {identity(n): _raw(n, packed)}
+    layer: list[MPoly | None] = [_raw(n, packed)]
     plan = _sweep_plan(n)
     for j in range(1, k + 1):
-        nxt: dict[Perm, MPoly] = {}
-        for z, i, source in plan[j] if j < len(plan) else ():
-            src = layer.get(source)
-            if src is None:
-                continue
-            g = divided_difference(src, i)
-            if g:
-                nxt[z] = g
+        nxt: list[MPoly | None] = []
+        for steps in plan[j]:
+            best = None
+            for t in range(1, len(steps), 2):
+                src = layer[steps[t]]
+                if src is None:
+                    best = None
+                    break
+                if best is None or len(src.terms) < len(best.terms):
+                    best, i = src, steps[t - 1]
+            g = divided_difference(best, i) if best is not None else None
+            nxt.append(g if g else None)
         layer = nxt
-        if not layer:
-            break
     constant = (0,) * n
     coords = {}
-    for z, g in layer.items():
-        v = g.terms.get(constant)
+    for z, g in zip(by_len[k], layer):
+        v = g and g.terms.get(constant)
         if v:
             coords[z] = unpack(v, shift, digits, bound, "coordinate", z)
     return CoinvariantVector(k, coords)
@@ -354,8 +372,9 @@ def _apply_transposition(w: Perm, j: int, k: int) -> Perm:
     return tuple(out)
 
 
-def schubert_table_strings(n: int) -> dict[str, str]:
-    """Rendered table keyed by one-line notation in ``all_perms`` order, for
-    the CLI and golden files."""
+def schubert_table_rows(n: int):
+    """Yield (one-line notation, rendered S_w) for every w in ``all_perms``
+    order, one row at a time, for the CLI."""
     polys = build_schubert_table(n).polys
-    return {perm_str(w): str(polys[w]) for w in all_perms(n)}
+    for w in all_perms(n):
+        yield perm_str(w), str(polys[w])

@@ -15,16 +15,25 @@ from helpers import (
 )
 
 from qschub import schubert
-from qschub.operators import divided_difference
-from qschub.perm import all_perms, identity, length, mult_right_s, perms_by_length, perms_of_length
-from qschub.polyring import MPoly, QPoly, QP_ONE
+from qschub.operators import apply_partial_w, apply_partial_w_alt, divided_difference
+from qschub.perm import (
+    all_perms,
+    has_left_descent,
+    identity,
+    length,
+    mult_left_s,
+    mult_right_s,
+    perms_by_length,
+    perms_of_length,
+)
+from qschub.polyring import MPoly, QPoly, QP_ONE, QP_ZERO
 from qschub.rep import coordinate_at
 from qschub.schubert import (
     build_schubert_table,
     expand_homogeneous,
     monk_products,
     monomial_class,
-    schubert_table_strings,
+    schubert_table_rows,
     staircase_monomial,
     x_action_on_schubert,
 )
@@ -219,6 +228,56 @@ class TestExpansion:
                     assert solution[j] == Fraction(vec[z].evaluate(q))
 
 
+class TestEveryDescentSweep:
+    """The sweep reaches z from the smallest source s_i z over every left
+    descent i and skips z when any source is zero; both rest on
+    d_z = d_i d_{s_i z} for every left descent i."""
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_matches_the_chain_of_every_z(self, n):
+        table = build_schubert_table(n)
+        top = table.max_degree
+        rng = random.Random(50 + n)
+        constant = (0,) * n
+
+        def random_homogeneous(k, terms):
+            monos = monomial_exponents(n, k)
+            out = MPoly.zero(n)
+            for e in rng.sample(monos, min(terms, len(monos))):
+                out = out + MPoly.monomial(n, e, QPoly((rng.randint(-3, 3), rng.randint(-2, 2))))
+            return out
+
+        def constant_of(g):
+            return g.terms.get(constant, QP_ZERO)
+
+        skips = 0
+        # k = 0 reads f itself at the identity; k = top + 1 lies past every
+        # Schubert class, so its expansion must be zero.
+        for k in range(top + 2):
+            basis = table.basis(k) if k <= top else ()
+            for _ in range(3):
+                f = random_homogeneous(k, rng.randint(1, 4))
+                for j in range(1, min(n, k) + 1):  # ideal parts e_j * g_j
+                    f = f + elementary_symmetric(n, j) * random_homogeneous(k - j, 2)
+                if not f:
+                    continue
+                vec = expand_homogeneous(f, k, table)
+                for z in basis:
+                    c = constant_of(apply_partial_w(z, f))
+                    assert vec[z] == c == constant_of(apply_partial_w_alt(z, f)), (k, z)
+                assert set(vec.coords) <= set(basis) and (k <= top or vec.is_zero())
+                # z whose first-descent source is nonzero but another is zero
+                values = {u: apply_partial_w(u, f) for j in range(min(k, top) + 1)
+                          for u in perms_of_length(n, j)}
+                for z, value in values.items():
+                    sources = [values[mult_left_s(z, i)] for i in range(1, n)
+                               if has_left_descent(z, i)]
+                    if sources and sources[0] and not all(sources):
+                        assert not value, z
+                        skips += 1
+        assert skips, "no input reached the skip path"
+
+
 def monk_coordinates(f, k, table):
     """The nonzero degree-k Schubert coordinates of f by the Monk route on
     Z[q] coefficients, with no packing: ``coordinate_at`` at each z."""
@@ -408,7 +467,7 @@ class TestOracleIndependence:
 
 class TestRendering:
     def test_n2_strings(self):
-        assert schubert_table_strings(2) == {"1,2": "1", "2,1": "x1"}
+        assert list(schubert_table_rows(2)) == [("1,2", "1"), ("2,1", "x1")]
 
     def test_n1_strings(self):
-        assert schubert_table_strings(1) == {"1": "1"}
+        assert list(schubert_table_rows(1)) == [("1", "1")]
