@@ -39,8 +39,8 @@ and about 17 s at n=7 (88 MB peak; rho1 8 s, rho2 9.3 s, weights 0.3 s;
 about 10 s with --jobs 2, no process above 76 MB); `char` is capped at n=7
 on that time, and n=8 was not run.  One `matrix` takes under a second up to
 n=6 and about 1 s at n=7; n=8 only for `schubert`/`matrix`: the n=8 Schubert
-table (8! entries) takes about 6 s and 175 MB, a small `matrix` at n=8 about
-6 s and `schubert --n 8` about 11 s (180 MB peak, the table's: its 94.5 MB
+table (8! entries) takes about 3 s and 178 MB, a small `matrix` at n=8 about
+3 s and `schubert --n 8` about 6 s (182 MB peak, the table's: its 94.5 MB
 of output is printed one row at a time).
 verify/scan-b accept n <= 7: `scan-b` takes about 0.4 s at n=6 and 5 s at
 n=7 (about 3 s with --jobs 2, which hands each worker whole degrees), and the full

@@ -52,10 +52,10 @@ def _pairwise(f: MPoly, i: int, rule) -> MPoly:
     gives the pairs ((a_k, b_k), w_k) and e_k is e with (e_i, e_{i+1})
     replaced by (a_k, b_k).  A weight is a nonzero int or a QPoly.  When
     every weight is an int, c may also be a Python int, and the result keeps
-    int coefficients: the Schubert layer runs its divided-difference chains
-    that way, and ``rep`` runs R_i at an integer q.  A unit weight stores c
-    itself, so the common weights 1 of the divided difference and the sorting
-    rules cost no multiplication.
+    int coefficients: the Schubert expansion sweep runs its
+    divided-difference chain that way, and ``rep`` runs R_i at an integer q.
+    A unit weight stores c itself, so the common weights 1 of the divided
+    difference and the sorting rules cost no multiplication.
     """
     if not 1 <= i < f.n:
         raise ValueError(f"operator index {i} out of range for n={f.n}")

@@ -23,6 +23,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations as _itertools_permutations
+from itertools import product
 
 from .polyring import ONE_MINUS_Q, Q, QPoly, QP_ZERO, QP_ONE, minus_q_power
 
@@ -49,7 +50,9 @@ def mult_right_s(w: Perm, i: int) -> Perm:
 
 def mult_left_s(w: Perm, i: int) -> Perm:
     """s_i * w: swap values i and i+1."""
-    return tuple(i + 1 if v == i else i if v == i + 1 else v for v in w)
+    s = list(w)
+    s[w.index(i)], s[w.index(i + 1)] = i + 1, i
+    return tuple(s)
 
 
 def has_left_descent(w: Perm, i: int) -> bool:
@@ -214,13 +217,29 @@ def all_perms(n: int) -> tuple[Perm, ...]:
     return tuple(_itertools_permutations(range(1, n + 1)))
 
 
+def lehmer_codes(n: int):
+    """The Lehmer codes of S_n, in the order of ``all_perms(n)``: the tuples
+    c with 0 <= c_j < n - j (0-based j), lexicographically.
+
+    The code of w counts, at each position j, the later entries below w(j),
+    so its sum is length(w).  Both orders are lexicographic and the code
+    determines w position by position, so the j-th permutation has the j-th
+    code.  The same tuples are the exponents under the staircase
+    x_1^{n-1} x_2^{n-2} ..., where every Schubert polynomial lives."""
+    return product(*(range(n - j) for j in range(n)))
+
+
 @lru_cache(maxsize=None)
 def perms_by_length(n: int) -> tuple[tuple[Perm, ...], ...]:
-    """Index k holds the permutations with k inversions, lexicographically."""
+    """Index k holds the permutations with k inversions, lexicographically.
+
+    Bucketed by the sum of each permutation's Lehmer code
+    (``lehmer_codes``), read in step with ``all_perms``: no inversion is
+    counted."""
     top = n * (n - 1) // 2
     buckets: list[list[Perm]] = [[] for _ in range(top + 1)]
-    for w in all_perms(n):
-        buckets[length(w)].append(w)
+    for w, code in zip(all_perms(n), lehmer_codes(n)):
+        buckets[sum(code)].append(w)
     return tuple(tuple(b) for b in buckets)
 
 

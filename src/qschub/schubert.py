@@ -4,8 +4,7 @@ The table for S_n starts from the staircase monomial x_1^{n-1} x_2^{n-2} ...
 at the longest element and walks down one divided difference per permutation.
 Every weight of a divided difference is +1 or -1, so both chains of this
 module run on Python int coefficients: the table's chain on the integer
-Schubert coefficients, which the table keeps as ints on one shared set of
-staircase exponent tuples, and the expansion sweep on Z[q] coefficients
+Schubert coefficients, and the expansion sweep on Z[q] coefficients
 packed into ints by q -> 2^B (Kronecker substitution; Harvey, *J. Symbolic
 Comput.* 44, 2009), decoded once at the end.  ``packed_class_sum`` sums
 packed coefficients times the integer monomial classes, and ``rep`` reads
@@ -14,6 +13,15 @@ Schubert polynomial at q = 2^B.  One pair of functions does all packing,
 ``pack`` and ``unpack``; ``rep`` also uses them for its column reads and its
 graded-character cells.  Every decoded coordinate is a ``QPoly``, as is
 every coefficient of the table's Z[q] view.
+
+Every monomial of the table lies under the staircase, whose n! exponent
+vectors are the Lehmer codes of S_n.  The table's chain runs on their
+indices, each divided-difference image of an index memoized for one length
+layer and checked once, on the staircase and in the layer's degree, when it
+is built; by induction from the checked seed, that checks every term.  The
+table keeps each S_w as ints on one shared set of staircase exponent tuples.
+The expansion sweep stays on exponent tuples and ``divided_difference``: its
+inputs share few monomials, so an image memo would not pay there.
 
 Residue-class coordinates in the Schubert basis are read two independent ways:
 
@@ -37,16 +45,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
 from math import factorial
 
-from .operators import InvariantViolation, divided_difference
+from .operators import InvariantViolation, _difference_rule, divided_difference
 from .perm import (
     Perm,
     all_perms,
     has_left_descent,
     identity,
     is_cover,
+    lehmer_codes,
     mult_left_s,
     mult_right_s,
     perm_str,
@@ -93,45 +101,82 @@ def staircase_monomial(n: int) -> MPoly:
 def build_schubert_table(n: int) -> SchubertTable:
     """Compute all n! Schubert polynomials by divided differences.
 
-    The chain runs on int coefficients, seeded from the staircase monomial
-    through ``QPoly.as_int``.  The i-th divided difference sends an exponent
-    pair (a, b) at i, i + 1 to pairs with both entries below max(a, b), so
-    every monomial of the chain lies under the staircase: e_j <= n - j.
-    Those n! exponent vectors are made once, and each polynomial, the seed
-    included, is re-keyed onto them as it is produced, so the table's terms
-    share one tuple per exponent vector.  The same pass checks each term: on
-    the staircase, of degree length(w), with a positive integer coefficient
-    (classical positivity).  A zero polynomial counts as of the wrong degree.
+    The i-th divided difference sends an exponent pair (a, b) at i, i + 1 to
+    pairs with both entries below max(a, b), so every monomial of the chain
+    lies under the staircase: e_j <= n - j.  Those n! exponent vectors, the
+    Lehmer codes of S_n (``lehmer_codes``), are made once, and the chain
+    runs on their indices: each polynomial is a dict {index: int}, seeded
+    from the staircase monomial through ``QPoly.as_int``.  The image of
+    index j under the i-th divided difference, a tuple of (index, weight)
+    pairs from ``_difference_rule`` (the rule of ``divided_difference``), is
+    memoized per length layer and checked once, when it is built: on the
+    staircase, and of the layer's degree.  By induction from the checked
+    seed every term of S_w then lies on the staircase in degree length(w),
+    so no term is checked again.  Each S_w must be nonzero (a zero
+    polynomial counts as of the wrong degree) with positive integer
+    coefficients (classical positivity), and S_id = 1.  Once the layer below
+    it is done, a layer's int dicts are moved into the table as ``MPoly``s
+    keyed on the shared exponent tuples, so at most two layers of int dicts
+    are alive, and the image memo holds one degree at a time.
     """
     if n < 1:
         raise ValueError("need n >= 1")
     by_len = perms_by_length(n)
     top = n * (n - 1) // 2
-    staircase = {e: (e, sum(e)) for e in product(*(range(n - j) for j in range(n)))}
+    stair = list(lehmer_codes(n))
+    index = {e: j for j, e in enumerate(stair)}
     polys: dict[Perm, MPoly] = {}
 
-    def keep(w: Perm, k: int, f: MPoly):
-        terms = {}
-        for e, c in f.terms.items():
-            key = staircase.get(e)
-            if key is None:
-                raise InvariantViolation(f"exponent {e} off the staircase at {w}")
-            e, degree = key
-            if degree != k:
-                raise InvariantViolation(f"wrong degree at {w}")
-            if c <= 0:
-                raise InvariantViolation(f"non-positive coefficient at {w}")
-            terms[e] = c
-        if not terms:
+    def locate(e: tuple, k: int, w: Perm) -> int:
+        """The index of exponent e, checked to lie on the staircase in degree k."""
+        j = index.get(e)
+        if j is None:
+            raise InvariantViolation(f"exponent {e} off the staircase at {w}")
+        if sum(e) != k:
             raise InvariantViolation(f"wrong degree at {w}")
-        polys[w] = _raw(n, terms)
+        return j
 
+    def checked(w: Perm, terms: dict[int, int]) -> dict[int, int]:
+        """terms without its zeros, checked to be nonzero and positive."""
+        if min(terms.values(), default=0) <= 0:
+            terms = {j: c for j, c in terms.items() if c}
+            if not terms:
+                raise InvariantViolation(f"wrong degree at {w}")
+            if min(terms.values()) < 0:
+                raise InvariantViolation(f"non-positive coefficient at {w}")
+        return terms
+
+    def to_table(layer: dict[Perm, dict[int, int]]):
+        """Move a finished layer into the table, keyed on the shared tuples."""
+        for w, terms in layer.items():
+            polys[w] = _raw(n, {stair[j]: c for j, c in terms.items()})
+        layer.clear()
+
+    w0 = by_len[top][0]
     seed = staircase_monomial(n)
-    keep(by_len[top][0], top, _raw(n, {e: c.as_int() for e, c in seed.terms.items()}))
+    layer = {w0: checked(w0, {locate(e, top, w0): c.as_int() for e, c in seed.terms.items()})}
     for k in range(top - 1, -1, -1):
+        images: list[dict[int, tuple]] = [{} for _ in range(n)]
+        below = {}
         for w in by_len[k]:
             i = next(i for i in range(1, n) if w[i - 1] < w[i])  # first ascent
-            keep(w, k, divided_difference(polys[mult_right_s(w, i)], i))
+            ii = i - 1
+            memo = images[i]
+            out: dict[int, int] = {}
+            get = out.get
+            for j, c in layer[mult_right_s(w, i)].items():
+                image = memo.get(j)
+                if image is None:
+                    e = stair[j]
+                    image = memo[j] = tuple(
+                        (locate(e[:ii] + pair + e[ii + 2:], k, w), weight)
+                        for pair, weight in _difference_rule(e[ii], e[ii + 1]))
+                for t, weight in image:
+                    out[t] = get(t, 0) + weight * c
+            below[w] = checked(w, out)
+        to_table(layer)
+        layer = below
+    to_table(layer)
     if polys[identity(n)] != MPoly.const(n, 1):
         raise InvariantViolation("the identity's Schubert polynomial is not 1")
     return SchubertTable(n, polys)

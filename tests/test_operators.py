@@ -390,6 +390,10 @@ print(*[
            schubert, "staircase_monomial", lambda n: stair(n).scale(2)),
     raises(lambda: schubert.build_schubert_table(3),
            schubert, "staircase_monomial", lambda n: MPoly.monomial(n, (0, 1, 2))),
+    raises(lambda: schubert.build_schubert_table(3), schubert, "_difference_rule",
+           lambda a, b: tuple((p, -w) for p, w in operators._difference_rule(a, b))),
+    raises(lambda: schubert.build_schubert_table(3), schubert, "_difference_rule",
+           lambda a, b: (((0, a + b - 1), 1),)),
     raises(lambda: schubert.expand_homogeneous(MPoly.variable(3, 1).scale(3), 1,
                                                schubert.build_schubert_table(3)),
            schubert, "_coordinate_bound", lambda f, k: 0),
@@ -420,6 +424,8 @@ class TestInvariantChecks:
             "non-positive coefficient at (3, 2, 1)",
             "the identity's Schubert polynomial is not 1",
             "exponent (0, 1, 2) off the staircase at (3, 2, 1)",
+            "non-positive coefficient at (2, 3, 1)",
+            "exponent (0, 2, 0) off the staircase at (2, 3, 1)",
             "packed coordinate at (2, 1, 3) does not decode within the bound",
             "packed coordinate at (1, 3, 2) does not decode within the bound",
             "packed rho1 trace at mu=(2, 1), degree 1 does not decode within the bound",

@@ -2,7 +2,7 @@ from itertools import permutations
 
 import pytest
 
-from helpers import from_word, recompose
+from helpers import compose, from_word, recompose
 from qschub.perm import (
     all_perms,
     alt_reduced_word,
@@ -15,6 +15,7 @@ from qschub.perm import (
     identity,
     is_cover,
     knuth_classes,
+    lehmer_codes,
     length,
     mult_left_s,
     mult_right_s,
@@ -22,6 +23,7 @@ from qschub.perm import (
     partition_word,
     partitions_of,
     perm_str,
+    perms_by_length,
     perms_of_length,
     rsk_insertion_tableau,
     standard_tableaux_count,
@@ -72,6 +74,12 @@ class TestLengthAndWords:
 
     def test_left_mult_swaps_values(self):
         assert mult_left_s((2, 3, 1), 1) == (1, 3, 2)
+
+    def test_left_mult_is_composition_with_s_i(self):
+        for i in range(1, 6):
+            s_i = mult_right_s(identity(6), i)
+            for w in all_perms(6):
+                assert mult_left_s(w, i) == compose(s_i, w)
 
 
 def brute_valley_weight(w):
@@ -218,6 +226,18 @@ class TestEnumeration:
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             perms_of_length(3, 4)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+    def test_by_length_buckets_all_perms_by_inversions(self, n):
+        buckets = [[] for _ in range(n * (n - 1) // 2 + 1)]
+        for w in all_perms(n):
+            buckets[brute_length(w)].append(w)
+        assert perms_by_length(n) == tuple(tuple(b) for b in buckets)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_lehmer_codes_follow_all_perms(self, n):
+        for w, code in zip(all_perms(n), lehmer_codes(n), strict=True):
+            assert code == tuple(sum(1 for v in w[j + 1:] if v < w[j]) for j in range(n))
 
     def test_all_perms_sorted(self):
         assert all_perms(3) == tuple(permutations((1, 2, 3)))

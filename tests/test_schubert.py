@@ -111,7 +111,7 @@ class TestTable:
         assert all(c.__class__ is QPoly for c in vec.coords.values())
         assert expand_homogeneous(MPoly.const(5, 7), 0, table).coords == {identity(5): QPoly((7,))}
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
     def test_view_matches_a_qpoly_chain(self, n):
         # Oracle: the chain rerun on Z[q] coefficients from the QPoly
         # staircase, each w reached from its last ascent rather than the
