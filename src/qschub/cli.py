@@ -22,8 +22,8 @@ from .verify import CHARACTER_COLUMNS, SUITES, character_table, run_suites
 
 DEFAULT_SEED = 20201
 MAX_N_TABLES = 8
-# The full char table takes about 17 s serial at n=7 (88 MB peak), the rho1
-# and rho2 columns about 8 and 9.3 s of it; n=8 was not run.
+# The full char table takes about 9 to 12 s serial at n=7 (77 MB peak), the
+# rho1 and rho2 columns about 8 and 3.2 to 3.7 s of it; n=8 was not run.
 MAX_N_CHAR = 7
 MAX_N_VERIFY = 7
 MAX_N_SCAN_B = 7
@@ -35,13 +35,13 @@ MAX_DEGREE_BOUND = 6
 COST_NOTE = """\
 cost guide (single runs on a shared 2-core Xeon VM): the full `char` table
 takes about 0.3 s at n=5, 0.7 to 1.2 s at n=6 (0.5 to 0.9 s with --jobs 2)
-and about 17 s at n=7 (88 MB peak; rho1 8 s, rho2 9.3 s, weights 0.3 s;
-about 10 s with --jobs 2, no process above 76 MB); `char` is capped at n=7
-on that time, and n=8 was not run.  One `matrix` takes under a second up to
-n=6 and about 1 s at n=7; n=8 only for `schubert`/`matrix`: the n=8 Schubert
-table (8! entries) takes about 3 s and 178 MB, a small `matrix` at n=8 about
-3 s and `schubert --n 8` about 6 s (182 MB peak, the table's: its 94.5 MB
-of output is printed one row at a time).
+and about 9 to 12 s at n=7 (77 MB peak; rho1 8 s, rho2 3.2 to 3.7 s, weights
+0.3 s; about 6 to 9 s with --jobs 2, no process above 66 MB); `char` is
+capped at n=7 on that time, and n=8 was not run.  One `matrix` takes under
+a second up to n=6 and about 1 s at n=7; n=8 only for `schubert`/`matrix`:
+the n=8 Schubert table (8! entries) takes about 3 s and 178 MB, a small
+`matrix` at n=8 about 3 s and `schubert --n 8` about 6 s (182 MB peak, the
+table's: its 94.5 MB of output is printed one row at a time).
 verify/scan-b accept n <= 7: `scan-b` takes about 0.4 s at n=6 and 5 s at
 n=7 (about 3 s with --jobs 2, which hands each worker whole degrees), and the full
 verify suite about 0.5 s at n=4, 1 s at n=5, 3.5 s at n=6 and 30 to 40 s at

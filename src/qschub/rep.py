@@ -31,11 +31,13 @@ Z[q] -> Z (Kronecker substitution; Harvey, *J. Symbolic Comput.* 44, 2009),
 its packed coordinates are summed by ``schubert.packed_class_sum``, and each
 nonzero one is decoded once (``schubert.unpack``).  ``coordinate_at`` reads
 one coordinate of a polynomial, Z[q] or packed, by looking it up in the same
-classes.  rho2's and symq1's graded characters run the same way: each basis
-Schubert polynomial is pushed through the word at q = 2^B, its packed
-coordinate at its own class is read by ``coordinate_at``, and the cell's
-packed sum is decoded once.  No trace in ``graded_character`` runs on Z[q]
-arithmetic; the polynomial route is the tests' oracle.  The
+classes.  rho2's and symq1's graded characters run on the same packed
+ints, by linearity: the degree's basis Schubert polynomials are grouped by
+staircase monomial, each monomial is pushed through the word once at
+q = 2^B, its image's packed coordinate at every class w whose S_w holds it
+is read by ``coordinate_at``, weighted by that coefficient of S_w, and the
+cell's packed sum is decoded once.  No trace in ``graded_character`` runs
+on Z[q] arithmetic; the polynomial route is the tests' oracle.  The
 divided-difference sweep ``expand_homogeneous`` stays in ``schubert`` as the
 independent oracle for the Monk classes.
 
@@ -83,7 +85,7 @@ from .perm import (
     partitions_of,
     perms_of_length,
 )
-from .polyring import MPoly, Q, QPoly, QP_ZERO, QP_ONE
+from .polyring import MPoly, Q, QPoly, QP_ZERO, QP_ONE, _raw
 from .schubert import (
     SchubertTable,
     build_schubert_table,
@@ -316,8 +318,9 @@ def graded_character(action: str, mu, k: int, n: int) -> CharacterValue:
     vector at w.  All n - 1 generators of the degree are built, not only
     those on mu's word, so the first cell asked at degree k pays for the
     whole degree whatever its mu: a table's cells cost the same in any
-    order.  rho2 and symq1 apply the whole word to the Schubert polynomial
-    of w upstairs.  Either way only the coordinate at w is read.
+    order.  rho2 and symq1 apply the whole word upstairs, to the Schubert
+    polynomial of w by linearity (below).  Either way only the coordinate at
+    w is read.
 
     Both run on ints packed at q = 2^B, and the diagonal is summed as one
     int and decoded once (``schubert.unpack``); B = bit_length(bound) + 1.
@@ -329,9 +332,14 @@ def graded_character(action: str, mu, k: int, n: int) -> CharacterValue:
     caps every q-coefficient of the trace, which has at most
     1 + len(word) * (largest q-degree of an entry) digits.
 
-    rho2 and symq1 push each S_w, with its int coefficients, through the
-    word at q = 2^B (``apply_action_word``), as ``_read_column`` does, and
-    ``coordinate_at`` reads the packed coordinate at w.  The bound is
+    rho2 and symq1 group the degree's basis by staircase monomial in one
+    pass, {x^e: [(w, S_w[e]), ...]}, push each x^e once through the word at
+    q = 2^B (``apply_action_word``), and add S_w[e] times the image's packed
+    coordinate at w (``coordinate_at``) for every w in its group.  At an int
+    q the word and ``coordinate_at`` are Z-linear, so the packed sum is the
+    same int as the sum over w of the coordinate at w of the image of S_w:
+    every monomial is pushed once per cell instead of once for each S_w
+    that holds it.  The bound, taken on the images of the S_w, is unchanged:
 
         bound = sum over w of L1(S_w) * m^len(word) * (n - 1)^k,
 
@@ -363,12 +371,19 @@ def graded_character(action: str, mu, k: int, n: int) -> CharacterValue:
             total += vec.get(w, 0)
         value = unpack(total, shift, digits, bound, "rho1 trace", f"mu={mu}, degree {k}")
     else:
-        polys = [(w, table.polys[w]) for w in table.basis(k)]
-        bound = (sum(sum(f.terms.values()) for _, f in polys)
-                 * _letter_mass(action, k) ** len(word) * (n - 1) ** k)
+        by_monomial: dict[tuple[int, ...], list[tuple[Perm, int]]] = {}
+        l1 = 0
+        for w in table.basis(k):
+            for e, c in table.polys[w].terms.items():
+                by_monomial.setdefault(e, []).append((w, c))
+                l1 += c
+        bound = l1 * _letter_mass(action, k) ** len(word) * (n - 1) ** k
         shift = bound.bit_length() + 1
-        total = sum(coordinate_at(apply_action_word(action, word, f, 1 << shift), w)
-                    for w, f in polys)
+        total = 0
+        for e, uses in by_monomial.items():
+            image = apply_action_word(action, word, _raw(n, {e: 1}), 1 << shift)
+            for w, c in uses:
+                total += c * coordinate_at(image, w)
         value = unpack(total, shift, 1 + len(word), bound, f"{action} trace",
                        f"mu={mu}, degree {k}")
     return CharacterValue(k, mu, value, source)

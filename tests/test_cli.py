@@ -77,6 +77,17 @@ class TestChar:
         code, _, err = run_cli(capsys, "char", "--n", "1")
         assert code == 2
 
+    @pytest.mark.parametrize("argv, digest", [
+        (("--output", "json"), "00df2671c8bc7f0fe8469d92383ed1dd960411e0c9a1bf126cc68e20ee8f1f3d"),
+        (("--action", "rho2", "--output", "csv"),
+         "c1586a20ac72108fc2a9ac2bed70e62f358327c51b96fa50f292c7728ec1c3cd"),
+    ])
+    def test_n5_stdout_is_pinned(self, capsys, argv, digest):
+        # All 77 cells of every column, and the rho2 column alone, byte for byte.
+        code, out, _ = run_cli(capsys, "char", "--n", "5", *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_cap_rejected_before_the_table_build(self, capsys, monkeypatch):
         from qschub import cli
 

@@ -290,6 +290,35 @@ class TestCharacters:
                     got = graded_character(action, mu, k, n).value
                     assert got == graded_character_oracle(action, mu, k, n), (action, mu, k)
 
+    def test_rho2_and_symq1_match_the_weight_sum_at_n6(self):
+        # All 176 n=6 cells: rho2 is the coset-weight sum, and symq1, the
+        # action of S_n itself, is that sum at q = 1, a constant.
+        n = 6
+        for k in range(n * (n - 1) // 2 + 1):
+            for mu in partitions_of(n):
+                ws = weight_character(mu, k, n).value
+                assert graded_character("rho2", mu, k, n).value == ws, (mu, k)
+                sym = graded_character("symq1", mu, k, n).value
+                assert sym.is_int() and sym.as_int() == ws.evaluate(1), (mu, k)
+
+    @pytest.mark.parametrize("action", ["rho2", "symq1"])
+    def test_each_staircase_monomial_goes_through_the_word_once(self, monkeypatch, action):
+        n, mu, k = 5, (3, 2), 4
+        inputs = []
+
+        def recording(act, word, f, q):
+            inputs.append(f.terms)
+            return apply_action_word(act, word, f, q)
+
+        monkeypatch.setattr(rep, "apply_action_word", recording)
+        got = graded_character(action, mu, k, n).value
+        assert all(len(terms) == 1 and set(terms.values()) == {1} for terms in inputs)
+        table = build_schubert_table(n)
+        staircase = {e for w in table.basis(k) for e in table.polys[w].terms}
+        pushed = Counter(e for terms in inputs for e in terms)
+        assert set(pushed) == staircase and set(pushed.values()) == {1}
+        assert got == graded_character_oracle(action, mu, k, n)
+
     def test_character_value_metadata(self):
         cv = graded_character("rho2", (2, 1), 1, 3)
         assert (cv.k, cv.mu, cv.source) == (1, (2, 1), "trace2")
