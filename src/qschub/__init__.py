@@ -19,9 +19,7 @@ from .polyring import (
     is_i_symmetric,
 )
 from .perm import (
-    CosetDecomposition,
     canonical_reduced_word,
-    coset_decompose,
     coset_weight,
     cycle_type,
     knuth_classes,
@@ -29,14 +27,11 @@ from .perm import (
     partition_word,
     partitions_of,
     perms_of_length,
-    valley_weight,
 )
 from .operators import (
     InvariantViolation,
     a_minus_r_factor,
     apply_partial_w,
-    check_relations,
-    commutation_suite,
     divided_difference,
 )
 from .schubert import (
@@ -58,8 +53,6 @@ from .rep import (
     generator_matrix,
     graded_character,
     knuth_class_character,
-    symmetric_group_character,
-    trace_equivalence_report,
     weight_character,
     word_matrix,
 )

@@ -1,6 +1,6 @@
 """Linear operators on the polynomial ring: s_i, divided differences,
 multiplication operators, the q-commutator families A_i and B_i, and the
-randomized pair R_i / R*_i, plus exhaustive relation-checking harnesses.
+randomized pair R_i / R*_i.
 
 The divided difference and R_i / R*_i share one term-by-term kernel,
 ``_pairwise``; each is a memoized rule on the exponent pair (e_i, e_{i+1}) of
@@ -21,7 +21,6 @@ that way at q = 2^B (Kronecker substitution, ``schubert.pack``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations_with_replacement
 
@@ -160,9 +159,6 @@ def op_rstar(f: MPoly, i: int) -> MPoly:
     return _pairwise(f, i, _RSTAR_RULE)
 
 
-FAMILY_OPS = {"S": op_s, "A": op_a, "B": op_b, "R": op_r, "Rstar": op_rstar}
-
-
 def apply_partial_w(w: Perm, f: MPoly) -> MPoly:
     """Divided difference along a reduced word of w (word choice immaterial)."""
     for i in reversed(canonical_reduced_word(w)):
@@ -187,107 +183,6 @@ def monomials_up_to(n: int, degree_bound: int) -> list[MPoly]:
                 e[v] += 1
             out.append(MPoly.monomial(n, e))
     return out
-
-
-@dataclass
-class RelationReport:
-    """Outcome of an exhaustive operator-identity check; failures are content,
-    not exceptions."""
-
-    title: str
-    n: int
-    degree_bound: int
-    checked: int = 0
-    failures: list[str] = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return not self.failures
-
-    def record(self, ok: bool, label: str):
-        self.checked += 1
-        if not ok:
-            self.failures.append(label)
-
-    def summary(self) -> str:
-        verdict = "PASS" if self.passed else f"FAIL ({len(self.failures)} counterexamples)"
-        return f"{self.title}: {self.checked} identities checked, {verdict}"
-
-
-def check_relations(family: str, n: int, degree_bound: int) -> RelationReport:
-    """Check the defining algebra relations of one operator family on every
-    monomial of total degree <= degree_bound.
-
-    Braid and far-commutation are checked for all families; the quadratic
-    relation O^2 = (1-q) O + q for the deformed families, involutivity for S.
-    Each first image O_i f is computed once per monomial and shared by all
-    three kinds of check.
-    """
-    if family not in FAMILY_OPS:
-        raise ValueError(f"unknown family {family!r}; expected one of {sorted(FAMILY_OPS)}")
-    if n < 2:
-        raise ValueError("need n >= 2")
-    op = FAMILY_OPS[family]
-    report = RelationReport(f"{family} relations", n, degree_bound)
-    for f in monomials_up_to(n, degree_bound):
-        mono = str(f)
-        first = [None] + [op(f, i) for i in range(1, n)]
-        for i in range(1, n - 1):
-            lhs = op(op(first[i], i + 1), i)
-            rhs = op(op(first[i + 1], i), i + 1)
-            report.record(lhs == rhs, f"braid i={i} on {mono}")
-        for i in range(1, n):
-            for j in range(i + 2, n):
-                report.record(
-                    op(first[j], i) == op(first[i], j), f"commute ({i},{j}) on {mono}"
-                )
-        for i in range(1, n):
-            twice = op(first[i], i)
-            if family == "S":
-                report.record(twice == f, f"involution i={i} on {mono}")
-            else:
-                expected = first[i].scale(ONE_MINUS_Q) + f.scale(Q)
-                report.record(twice == expected, f"quadratic i={i} on {mono}")
-    return report
-
-
-def commutation_suite(n: int, degree_bound: int) -> RelationReport:
-    """Nil-Coxeter relations for the divided differences and their mixed
-    commutation with the multiplication operators, all as exact identities
-    on monomials of total degree <= degree_bound."""
-    if n < 2:
-        raise ValueError("need n >= 2")
-    report = RelationReport("divided difference commutation", n, degree_bound)
-    dd = divided_difference
-    for f in monomials_up_to(n, degree_bound):
-        mono = str(f)
-        for i in range(1, n):
-            report.record(not dd(dd(f, i), i), f"square-zero i={i} on {mono}")
-            report.record(
-                dd(mul_x(f, i), i) == f + mul_x(dd(f, i), i + 1),
-                f"d_x_left i={i} on {mono}",
-            )
-            report.record(
-                mul_x(dd(f, i), i) == f + dd(mul_x(f, i + 1), i),
-                f"x_d_right i={i} on {mono}",
-            )
-        for i in range(1, n - 1):
-            report.record(
-                dd(dd(dd(f, i), i + 1), i) == dd(dd(dd(f, i + 1), i), i + 1),
-                f"braid i={i} on {mono}",
-            )
-        for i in range(1, n):
-            for j in range(i + 2, n):
-                report.record(
-                    dd(dd(f, j), i) == dd(dd(f, i), j), f"commute ({i},{j}) on {mono}"
-                )
-            for j in range(1, n + 1):
-                if abs(i - j) > 1:
-                    report.record(
-                        dd(mul_x(f, j), i) == mul_x(dd(f, i), j),
-                        f"far_x ({i},{j}) on {mono}",
-                    )
-    return report
 
 
 def a_minus_r_factor(i: int, f: MPoly) -> tuple[MPoly, MPoly]:

@@ -20,7 +20,6 @@ Conventions, fixed once and validated by the Schubert recursion tests:
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations as _itertools_permutations
 from itertools import product
@@ -111,20 +110,6 @@ def alt_reduced_word(w: Perm) -> Word:
     return cw
 
 
-def valley_weight(w: Perm) -> QPoly:
-    """(-q)^m when w is strictly decreasing then strictly increasing with a
-    descending prefix of length m; the zero polynomial otherwise."""
-    n = len(w)
-    p = w.index(1)  # the valley, if the shape holds, is at the minimum
-    for t in range(p):
-        if w[t] <= w[t + 1]:
-            return QP_ZERO
-    for t in range(p, n - 1):
-        if w[t] >= w[t + 1]:
-            return QP_ZERO
-    return minus_q_power(p)
-
-
 def check_partition(mu, n: int) -> Partition:
     mu = tuple(mu)
     if not mu or any(p <= 0 for p in mu) or any(a < b for a, b in zip(mu, mu[1:])):
@@ -149,42 +134,6 @@ def partitions_of(n: int) -> tuple[Partition, ...]:
     return tuple(gen(n, n))
 
 
-def block_ranges(mu: Partition) -> list[range]:
-    """Position blocks of mu: 0-based ranges covering 0..n-1."""
-    out = []
-    o = 0
-    for part in mu:
-        out.append(range(o, o + part))
-        o += part
-    return out
-
-
-@dataclass(frozen=True)
-class CosetDecomposition:
-    """w = r o (w_1 x ... x w_t) with r increasing inside every mu-block."""
-
-    mu: Partition
-    r: Perm
-    blocks: tuple[Perm, ...]
-
-
-def coset_decompose(w: Perm, mu) -> CosetDecomposition:
-    """Factor w over the Young subgroup of mu-blocks of positions.
-
-    Each block entry is the standardization of w on that block; r sorts the
-    block values increasingly and is the minimal-length coset representative.
-    """
-    mu = check_partition(mu, len(w))
-    blocks = []
-    r: list[int] = []
-    for rng in block_ranges(mu):
-        vals = [w[p] for p in rng]
-        order = sorted(vals)
-        blocks.append(tuple(order.index(v) + 1 for v in vals))
-        r.extend(order)
-    return CosetDecomposition(mu, tuple(r), tuple(blocks))
-
-
 def coset_weight(w: Perm, mu) -> QPoly:
     """Product of valley weights over the block components of w, read in one
     pass over w.
@@ -193,8 +142,8 @@ def coset_weight(w: Perm, mu) -> QPoly:
     w is read raw: it must fall strictly to its minimum and rise strictly
     after it, or the weight is zero; otherwise it contributes (-q)^p, p the
     position of its minimum in the block, and the weight is (-q)^(sum of p).
-    The product of ``valley_weight`` over ``coset_decompose(w, mu).blocks``
-    is the tests' oracle.
+    The product of ``valley_weight`` over ``coset_decompose(w, mu).blocks``,
+    both in ``tests/helpers.py``, is the tests' oracle.
     """
     m = start = 0
     for part in check_partition(mu, len(w)):

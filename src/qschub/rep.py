@@ -1,7 +1,7 @@
 """Representation matrices of both Hecke actions on the graded components of
 the coinvariant algebra, graded characters, the combinatorial weight formula,
-closed-form descent columns, Knuth-class characters, and the equivalence
-check by traces.
+closed-form descent columns, Knuth-class characters, and the class traces
+that the equivalence check compares.
 
 Matrix convention: the degree-k basis is ordered lexicographically on
 one-line notation, and ``columns[w][z]`` is the coefficient of the basis
@@ -31,8 +31,8 @@ Z[q] -> Z (Kronecker substitution; Harvey, *J. Symbolic Comput.* 44, 2009),
 its packed coordinates are summed by ``schubert.packed_class_sum``, and each
 nonzero one is decoded once (``schubert.unpack``).  ``coordinate_at`` reads
 one coordinate of a polynomial, Z[q] or packed, by looking it up in the same
-classes.  rho2's and symq1's graded characters run on the same packed
-ints, by linearity: the degree's basis Schubert polynomials are grouped by
+classes.  rho2's graded characters run on the same packed ints, by
+linearity: the degree's basis Schubert polynomials are grouped by
 staircase monomial, each monomial is pushed through the word once at
 q = 2^B, its image's packed coordinate at every class w whose S_w holds it
 is read by ``coordinate_at``, weighted by that coefficient of S_w, and the
@@ -41,8 +41,9 @@ on Z[q] arithmetic; the polynomial route is the tests' oracle.  The
 divided-difference sweep ``expand_homogeneous`` stays in ``schubert`` as the
 independent oracle for the Monk classes.
 
-The trace-equivalence certificate compares the two actions once, in the
-coinvariant algebra, at the p(n) elements T_mu of ``partition_word(mu)``,
+The trace-equivalence certificate (``verify``'s ``equivalence`` suite,
+from the parts below) compares the two actions once, in the coinvariant
+algebra, at the p(n) elements T_mu of ``partition_word(mu)``,
 minimal-length representatives of the conjugacy classes.  A Hecke-algebra
 character is fixed by its values there: every basis element T_v takes
 ``tr(T_v) = sum_mu f_{v,mu} * tr(T_mu)`` with the class polynomials of
@@ -99,10 +100,6 @@ ACTIONS = ("rho1", "rho2", "symq1")
 _ACTION_OPS = {"rho1": op_a, "rho2": op_r, "symq1": op_s}
 
 MINUS_Q = QPoly((0, -1))
-
-# Largest n at which trace_equivalence_report also computes rho1's component
-# traces directly on every monomial.
-DIRECT_CROSS_CHECK_MAX_N = 4
 
 
 @dataclass(frozen=True)
@@ -318,9 +315,8 @@ def graded_character(action: str, mu, k: int, n: int) -> CharacterValue:
     vector at w.  All n - 1 generators of the degree are built, not only
     those on mu's word, so the first cell asked at degree k pays for the
     whole degree whatever its mu: a table's cells cost the same in any
-    order.  rho2 and symq1 apply the whole word upstairs, to the Schubert
-    polynomial of w by linearity (below).  Either way only the coordinate at
-    w is read.
+    order.  rho2 applies the whole word upstairs, to the Schubert polynomial
+    of w by linearity (below).  Either way only the coordinate at w is read.
 
     Both run on ints packed at q = 2^B, and the diagonal is summed as one
     int and decoded once (``schubert.unpack``); B = bit_length(bound) + 1.
@@ -332,9 +328,9 @@ def graded_character(action: str, mu, k: int, n: int) -> CharacterValue:
     caps every q-coefficient of the trace, which has at most
     1 + len(word) * (largest q-degree of an entry) digits.
 
-    rho2 and symq1 group the degree's basis by staircase monomial in one
-    pass, {x^e: [(w, S_w[e]), ...]}, push each x^e once through the word at
-    q = 2^B (``apply_action_word``), and add S_w[e] times the image's packed
+    rho2 groups the degree's basis by staircase monomial in one pass,
+    {x^e: [(w, S_w[e]), ...]}, pushes each x^e once through the word at
+    q = 2^B (``apply_action_word``), and adds S_w[e] times the image's packed
     coordinate at w (``coordinate_at``) for every w in its group.  At an int
     q the word and ``coordinate_at`` are Z-linear, so the packed sum is the
     same int as the sum over w of the coordinate at w of the image of S_w:
@@ -352,7 +348,9 @@ def graded_character(action: str, mu, k: int, n: int) -> CharacterValue:
     most one, so the trace has at most 1 + len(word) digits.  A wider one,
     or a digit past the bound, raises ``InvariantViolation``.
     """
-    source = {"rho1": "trace1", "rho2": "trace2", "symq1": "trace_sym"}[action]
+    source = {"rho1": "trace1", "rho2": "trace2"}.get(action)
+    if source is None:
+        raise ValueError(f"unknown action {action!r}; graded characters are of rho1 and rho2")
     table = build_schubert_table(n)
     mu = check_partition(mu, n)
     word = partition_word(mu)
@@ -492,31 +490,6 @@ def _split_column(i: int, w: Perm, column: dict[Perm, QPoly]) -> BCSplit:
         b[z] = -e1
         c[z] = cz
     return BCSplit(i, w, b, c)
-
-
-@dataclass
-class EquivalenceReport:
-    """Trace comparison of the two actions at the class elements T_mu.
-
-    ``rows`` holds ``(mu, k, rho1 trace, rho2 trace)`` for every mu |- n and
-    degree k, in (k, mu) order: the trace of the q-commutator action on the
-    degree-k quotient basis against the coinvariant-component trace of the
-    monomial action.  The latter is derived from the action's traces on the
-    full polynomial components by dividing out the symmetric-function Hilbert
-    series; the monomial action does not preserve the cutting ideal, so this
-    subrepresentation character is its honest quotient-level trace.  Equal
-    rows at every T_mu are equal traces at every Hecke basis element and on
-    every full degree component (see the module docstring).
-    ``cross_check_failures`` lists where rho1's quotient traces differ from
-    its coinvariant traces derived the same way from its upstairs traces.
-    """
-
-    n: int
-    rows: list[tuple[Partition, int, QPoly, QPoly]]
-    cross_check_failures: list[str]
-
-    def mismatches(self) -> list[tuple[Partition, int, QPoly, QPoly]]:
-        return [row for row in self.rows if row[2] != row[3]]
 
 
 def symmetric_hilbert_dims(n: int, up_to: int) -> list[int]:
@@ -683,72 +656,6 @@ def _apply_columns(i: int, columns: dict[Perm, dict[Perm, int]],
             for z, m in columns[w].items():
                 out[z] = get(z, 0) + c * m
     return out
-
-
-def trace_equivalence_report(n: int) -> EquivalenceReport:
-    """Certify that the two actions induce the same graded characters on the
-    coinvariant algebra, by one comparison at every (mu, k), mu |- n and
-    k <= n(n-1)/2: rho1's quotient traces (``quotient_class_traces``,
-    products of generator matrices) against rho2's coinvariant traces derived
-    from its upstairs traces (``upstairs_class_traces``, one orbit per
-    multiplicity type).
-
-    Nothing more needs comparing.  The traces at the T_mu fix those at every
-    T_v through one linear map, the class polynomials, applied to both sides
-    alike.  The symmetric Hilbert series has constant term 1, so its
-    convolution and the deconvolution of ``coinvariant_traces_from_graded``
-    are inverse bijections over Z[q]: rho1's full-component traces, its
-    quotient traces convolved with the series by ideal invariance, equal
-    rho2's exactly when the rows agree.
-
-    For n <= ``DIRECT_CROSS_CHECK_MAX_N`` rho1's quotient traces are also
-    compared with the coinvariant traces derived from its upstairs traces on
-    every monomial; above it that direct route is too slow and the
-    cross-check is skipped.
-    """
-    top = n * (n - 1) // 2
-    quotient1 = quotient_class_traces(n)
-    derived2 = coinvariant_traces_from_graded(upstairs_class_traces(n, "rho2", top), n, top)
-    cross_check_failures = []
-    if n <= DIRECT_CROSS_CHECK_MAX_N:
-        derived1 = coinvariant_traces_from_graded(upstairs_class_traces(n, "rho1", top), n, top)
-        cross_check_failures = [
-            f"quotient vs upstairs-derived rho1 trace at T_mu, mu={mu}, degree {k}: "
-            f"{t} vs {derived1[(mu, k)]}"
-            for (mu, k), t in quotient1.items() if t != derived1[(mu, k)]
-        ]
-    rows = [(mu, k, t, derived2[(mu, k)]) for (mu, k), t in quotient1.items()]
-    return EquivalenceReport(n, rows, cross_check_failures)
-
-
-@lru_cache(maxsize=None)
-def symmetric_group_character(lam: Partition, mu: Partition) -> int:
-    """Irreducible symmetric-group character value at cycle type mu, by
-    recursive border-strip removal on first-column hook lengths.
-
-    Independent integer oracle for the q = 1 specializations.
-    """
-    n = sum(lam)
-    if sum(mu) != n:
-        raise ValueError(f"sizes differ: {lam} vs {mu}")
-    if n == 0:
-        return 1
-    m = mu[0]
-    rest = mu[1:]
-    count = len(lam)
-    beta = [lam[idx] + (count - 1 - idx) for idx in range(count)]
-    beta_set = set(beta)
-    total = 0
-    for bval in beta:
-        new = bval - m
-        if new < 0 or new in beta_set:
-            continue
-        height = sum(1 for x in beta if new < x < bval)
-        new_beta = sorted((set(beta) - {bval}) | {new}, reverse=True)
-        new_lam = tuple(v - (count - 1 - idx) for idx, v in enumerate(new_beta))
-        new_lam = tuple(v for v in new_lam if v > 0)
-        total += (-1) ** height * symmetric_group_character(new_lam, rest)
-    return total
 
 
 def descent_pairs(n: int) -> list[tuple[int, Perm]]:

@@ -10,18 +10,20 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 from .operators import (
     a_minus_r_factor,
     apply_partial_w,
     apply_partial_w_alt,
-    check_relations,
-    commutation_suite,
     divided_difference,
     monomials_up_to,
     mul_x,
     op_a,
+    op_b,
     op_r,
+    op_rstar,
+    op_s,
 )
 from .perm import (
     Partition,
@@ -35,17 +37,17 @@ from .perm import (
     perm_str,
     standard_tableaux_count,
 )
-from .polyring import MPoly, ONE_MINUS_Q, QPoly, QP_ONE
+from .polyring import MPoly, ONE_MINUS_Q, Q, QPoly, QP_ONE
 from .rep import (
-    DIRECT_CROSS_CHECK_MAX_N,
+    coinvariant_traces_from_graded,
     descent_column_formula,
     descent_pairs,
     generator_matrix,
     graded_character,
     knuth_class_character,
     parallel_map,
-    symmetric_group_character,
-    trace_equivalence_report,
+    quotient_class_traces,
+    upstairs_class_traces,
     weight_character,
 )
 from .schubert import build_schubert_table, expand_homogeneous, monk_products, x_action_on_schubert
@@ -54,6 +56,14 @@ from .schubert import build_schubert_table, expand_homogeneous, monk_products, x
 # difference identity, and random rational values of q per fixed-space count.
 A_MINUS_R_MAX_POWER = 6
 KERNEL_POINTS = 3
+
+# The operator families whose Hecke relations the relations suite checks, in
+# the order it reports them.
+RELATION_FAMILIES = {"S": op_s, "A": op_a, "B": op_b, "R": op_r, "Rstar": op_rstar}
+
+# Largest n at which the equivalence suite also derives rho1's coinvariant
+# traces from its traces on every monomial.
+DIRECT_CROSS_CHECK_MAX_N = 4
 
 
 @dataclass
@@ -70,6 +80,20 @@ class SuiteResult:
         if not ok:
             self.failures.append(label)
 
+    def tally(self, title: str, checks, prefix: str = "") -> int:
+        """Record every failed label of ``checks``, ``(ok, label)`` pairs,
+        after ``prefix``, and add the line ``title: N identities checked``
+        with the verdict; returns N."""
+        checked = failed = 0
+        for ok, label in checks:
+            checked += 1
+            if not ok:
+                failed += 1
+                self.failures.append(prefix + label)
+        verdict = f"FAIL ({failed} counterexamples)" if failed else "PASS"
+        self.lines.append(f"{title}: {checked} identities checked, {verdict}")
+        return checked
+
     def render(self) -> str:
         out = [f"[{'PASS' if self.passed else 'FAIL'}] {self.name}"]
         out.extend(f"  {line}" for line in self.lines)
@@ -79,20 +103,67 @@ class SuiteResult:
         return "\n".join(out)
 
 
+def relation_checks(op, n: int, degree_bound: int, involution: bool = False):
+    """The defining algebra relations of one operator family, as
+    ``(ok, label)`` pairs, on every monomial of total degree <= degree_bound.
+
+    Braid and far-commutation for every family; then O^2 = 1 for an
+    involution, else the quadratic relation O^2 = (1-q) O + q.  Each first
+    image O_i f is computed once per monomial and shared by all three kinds
+    of check.
+    """
+    for f in monomials_up_to(n, degree_bound):
+        mono = str(f)
+        first = [None] + [op(f, i) for i in range(1, n)]
+        for i in range(1, n - 1):
+            lhs = op(op(first[i], i + 1), i)
+            rhs = op(op(first[i + 1], i), i + 1)
+            yield lhs == rhs, f"braid i={i} on {mono}"
+        for i in range(1, n):
+            for j in range(i + 2, n):
+                yield op(first[j], i) == op(first[i], j), f"commute ({i},{j}) on {mono}"
+        for i in range(1, n):
+            twice = op(first[i], i)
+            if involution:
+                yield twice == f, f"involution i={i} on {mono}"
+            else:
+                expected = first[i].scale(ONE_MINUS_Q) + f.scale(Q)
+                yield twice == expected, f"quadratic i={i} on {mono}"
+
+
+def commutation_checks(n: int, degree_bound: int):
+    """Nil-Coxeter relations for the divided differences and their mixed
+    commutation with the multiplication operators, as ``(ok, label)`` pairs
+    of exact identities on monomials of total degree <= degree_bound."""
+    dd = divided_difference
+    for f in monomials_up_to(n, degree_bound):
+        mono = str(f)
+        for i in range(1, n):
+            yield not dd(dd(f, i), i), f"square-zero i={i} on {mono}"
+            yield dd(mul_x(f, i), i) == f + mul_x(dd(f, i), i + 1), f"d_x_left i={i} on {mono}"
+            yield mul_x(dd(f, i), i) == f + dd(mul_x(f, i + 1), i), f"x_d_right i={i} on {mono}"
+        for i in range(1, n - 1):
+            yield (dd(dd(dd(f, i), i + 1), i) == dd(dd(dd(f, i + 1), i), i + 1),
+                   f"braid i={i} on {mono}")
+        for i in range(1, n):
+            for j in range(i + 2, n):
+                yield dd(dd(f, j), i) == dd(dd(f, i), j), f"commute ({i},{j}) on {mono}"
+            for j in range(1, n + 1):
+                if abs(i - j) > 1:
+                    yield dd(mul_x(f, j), i) == mul_x(dd(f, i), j), f"far_x ({i},{j}) on {mono}"
+
+
 def suite_relations(n: int, degree_bound: int, seed: int = 0) -> SuiteResult:
     res = SuiteResult("relations")
-    for family in ("S", "A", "B", "R", "Rstar"):
-        rep = check_relations(family, n, degree_bound)
-        res.lines.append(rep.summary())
-        res.failures.extend(f"{family}: {f}" for f in rep.failures)
+    for family, op in RELATION_FAMILIES.items():
+        res.tally(f"{family} relations", relation_checks(op, n, degree_bound, family == "S"),
+                  f"{family}: ")
     return res
 
 
 def suite_commutation(n: int, degree_bound: int, seed: int = 0) -> SuiteResult:
     res = SuiteResult("commutation")
-    rep = commutation_suite(n, degree_bound)
-    res.lines.append(rep.summary())
-    res.failures.extend(rep.failures)
+    res.tally("divided difference commutation", commutation_checks(n, degree_bound))
     return res
 
 
@@ -325,20 +396,73 @@ def _fixed_space_dims(op, i: int, exps, points) -> tuple[list[int], list[tuple]]
 
 
 def suite_equivalence(n: int, degree_bound: int = 0, seed: int = 0) -> SuiteResult:
+    """Certify that the two actions induce the same graded characters on the
+    coinvariant algebra, by one comparison at every (mu, k), mu |- n and
+    k <= n(n-1)/2: rho1's quotient traces (``rep.quotient_class_traces``,
+    products of generator matrices) against rho2's coinvariant traces derived
+    from its upstairs traces (``rep.upstairs_class_traces``, one orbit per
+    multiplicity type).
+
+    Nothing more needs comparing.  The traces at the T_mu fix those at every
+    T_v through one linear map, the class polynomials, applied to both sides
+    alike.  The symmetric Hilbert series has constant term 1, so its
+    convolution and the deconvolution of ``rep.coinvariant_traces_from_graded``
+    are inverse bijections over Z[q]: rho1's full-component traces, its
+    quotient traces convolved with the series by ideal invariance, equal
+    rho2's exactly when every pair agrees.
+
+    For n <= ``DIRECT_CROSS_CHECK_MAX_N`` rho1's quotient traces are also
+    compared with the coinvariant traces derived from its upstairs traces on
+    every monomial; above it that direct route is too slow and is skipped.
+    """
     res = SuiteResult("equivalence")
-    report = trace_equivalence_report(n)
+    top = n * (n - 1) // 2
+    quotient1 = quotient_class_traces(n)
+    derived2 = coinvariant_traces_from_graded(upstairs_class_traces(n, "rho2", top), n, top)
     if n <= DIRECT_CROSS_CHECK_MAX_N:
         extent = "rho1's quotient-vs-upstairs cross-check included"
+        derived1 = coinvariant_traces_from_graded(upstairs_class_traces(n, "rho1", top), n, top)
+        for (mu, k), t in quotient1.items():
+            res.check(t == derived1[(mu, k)],
+                      f"quotient vs upstairs-derived rho1 trace at T_mu, mu={mu}, degree {k}: "
+                      f"{t} vs {derived1[(mu, k)]}")
     else:
         extent = f"rho1's quotient-vs-upstairs cross-check runs for n <= {DIRECT_CROSS_CHECK_MAX_N}"
-    res.lines.append(
-        f"coinvariant trace pairs compared at the classes T_mu: {len(report.rows)}; {extent}")
-    res.failures.extend(report.cross_check_failures)
-    res.failures.extend(
-        f"coinvariant trace mismatch at mu={partition_str(mu)}, k={k}: {t1} vs {t2}"
-        for mu, k, t1, t2 in report.mismatches()
-    )
+    res.lines.append(f"coinvariant trace pairs compared at the classes T_mu: {len(quotient1)}; {extent}")
+    for (mu, k), t in quotient1.items():
+        res.check(t == derived2[(mu, k)],
+                  f"coinvariant trace mismatch at mu={partition_str(mu)}, k={k}: {t} vs {derived2[(mu, k)]}")
     return res
+
+
+@lru_cache(maxsize=None)
+def symmetric_group_character(lam: Partition, mu: Partition) -> int:
+    """Irreducible symmetric-group character value at cycle type mu, by
+    recursive border-strip removal on first-column hook lengths.
+
+    Independent integer oracle for the q = 1 specializations.
+    """
+    n = sum(lam)
+    if sum(mu) != n:
+        raise ValueError(f"sizes differ: {lam} vs {mu}")
+    if n == 0:
+        return 1
+    m = mu[0]
+    rest = mu[1:]
+    count = len(lam)
+    beta = [lam[idx] + (count - 1 - idx) for idx in range(count)]
+    beta_set = set(beta)
+    total = 0
+    for bval in beta:
+        new = bval - m
+        if new < 0 or new in beta_set:
+            continue
+        height = sum(1 for x in beta if new < x < bval)
+        new_beta = sorted((set(beta) - {bval}) | {new}, reverse=True)
+        new_lam = tuple(v - (count - 1 - idx) for idx, v in enumerate(new_beta))
+        new_lam = tuple(v for v in new_lam if v > 0)
+        total += (-1) ** height * symmetric_group_character(new_lam, rest)
+    return total
 
 
 def suite_knuth(n: int, degree_bound: int = 0, seed: int = 0) -> SuiteResult:

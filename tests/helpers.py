@@ -6,28 +6,34 @@ and the trace recursions over every T_v by left descents -- on polynomials
 and on the generator matrices or exponent orbits -- that the library's
 traces at the T_mu, spread by class polynomials, are compared against; the
 graded characters and the diagonal scaling at descents by the polynomial
-route; and a stand-in process pool that records its size."""
+route; the coset decomposition and valley weights whose product is the
+oracle of ``perm.coset_weight``; and a stand-in process pool that records
+its size."""
 
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
+from math import comb
 
 from qschub.operators import monomials_up_to, op_a, op_r, op_s
 from qschub.perm import (
-    CosetDecomposition,
+    Partition,
     Perm,
     all_perms,
     canonical_reduced_word,
+    check_partition,
     has_left_descent,
     identity,
     mult_left_s,
     partition_word,
+    partitions_of,
     perms_by_length,
 )
-from qschub.polyring import MPoly, QP_ONE, QP_ZERO, QPoly, swap_variables
+from qschub.polyring import MPoly, QP_ONE, QP_ZERO, QPoly, minus_q_power, swap_variables
 from qschub.rep import (
     RepMatrix,
     apply_action_word,
@@ -140,6 +146,56 @@ def from_word(n: int, word) -> Perm:
     for a in reversed(word):
         w = mult_left_s(w, a)
     return w
+
+
+def valley_weight(w: Perm) -> QPoly:
+    """(-q)^m when w is strictly decreasing then strictly increasing with a
+    descending prefix of length m; the zero polynomial otherwise."""
+    n = len(w)
+    p = w.index(1)  # the valley, if the shape holds, is at the minimum
+    for t in range(p):
+        if w[t] <= w[t + 1]:
+            return QP_ZERO
+    for t in range(p, n - 1):
+        if w[t] >= w[t + 1]:
+            return QP_ZERO
+    return minus_q_power(p)
+
+
+def block_ranges(mu: Partition) -> list[range]:
+    """Position blocks of mu: 0-based ranges covering 0..n-1."""
+    out = []
+    o = 0
+    for part in mu:
+        out.append(range(o, o + part))
+        o += part
+    return out
+
+
+@dataclass(frozen=True)
+class CosetDecomposition:
+    """w = r o (w_1 x ... x w_t) with r increasing inside every mu-block."""
+
+    mu: Partition
+    r: Perm
+    blocks: tuple[Perm, ...]
+
+
+def coset_decompose(w: Perm, mu) -> CosetDecomposition:
+    """Factor w over the Young subgroup of mu-blocks of positions.
+
+    Each block entry is the standardization of w on that block; r sorts the
+    block values increasingly and is the minimal-length coset representative.
+    """
+    mu = check_partition(mu, len(w))
+    blocks = []
+    r: list[int] = []
+    for rng in block_ranges(mu):
+        vals = [w[p] for p in rng]
+        order = sorted(vals)
+        blocks.append(tuple(order.index(v) + 1 for v in vals))
+        r.extend(order)
+    return CosetDecomposition(mu, tuple(r), tuple(blocks))
 
 
 def recompose(dec: CosetDecomposition) -> Perm:
@@ -355,6 +411,60 @@ def _descent_step_traces(n, action, weighted, max_degree):
         for v, c in coefficients.items():
             for d, m in weights.items():
                 traces[(v, d)] += c * m
+    return traces
+
+
+def module_trace_oracle(lam: Partition, mu: Partition) -> QPoly:
+    """tr(T_mu | M^lam) for the sorting action on the orbit module of type
+    lam, by a closed form that applies no operator: the sum, over the
+    nonnegative integer matrices A with row sums lam and column sums mu, of
+    prod_j (1 - q)^(nnz(column j of A) - 1).
+
+    The matrices index the double cosets S_lam \\ S_n / S_mu; column j is
+    the type of the module that block j of T_mu, a Coxeter element of
+    S_{mu_j}, acts on, with trace (1 - q)^(parts - 1).  It is checked
+    against the per-orbit push of ``rep.upstairs_class_traces``, not
+    derived from it."""
+    total = QP_ZERO
+
+    def fill(j: int, rows: tuple[int, ...], weight: QPoly):
+        nonlocal total
+        if j == len(mu):
+            total = total + weight
+            return
+        for column in _bounded_compositions(mu[j], rows):
+            m = sum(1 for a in column if a) - 1
+            power = QPoly(tuple((-1) ** t * comb(m, t) for t in range(m + 1)))
+            fill(j + 1, tuple(r - a for r, a in zip(rows, column)), weight * power)
+
+    fill(0, tuple(lam), QP_ONE)
+    return total
+
+
+def _bounded_compositions(total: int, caps: tuple[int, ...]):
+    """The tuples c with 0 <= c_i <= caps_i and sum total."""
+    if not caps:
+        if total == 0:
+            yield ()
+        return
+    for first in range(min(total, caps[0]) + 1):
+        for rest in _bounded_compositions(total - first, caps[1:]):
+            yield (first,) + rest
+
+
+def upstairs_class_traces_oracle(n: int, max_degree: int) -> dict[tuple[Partition, int], QPoly]:
+    """rho2's full-component traces at every T_mu, from ``module_trace_oracle``
+    weighted by ``orbit_type_counts``: no operator is applied."""
+    counts = orbit_type_counts(n, max_degree)
+    traces = {}
+    for mu in partitions_of(n):
+        modules = {lam: module_trace_oracle(lam, mu) for lam in counts}
+        for d in range(max_degree + 1):
+            acc = QP_ZERO
+            for lam, per_degree in counts.items():
+                if per_degree[d]:
+                    acc = acc + modules[lam] * per_degree[d]
+            traces[(mu, d)] = acc
     return traces
 
 

@@ -6,10 +6,13 @@ Each test prints one PASS/FAIL line (run with ``pytest -s`` to see them all).
 import math
 import time
 
-from qschub.operators import check_relations, commutation_suite
 from qschub.perm import partitions_of
 from qschub.rep import bc_scan, graded_character
 from qschub.verify import (
+    RELATION_FAMILIES,
+    SuiteResult,
+    commutation_checks,
+    relation_checks,
     suite_a_minus_r,
     suite_characters,
     suite_descent_columns,
@@ -48,16 +51,14 @@ def test_criterion_1_main_character_identity():
 
 
 def test_criterion_2_hecke_relation_suites():
-    failures = []
+    result = SuiteResult("relations")
     checked = 0
     for n in (2, 3, 4):
         for family in ("A", "B", "R", "Rstar"):
-            rep = check_relations(family, n, 5)
-            checked += rep.checked
-            failures.extend(f"n={n} {family}: {f}" for f in rep.failures)
-        rep = commutation_suite(n, 5)
-        checked += rep.checked
-        failures.extend(f"n={n} commutation: {f}" for f in rep.failures)
+            checked += result.tally(family, relation_checks(RELATION_FAMILIES[family], n, 5),
+                                    f"n={n} {family}: ")
+        checked += result.tally("commutation", commutation_checks(n, 5), f"n={n} commutation: ")
+    failures = result.failures
     report(
         2,
         not failures,

@@ -2,14 +2,13 @@ from itertools import permutations
 
 import pytest
 
-from helpers import compose, from_word, recompose
+from helpers import compose, coset_decompose, from_word, recompose, valley_weight
 from qschub.perm import (
     all_perms,
     alt_reduced_word,
     canonical_reduced_word,
     check_partition,
     class_polynomial,
-    coset_decompose,
     coset_weight,
     cycle_type,
     identity,
@@ -27,7 +26,6 @@ from qschub.perm import (
     perms_of_length,
     rsk_insertion_tableau,
     standard_tableaux_count,
-    valley_weight,
 )
 from qschub.polyring import ONE_MINUS_Q, Q, QPoly, QP_ONE, QP_ZERO
 

@@ -12,13 +12,15 @@ from helpers import (
     left_descent_steps,
     matrix_product,
     matrix_trace,
+    module_trace_oracle,
     quotient_basis_traces_oracle,
     quotient_traces_by_descent_steps,
     record_pool_sizes,
+    upstairs_class_traces_oracle,
     upstairs_graded_traces_oracle,
     upstairs_traces_by_descent_steps,
 )
-from qschub import rep
+from qschub import rep, verify
 from qschub.operators import InvariantViolation, monomials_up_to
 from qschub.perm import (
     all_perms,
@@ -30,7 +32,7 @@ from qschub.perm import (
     partitions_of,
     perms_of_length,
 )
-from qschub.polyring import MPoly, QPoly, QP_ONE
+from qschub.polyring import MPoly, ONE_MINUS_Q, QPoly, QP_ONE, QP_ZERO
 from qschub.rep import (
     ACTIONS,
     apply_action_word,
@@ -48,14 +50,14 @@ from qschub.rep import (
     orbit_type_counts,
     quotient_basis_traces,
     quotient_class_traces,
-    symmetric_group_character,
     symmetric_hilbert_dims,
-    trace_equivalence_report,
+    upstairs_class_traces,
     upstairs_graded_traces,
     weight_character,
     word_matrix,
 )
 from qschub.schubert import build_schubert_table
+from qschub.verify import suite_equivalence, symmetric_group_character
 
 MINUS_Q = QPoly((0, -1))
 
@@ -282,27 +284,29 @@ class TestCharacters:
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_rho1_matches_the_polynomial_oracle(self, n):
-        # Every action's packed cells, rho1's column products and the packed
-        # upstairs words of rho2 and symq1, against the Z[q] route.
-        for action in ACTIONS:
+        # Both actions' packed cells, rho1's column products and rho2's
+        # packed upstairs words, against the Z[q] route.
+        for action in ("rho1", "rho2"):
             for k in range(n * (n - 1) // 2 + 1):
                 for mu in partitions_of(n):
                     got = graded_character(action, mu, k, n).value
                     assert got == graded_character_oracle(action, mu, k, n), (action, mu, k)
 
-    def test_rho2_and_symq1_match_the_weight_sum_at_n6(self):
-        # All 176 n=6 cells: rho2 is the coset-weight sum, and symq1, the
-        # action of S_n itself, is that sum at q = 1, a constant.
+    def test_rho2_matches_the_weight_sum_at_n6(self):
+        # All 176 n=6 cells: rho2 is the coset-weight sum.
         n = 6
         for k in range(n * (n - 1) // 2 + 1):
             for mu in partitions_of(n):
                 ws = weight_character(mu, k, n).value
                 assert graded_character("rho2", mu, k, n).value == ws, (mu, k)
-                sym = graded_character("symq1", mu, k, n).value
-                assert sym.is_int() and sym.as_int() == ws.evaluate(1), (mu, k)
 
-    @pytest.mark.parametrize("action", ["rho2", "symq1"])
-    def test_each_staircase_monomial_goes_through_the_word_once(self, monkeypatch, action):
+    @pytest.mark.parametrize("action", ["symq1", "rho3"])
+    def test_graded_characters_are_of_rho1_and_rho2_only(self, action):
+        with pytest.raises(ValueError, match="unknown action"):
+            graded_character(action, (2, 1), 1, 3)
+
+    def test_each_staircase_monomial_goes_through_the_word_once(self, monkeypatch):
+        action = "rho2"
         n, mu, k = 5, (3, 2), 4
         inputs = []
 
@@ -513,23 +517,26 @@ class TestSymmetricGroupCharacterOracle:
 class TestEquivalence:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_report(self, n):
-        report = trace_equivalence_report(n)
-        assert not report.mismatches()
-        assert not report.cross_check_failures
-        assert len(report.rows) == len(partitions_of(n)) * (n * (n - 1) // 2 + 1)
+        result = suite_equivalence(n)
+        assert result.passed, result.failures[:3]
+        rows = len(partitions_of(n)) * (n * (n - 1) // 2 + 1)
+        assert result.lines == [
+            f"coinvariant trace pairs compared at the classes T_mu: {rows}; "
+            "rho1's quotient-vs-upstairs cross-check included"
+        ]
 
     def test_identity_element_rows_are_dimensions(self):
         # T_mu at mu = (1, 1, 1) is the identity.
-        report = trace_equivalence_report(3)
-        identity_rows = [row for row in report.rows if row[0] == (1, 1, 1)]
-        assert [k for _, k, _, _ in identity_rows] == [0, 1, 2, 3]
-        for _, k, t1, t2 in identity_rows:
-            dim = len(perms_of_length(3, k))
-            assert t1 == QPoly((dim,)) and t2 == QPoly((dim,))
+        n, mu = 3, (1, 1, 1)
+        quotient1 = quotient_class_traces(n)
+        derived2 = coinvariant_traces_from_graded(upstairs_class_traces(n, "rho2", 3), n, 3)
+        for k in range(4):
+            dim = QPoly((len(perms_of_length(n, k)),))
+            assert quotient1[(mu, k)] == dim and derived2[(mu, k)] == dim
 
     @pytest.mark.parametrize("action", ["rho2", "rho1"])
     def test_a_corrupted_upstairs_trace_is_reported(self, monkeypatch, action):
-        # One unit too many in the rho2 trace at (mu, d) must fail that row;
+        # One unit too many in the rho2 trace at (mu, d) must fail that pair;
         # in rho1's direct upstairs trace, the cross-check.
         n, mu, d = 3, (2, 1), 2
         genuine = rep.upstairs_class_traces
@@ -540,22 +547,22 @@ class TestEquivalence:
                 traces[(mu, d)] = traces[(mu, d)] + QP_ONE
             return traces
 
-        monkeypatch.setattr(rep, "upstairs_class_traces", corrupted)
-        report = trace_equivalence_report(n)
+        monkeypatch.setattr(verify, "upstairs_class_traces", corrupted)
+        failures = suite_equivalence(n).failures
         if action == "rho2":
-            assert (mu, d) in [(m, k) for m, k, _, _ in report.mismatches()]
-            assert not report.cross_check_failures
+            assert failures[0].startswith("coinvariant trace mismatch at mu=2+1, k=2: ")
+            assert all(f.startswith("coinvariant trace mismatch") for f in failures)
         else:
-            assert not report.mismatches()
-            assert any(f"mu={mu}, degree {d}:" in line for line in report.cross_check_failures)
+            assert failures[0].startswith(
+                "quotient vs upstairs-derived rho1 trace at T_mu, mu=(2, 1), degree 2: ")
+            assert not any(f.startswith("coinvariant trace mismatch") for f in failures)
 
     def test_report_needs_no_spread(self, monkeypatch):
         def no_spread(*args):
             raise AssertionError("the report compares at the T_mu only")
 
         monkeypatch.setattr(rep, "spread_class_traces", no_spread)
-        report = trace_equivalence_report(4)
-        assert not report.mismatches() and not report.cross_check_failures
+        assert suite_equivalence(4).passed
 
     def test_graded_traces_recover_weights_at_subproducts(self):
         n = 3
@@ -675,6 +682,26 @@ class TestTraceKernels:
         for max_degree in sorted({0, 3, top, top + 2}):
             expected = upstairs_graded_traces_oracle(n, action, max_degree)
             assert upstairs_graded_traces(n, action, max_degree) == expected, max_degree
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_rho2_upstairs_traces_match_the_module_closed_form(self, n):
+        top = n * (n - 1) // 2
+        assert upstairs_class_traces(n, "rho2", top) == upstairs_class_traces_oracle(n, top)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_coxeter_element_trace_on_each_orbit_module(self, n):
+        # tr(T_(n) | M^lam) = (1 - q)^(l(lam) - 1), by the closed form and by
+        # pushing each orbit monomial through the word.
+        word = partition_word((n,))
+        for lam in partitions_of(n):
+            expected = QP_ONE
+            for _ in range(len(lam) - 1):
+                expected = expected * ONE_MINUS_Q
+            assert module_trace_oracle(lam, (n,)) == expected, lam
+            pushed = QP_ZERO
+            for e in orbit_of_type(lam):
+                pushed = pushed + apply_action_word("rho2", word, MPoly.monomial(n, e)).terms.get(e, QP_ZERO)
+            assert pushed == expected, lam
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_rho1_upstairs_traces_match_the_oracle(self, n):

@@ -115,13 +115,18 @@ def test_result_rendering():
     assert SuiteResult("demo").passed
 
 
+def test_tally_counts_checks_and_records_failures_after_the_prefix():
+    result = SuiteResult("demo")
+    assert result.tally("none", []) == 0
+    assert result.tally("mixed", [(True, "a"), (False, "b"), (False, "c")], "p: ") == 3
+    assert result.lines == ["none: 0 identities checked, PASS",
+                            "mixed: 3 identities checked, FAIL (2 counterexamples)"]
+    assert result.failures == ["p: b", "p: c"]
+
 
 def test_equivalence_report_line_names_the_cross_check_only_where_it_runs(monkeypatch):
-    from qschub import verify
-    from qschub.rep import EquivalenceReport
-
-    monkeypatch.setattr(verify, "trace_equivalence_report",
-                        lambda n: EquivalenceReport(n, [], []))
+    monkeypatch.setattr(verify, "quotient_class_traces", lambda n: {})
+    monkeypatch.setattr(verify, "upstairs_class_traces", lambda n, action, top: {})
     assert verify.suite_equivalence(4).lines == [
         "coinvariant trace pairs compared at the classes T_mu: 0; "
         "rho1's quotient-vs-upstairs cross-check included"
@@ -133,9 +138,7 @@ def test_equivalence_report_line_names_the_cross_check_only_where_it_runs(monkey
 
 
 def test_a_failing_relation_renders_its_counterexamples(monkeypatch):
-    from qschub import operators
-
-    monkeypatch.setitem(operators.FAMILY_OPS, "Rstar", lambda f, i: f.scale(Q))
+    monkeypatch.setitem(verify.RELATION_FAMILIES, "Rstar", lambda f, i: f.scale(Q))
     result = verify.suite_relations(2, 1)
     assert result.render() == "\n".join([
         "[FAIL] relations",
