@@ -43,16 +43,13 @@ from .schubert import (
     x_action_on_schubert,
 )
 from .rep import (
-    BCSplit,
     CharacterValue,
     RepMatrix,
     basis_element_matrix,
     bc_scan,
-    bc_split,
     descent_column_formula,
     generator_matrix,
     graded_character,
-    knuth_class_character,
     weight_character,
     word_matrix,
 )

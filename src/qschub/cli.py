@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .perm import partition_str, partitions_of, perm_str
 from .polyring import QPoly
-from .rep import bc_scan, generator_matrix
+from .rep import ACTIONS, bc_scan, generator_matrix
 from .schubert import build_schubert_table, schubert_table_rows
 from .verify import CHARACTER_COLUMNS, SUITES, character_table, run_suites
 
@@ -304,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--action", choices=CHARACTER_COLUMNS + ("all",), default="all")
 
     p = subcommand("matrix", cmd_matrix, "one generator matrix in the Schubert basis", q=True)
-    p.add_argument("--action", choices=("rho1", "rho2", "symq1"), required=True)
+    p.add_argument("--action", choices=ACTIONS, required=True)
     p.add_argument("--i", type=int, required=True, help="generator index")
     p.add_argument("--k", type=int, required=True, help="degree of the component")
 

@@ -300,10 +300,6 @@ class MPoly:
             return MPoly.zero(self.n)
         return _raw(self.n, {e: v * c for e, v in self.terms.items()})
 
-    def total_degree(self) -> int:
-        """Maximal total degree; -1 for the zero polynomial."""
-        return max((sum(e) for e in self.terms), default=-1)
-
     def homogeneous_degree(self) -> int | None:
         """Common total degree of all terms, or None if inhomogeneous.
 

@@ -1,7 +1,7 @@
 """Representation matrices of both Hecke actions on the graded components of
 the coinvariant algebra, graded characters, the combinatorial weight formula,
-closed-form descent columns, Knuth-class characters, and the class traces
-that the equivalence check compares.
+closed-form descent columns, the (b, c) ledger of the randomized action's
+descent columns, and the class traces that the equivalence check compares.
 
 Matrix convention: the degree-k basis is ordered lexicographically on
 one-line notation, and ``columns[w][z]`` is the coefficient of the basis
@@ -68,7 +68,7 @@ from __future__ import annotations
 import os
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import permutations
 
 from .operators import InvariantViolation, monomials_up_to, op_a, op_r, op_s
@@ -114,11 +114,6 @@ class RepMatrix:
     # shift -> the columns packed at q = 2^shift; filled by packed_columns.
     _packed: dict[int, dict[Perm, dict[Perm, int]]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
-
-    def column(self, w: Perm) -> dict[Perm, QPoly]:
-        """The stored column of w; the returned dict is shared, do not
-        mutate it."""
-        return self.columns[w]
 
     @cached_property
     def norm(self) -> int:
@@ -283,27 +278,20 @@ def word_matrix(action: str, word, k: int, table: SchubertTable) -> RepMatrix:
     return RepMatrix(action, k, basis, columns)
 
 
-@lru_cache(maxsize=None)
-def _t_w_matrix_cached(n: int, action: str, w: Perm, k: int) -> RepMatrix:
-    table = build_schubert_table(n)
-    return word_matrix(action, canonical_reduced_word(w), k, table)
-
-
 def basis_element_matrix(action: str, w: Perm, k: int, table: SchubertTable) -> RepMatrix:
     """Matrix of the Hecke basis element indexed by w on the degree-k
     component; reduced-word independent because the upstairs operators
     satisfy the braid relations."""
-    return _t_w_matrix_cached(table.n, action, w, k)
+    return word_matrix(action, canonical_reduced_word(w), k, table)
 
 
 @dataclass(frozen=True)
 class CharacterValue:
-    """One graded character value; source records how it was computed."""
+    """One graded character value, at degree k and the partition mu."""
 
-    k: int | None
+    k: int
     mu: Partition
     value: QPoly
-    source: str
 
 
 def graded_character(action: str, mu, k: int, n: int) -> CharacterValue:
@@ -348,8 +336,7 @@ def graded_character(action: str, mu, k: int, n: int) -> CharacterValue:
     most one, so the trace has at most 1 + len(word) digits.  A wider one,
     or a digit past the bound, raises ``InvariantViolation``.
     """
-    source = {"rho1": "trace1", "rho2": "trace2"}.get(action)
-    if source is None:
+    if action not in ("rho1", "rho2"):
         raise ValueError(f"unknown action {action!r}; graded characters are of rho1 and rho2")
     table = build_schubert_table(n)
     mu = check_partition(mu, n)
@@ -384,7 +371,7 @@ def graded_character(action: str, mu, k: int, n: int) -> CharacterValue:
                 total += c * coordinate_at(image, w)
         value = unpack(total, shift, 1 + len(word), bound, f"{action} trace",
                        f"mu={mu}, degree {k}")
-    return CharacterValue(k, mu, value, source)
+    return CharacterValue(k, mu, value)
 
 
 def weight_character(mu, k: int, n: int) -> CharacterValue:
@@ -393,18 +380,7 @@ def weight_character(mu, k: int, n: int) -> CharacterValue:
     value = QP_ZERO
     for w in perms_of_length(n, k):
         value = value + coset_weight(w, mu)
-    return CharacterValue(k, mu, value, "weight_formula")
-
-
-def knuth_class_character(cls, mu) -> CharacterValue:
-    """Sum of coset weights over one Knuth class: an irreducible character
-    value at the subproduct element of mu."""
-    members = tuple(cls)
-    mu = check_partition(mu, len(members[0]))
-    value = QP_ZERO
-    for w in members:
-        value = value + coset_weight(w, mu)
-    return CharacterValue(None, mu, value, "knuth_class")
+    return CharacterValue(k, mu, value)
 
 
 def descent_column_formula(i: int, w: Perm) -> dict[Perm, QPoly]:
@@ -448,35 +424,14 @@ def _right_cycle(w: Perm, a: int, b: int, c: int) -> Perm:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class BCSplit:
-    """Split of the off-diagonal entries of a randomized-action descent column
-    as (1-q)*b + c with integers b and c.  ``bc_split`` checks that c lies in
-    {-1, 0, 1}; b is only reported, and values outside {-1, 0, 1} do occur
-    (``BCScan.b_outliers``)."""
+def _ledger_rows(i: int, w: Perm, column: dict[Perm, QPoly]) -> list[tuple[int, Perm, Perm, int, int]]:
+    """The ledger rows (i, w, z, b, c) of the rho2 descent column of w at i,
+    one per off-diagonal entry in z order, the entry being (1-q)*b + c.
 
-    i: int
-    w: Perm
-    b: dict[Perm, int]
-    c: dict[Perm, int]
-
-
-def bc_split(i: int, w: Perm, table: SchubertTable) -> BCSplit:
-    """Decompose the descent column of the randomized action at (i, w).
-
-    Every off-diagonal entry must be linear in q; the constant part is pinned
-    as the q = 1 value, which lands in {-1, 0, 1}.  Anything else is reported
-    as a structural violation.
-    """
-    if w[i - 1] < w[i]:
-        raise ValueError(f"{w} has an ascent at {i}; nothing to decompose")
-    return _split_column(i, w, generator_matrix("rho2", i, length(w), table).column(w))
-
-
-def _split_column(i: int, w: Perm, column: dict[Perm, QPoly]) -> BCSplit:
-    """``bc_split`` of the rho2 descent column of w at i, given the column."""
-    b: dict[Perm, int] = {}
-    c: dict[Perm, int] = {}
+    Each entry must be linear in q and its q = 1 value c must lie in
+    {-1, 0, 1}, or ``ValueError`` names the structural violation.  b is only
+    reported; values outside {-1, 0, 1} occur (``BCScan.b_outliers``)."""
+    rows = []
     for z, e in sorted(column.items()):
         if z == w:
             continue
@@ -487,9 +442,8 @@ def _split_column(i: int, w: Perm, column: dict[Perm, QPoly]) -> BCSplit:
         cz = e0 + e1  # value at q = 1
         if cz not in (-1, 0, 1):
             raise ValueError(f"structural violation at ({i}, {w}, {z}): constant part {cz}")
-        b[z] = -e1
-        c[z] = cz
-    return BCSplit(i, w, b, c)
+        rows.append((i, w, z, -e1, cz))
+    return rows
 
 
 def symmetric_hilbert_dims(n: int, up_to: int) -> list[int]:
@@ -665,7 +619,7 @@ def descent_pairs(n: int) -> list[tuple[int, Perm]]:
 
 @dataclass
 class BCScan:
-    """Full ledger of the (b, c) splits over all descent columns of S_n."""
+    """Full (b, c) ledger over all descent columns of S_n (``_ledger_rows``)."""
 
     n: int
     entries: list[tuple[int, Perm, Perm, int, int]]  # (i, w, z, b, c)
@@ -684,8 +638,8 @@ class BCScan:
 
 def _bc_degree(args) -> dict[tuple[int, Perm], list[tuple[int, Perm, Perm, int, int]] | str]:
     """The ledger rows of every descent pair (i, w) with w of length k, or
-    the structural violation that ``bc_split`` raises there, keyed by the
-    pair: each rho2 generator of degree k is read once, and its descent
+    the structural violation that ``_ledger_rows`` raises there, keyed by
+    the pair: each rho2 generator of degree k is read once, and its descent
     columns split."""
     n, k = args
     table = build_schubert_table(n)
@@ -695,11 +649,9 @@ def _bc_degree(args) -> dict[tuple[int, Perm], list[tuple[int, Perm, Perm, int, 
         for w, column in matrix.columns.items():
             if w[i - 1] > w[i]:
                 try:
-                    split = _split_column(i, w, column)
+                    out[(i, w)] = _ledger_rows(i, w, column)
                 except ValueError as exc:
                     out[(i, w)] = str(exc)
-                    continue
-                out[(i, w)] = [(i, w, z, split.b[z], split.c[z]) for z in sorted(split.b)]
     return out
 
 

@@ -218,7 +218,7 @@ def matrix_product(a: RepMatrix, b: RepMatrix) -> RepMatrix:
     for w, col in b.columns.items():
         image: dict[Perm, QPoly] = {}
         for x, c in col.items():
-            for z, m in a.column(x).items():
+            for z, m in a.columns[x].items():
                 image[z] = image.get(z, QP_ZERO) + c * m
         columns[w] = {z: c for z, c in image.items() if c}
     return RepMatrix("product", a.k, a.basis, columns)
@@ -356,7 +356,7 @@ def quotient_traces_by_descent_steps(n: int) -> dict[tuple[Perm, int], QPoly]:
         columns = {}
         for i in range(1, n):
             matrix = generator_matrix("rho1", i, k, table)
-            columns[i] = {w: matrix.column(w) for w in matrix.basis}
+            columns[i] = matrix.columns
         for v in all_perms(n):
             traces[(v, k)] = QP_ZERO
         for w in table.basis(k):
@@ -377,7 +377,7 @@ def upstairs_graded_traces_oracle(n: int, action: str, max_degree: int) -> dict[
     degree <= max_degree pushed through the action's operator by the
     left-descent recursion, its own coefficient summed."""
     return _descent_step_traces(
-        n, action, [(next(iter(f.terms)), {f.total_degree(): 1}) for f in monomials_up_to(n, max_degree)],
+        n, action, [(next(iter(f.terms)), {f.homogeneous_degree(): 1}) for f in monomials_up_to(n, max_degree)],
         max_degree,
     )
 

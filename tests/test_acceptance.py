@@ -130,7 +130,7 @@ def test_criterion_6_q_one_collapse():
                 if at_one != [[c.evaluate(1) for c in row] for row in plain.entries]:
                     failures.append(f"matrix collapse at n={n}, i={i}, k={k}")
                 for w in plain.basis:
-                    col = plain.column(w)
+                    col = plain.columns[w]
                     if w[i - 1] < w[i]:
                         ok = list(col) == [w] and col[w].as_int() == 1
                     else:

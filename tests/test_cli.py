@@ -6,6 +6,7 @@ import pytest
 from helpers import record_pool_sizes
 
 from qschub.cli import MAX_DEGREE_BOUND, main
+from qschub.polyring import QPoly
 
 
 def run_cli(capsys, *argv):
@@ -220,6 +221,43 @@ class TestScanB:
         lines = out.splitlines()
         assert lines[0] == "i,w,z,b,c"
         assert lines[-1].startswith("# b-values observed")
+
+    @pytest.mark.parametrize("output, digest", [
+        ("json", "fff1529001ffe662ff7ac335127c4dc0aded6bc0d79294c257c6003a0e987e04"),
+        ("csv", "9d78421f56fc56c7e78e831c18244422b7351769838881d2c0e5b3af4b88f3b8"),
+        ("text", "91376e84d2221bf057ed2f21f3e81b6b0cf58ae306524d67952af2c03bad01ef"),
+    ])
+    def test_n5_ledger_is_pinned(self, capsys, output, digest):
+        # All 476 ledger rows, the b histogram and the outlier list, byte for byte.
+        code, out, _ = run_cli(capsys, "scan-b", "--n", "5", "--output", output)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("entry, message", [
+        (QPoly((0, 0, 1)), "structural violation at (1, (2, 1, 3), (1, 3, 2)): entry q^2 has q-degree > 1"),
+        (QPoly((3, -1)), "structural violation at (1, (2, 1, 3), (1, 3, 2)): constant part 2"),
+    ])
+    def test_structural_violation_is_reported(self, capsys, monkeypatch, entry, message):
+        # The rho2 column of (2,1,3) at i=1 is {(2,1,3): -q, (1,3,2): q}; the
+        # patched entry keeps the generator's column shape, so only the
+        # ledger's own checks can reject it.
+        from qschub import rep
+
+        read_column = rep._read_column
+
+        def patched(action, word, w, k, table):
+            column = read_column(action, word, w, k, table)
+            if (action, word, w) == ("rho2", (1,), (2, 1, 3)):
+                assert column[(1, 3, 2)] == QPoly((0, 1))
+                column = {**column, (1, 3, 2): entry}
+            return column
+
+        monkeypatch.setattr(rep, "_GEN_CACHE", {})
+        monkeypatch.setattr(rep, "_read_column", patched)
+        assert rep.bc_scan(3).structural_violations == [message]
+        code, out, _ = run_cli(capsys, "scan-b", "--n", "3")
+        assert code == 1
+        assert out.endswith(f"structural violations:\n  {message}\n")
 
 
 class TestDeterminismAndConfig:

@@ -169,7 +169,7 @@ class TestGeneratorOps:
     def test_rstar_transposes_r(self):
         for n in (2, 3, 4):
             for d in range(6):
-                monos = [f for f in monomials_up_to(n, d) if f.total_degree() == d]
+                monos = [f for f in monomials_up_to(n, d) if f.homogeneous_degree() == d]
                 exps = [next(iter(f.terms)) for f in monos]
                 index = {e: j for j, e in enumerate(exps)}
                 for i in range(1, n):
