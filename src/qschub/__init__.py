@@ -31,7 +31,6 @@ from .perm import (
 from .operators import (
     InvariantViolation,
     a_minus_r_factor,
-    apply_partial_w,
     divided_difference,
 )
 from .schubert import (

@@ -27,9 +27,9 @@ MAX_N_TABLES = 8
 MAX_N_CHAR = 7
 MAX_N_VERIFY = 7
 MAX_N_SCAN_B = 7
-# The degree bound reaches relations, commutation, word-invariance, a-minus-r
-# and kernels.  At n=7 and bound 6 they took about 8, 1.4, 3.0, 0.2 and 2.0
-# to 2.8 s (single runs), and the whole verify 55 s, so one cap serves every n.
+# The degree bound reaches relations, commutation, a-minus-r and kernels.  At
+# n=7 and bound 6 they took about 7 to 9, 0.9 to 1.5, 0.3 and 1.8 to 3.1 s
+# (single runs), and the whole verify 32 to 36 s, so one cap serves every n.
 MAX_DEGREE_BOUND = 6
 
 COST_NOTE = """\
@@ -44,9 +44,9 @@ the n=8 Schubert table (8! entries) takes about 3 s and 178 MB, a small
 table's: its 94.5 MB of output is printed one row at a time).
 verify/scan-b accept n <= 7: `scan-b` takes about 0.4 s at n=6 and 5 s at
 n=7 (about 3 s with --jobs 2, which hands each worker whole degrees), and the full
-verify suite about 0.5 s at n=4, 1 s at n=5, 3.5 s at n=6 and 30 to 40 s at
-n=7 (108 MB peak).  verify --degree-bound is capped at 6 for every n; at n=7 and
-bound 6 the full verify takes about 55 s, the kernels suite 2 to 3 s of it."""
+verify suite about 0.3 s at n=4, 0.5 s at n=5, 2 s at n=6 and 22 s at n=7
+(97 MB peak).  verify --degree-bound is capped at 6 for every n; at n=7 and
+bound 6 the full verify takes 32 to 36 s, the kernels suite 2 to 3 s of it."""
 
 
 class SystemExit2(SystemExit):

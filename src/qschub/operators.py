@@ -24,7 +24,6 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations_with_replacement
 
-from .perm import Perm, alt_reduced_word, canonical_reduced_word
 from .polyring import (
     MPoly,
     ONE_MINUS_Q,
@@ -157,20 +156,6 @@ def op_rstar(f: MPoly, i: int) -> MPoly:
     """Transpose family of op_r on the monomial basis: descending pairs swap
     with weight 1, ascending ones mix (1-q)*stay + q*swap."""
     return _pairwise(f, i, _RSTAR_RULE)
-
-
-def apply_partial_w(w: Perm, f: MPoly) -> MPoly:
-    """Divided difference along a reduced word of w (word choice immaterial)."""
-    for i in reversed(canonical_reduced_word(w)):
-        f = divided_difference(f, i)
-    return f
-
-
-def apply_partial_w_alt(w: Perm, f: MPoly) -> MPoly:
-    """Same operator along the alternative reduced word; test hook."""
-    for i in reversed(alt_reduced_word(w)):
-        f = divided_difference(f, i)
-    return f
 
 
 def monomials_up_to(n: int, degree_bound: int) -> list[MPoly]:

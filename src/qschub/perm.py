@@ -13,8 +13,6 @@ Conventions, fixed once and validated by the Schubert recursion tests:
 
 >>> canonical_reduced_word((3, 2, 1))
 (2, 1, 2)
->>> alt_reduced_word((3, 2, 1))
-(1, 2, 1)
 """
 
 from __future__ import annotations
@@ -91,23 +89,6 @@ def canonical_reduced_word(w: Perm) -> Word:
     for block in reversed(blocks):
         out.extend(block)
     return tuple(out)
-
-
-def alt_reduced_word(w: Perm) -> Word:
-    """A reduced word different from the canonical one when any exists.
-
-    One commutation or braid move applied to the canonical word; if neither
-    applies anywhere, the canonical word is the unique reduced word.
-    """
-    cw = canonical_reduced_word(w)
-    for t in range(len(cw) - 1):
-        if abs(cw[t] - cw[t + 1]) > 1:
-            return cw[:t] + (cw[t + 1], cw[t]) + cw[t + 2:]
-    for t in range(len(cw) - 2):
-        a, b = cw[t], cw[t + 1]
-        if cw[t + 2] == a and abs(a - b) == 1:
-            return cw[:t] + (b, a, b) + cw[t + 3:]
-    return cw
 
 
 def check_partition(mu, n: int) -> Partition:

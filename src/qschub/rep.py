@@ -80,7 +80,6 @@ from .perm import (
     check_partition,
     class_polynomial,
     coset_weight,
-    cycle_type,
     length,
     partition_word,
     partitions_of,
@@ -399,14 +398,11 @@ def descent_column_formula(i: int, w: Perm) -> dict[Perm, QPoly]:
     lw = length(w)
     col: dict[Perm, QPoly] = {w: MINUS_Q}
 
+    # The 3-cycles below are distinct and none is the identity, so their
+    # images w*c are distinct and differ from w: each entry is set once.
     def add(z: Perm, c: QPoly):
-        if length(z) != lw:
-            return
-        acc = col.get(z, QP_ZERO) + c
-        if acc:
-            col[z] = acc
-        else:
-            col.pop(z, None)
+        if length(z) == lw:
+            col[z] = c
 
     for k in range(1, i):
         add(_right_cycle(w, k, i + 1, i), QPoly((0, 1)))
@@ -544,14 +540,13 @@ def upstairs_class_traces(n: int, action: str, max_degree: int) -> dict[tuple[Pa
 
 def upstairs_graded_traces(n: int, action: str, max_degree: int) -> dict[tuple[Perm, int], QPoly]:
     """Trace of every Hecke basis element on each full polynomial degree
-    component d <= max_degree: ``upstairs_class_traces`` spread to every T_v
-    by class polynomials.  The plain swaps of symq1 satisfy T_i^2 = 1, so
-    their traces are class functions of S_n: the class polynomials at q = 1,
-    the indicators of cycle types."""
-    traces = upstairs_class_traces(n, action, max_degree)
+    component d <= max_degree, for rho1 or rho2: ``upstairs_class_traces``
+    spread to every T_v by class polynomials.  Those need the quadratic
+    relation T_i^2 = (1-q) T_i + q, so symq1, whose swaps square to 1, is
+    rejected."""
     if action == "symq1":
-        return {(v, d): traces[(cycle_type(v), d)] for v in all_perms(n) for d in range(max_degree + 1)}
-    return spread_class_traces(traces, n, max_degree)
+        raise ValueError("class polynomials do not spread symq1 traces")
+    return spread_class_traces(upstairs_class_traces(n, action, max_degree), n, max_degree)
 
 
 def coinvariant_traces_from_graded(

@@ -14,8 +14,6 @@ from functools import lru_cache
 
 from .operators import (
     a_minus_r_factor,
-    apply_partial_w,
-    apply_partial_w_alt,
     divided_difference,
     monomials_up_to,
     mul_x,
@@ -233,23 +231,6 @@ def suite_schubert_recursion(n: int, degree_bound: int = 0, seed: int = 0) -> Su
     return res
 
 
-def suite_word_invariance(n: int, degree_bound: int = 3, seed: int = 11) -> SuiteResult:
-    """Divided-difference chains do not depend on the reduced word used."""
-    res = SuiteResult("word-invariance")
-    rng = random.Random(seed)
-    polys = _random_polys(n, degree_bound, rng, count=4)
-    count = 0
-    for w in all_perms(n):
-        for f in polys:
-            res.check(
-                apply_partial_w(w, f) == apply_partial_w_alt(w, f),
-                f"chain at w={perm_str(w)} on {f}",
-            )
-            count += 1
-    res.lines.append(f"canonical vs alternative reduced words: {count} cases")
-    return res
-
-
 def suite_descent_columns(n: int, degree_bound: int = 0, seed: int = 0) -> SuiteResult:
     """rho1's Monk-read descent columns against ``descent_column_formula``;
     then every rho1 and rho2 generator is built, and with it each column's
@@ -295,7 +276,7 @@ def suite_a_minus_r(n: int, degree_bound: int = 4, seed: int = 5) -> SuiteResult
     res.lines.append(f"difference on variable powers: {count} cases (constants checked to vanish)")
 
     rng = random.Random(seed)
-    inputs = monomials_up_to(n, min(degree_bound, 4)) + _random_polys(n, 3, rng, count=5, q_free=True)
+    inputs = monomials_up_to(n, min(degree_bound, 4)) + _random_polys(n, 3, rng, count=5)
     factored = 0
     for f in inputs:
         for i in range(1, n):
@@ -304,11 +285,11 @@ def suite_a_minus_r(n: int, degree_bound: int = 4, seed: int = 5) -> SuiteResult
                 witness.scale(ONE_MINUS_Q) == diff,
                 f"factorization i={i} on {f}",
             )
-            if all(c.is_int() for cs in f.terms.values() for c in (cs,)):
-                res.check(
-                    all(c.degree <= 0 for c in witness.terms.values()),
-                    f"q-free witness i={i} on {f}",
-                )
+            # Every input has int coefficients, so its witness has no q.
+            res.check(
+                all(c.degree <= 0 for c in witness.terms.values()),
+                f"q-free witness i={i} on {f}",
+            )
             factored += 1
     res.lines.append(f"symmetric (1-q)-divisible difference with witness: {factored} cases")
     return res
@@ -539,7 +520,6 @@ SUITES = {
     "relations": suite_relations,
     "commutation": suite_commutation,
     "schubert-recursion": suite_schubert_recursion,
-    "word-invariance": suite_word_invariance,
     "descent-columns": suite_descent_columns,
     "a-minus-r": suite_a_minus_r,
     "kernels": suite_kernels,
@@ -590,16 +570,14 @@ def _rank(mat: list[list[Fraction]]) -> int:
     return rank
 
 
-def _random_polys(n: int, degree: int, rng: random.Random, count: int, q_free: bool = False) -> list[MPoly]:
+def _random_polys(n: int, degree: int, rng: random.Random, count: int) -> list[MPoly]:
+    """``count`` sums of four distinct monomials of degree <= ``degree``
+    (fewer when there are fewer), with int coefficients in [-3, 3]."""
     monos = monomials_up_to(n, degree)
     out = []
     for _ in range(count):
         f = MPoly.zero(n)
         for mono in rng.sample(monos, k=min(4, len(monos))):
-            if q_free:
-                coeff = QPoly((rng.randint(-3, 3),))
-            else:
-                coeff = QPoly((rng.randint(-2, 2), rng.randint(-2, 2)))
-            f = f + mono.scale(coeff)
+            f = f + mono.scale(QPoly((rng.randint(-3, 3),)))
         out.append(f)
     return out

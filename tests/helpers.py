@@ -1,14 +1,14 @@
 """Shared test oracles: exact Fraction linear algebra, dense fixed-space
 dimensions of a generator on one degree, ideal membership,
 polynomials specialized at a rational q, the divided difference by synthetic
-division, permutation and matrix products, the variable-permutation action,
-and the trace recursions over every T_v by left descents -- on polynomials
-and on the generator matrices or exponent orbits -- that the library's
-traces at the T_mu, spread by class polynomials, are compared against; the
-graded characters and the diagonal scaling at descents by the polynomial
-route; the coset decomposition and valley weights whose product is the
-oracle of ``perm.coset_weight``; and a stand-in process pool that records
-its size."""
+division and its chains d_w, permutation and matrix products, the
+variable-permutation action, and the trace recursions over every T_v by
+left descents -- on polynomials and on the generator matrices or exponent
+orbits -- that the library's traces at the T_mu, spread by class
+polynomials, are compared against; the graded characters and the diagonal
+scaling at descents by the polynomial route; the coset decomposition and
+valley weights whose product is the oracle of ``perm.coset_weight``; and a
+stand-in process pool that records its size."""
 
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import comb
 
-from qschub.operators import monomials_up_to, op_a, op_r, op_s
+from qschub.operators import divided_difference, monomials_up_to, op_a, op_r, op_s
 from qschub.perm import (
     Partition,
     Perm,
@@ -122,6 +122,15 @@ def divided_difference_oracle(f: MPoly, i: int) -> MPoly:
     if levels.get(0):
         raise AssertionError("divided difference left a nonzero remainder")
     return MPoly(n, quotient)
+
+
+def apply_partial_w(w: Perm, f: MPoly) -> MPoly:
+    """The divided difference d_w applied to f, along the canonical reduced
+    word of w: the chain that the duality oracles read Schubert coordinates
+    from, at the constant term."""
+    for i in reversed(canonical_reduced_word(w)):
+        f = divided_difference(f, i)
+    return f
 
 
 def act_variable_permutation(w: Perm, f: MPoly) -> MPoly:

@@ -184,8 +184,8 @@ class TestVerify:
         assert "verify is capped at n <= 7" in err
 
     @pytest.mark.parametrize("output, digest", [
-        ("text", "7dcd3ef25fc8ca853ad002ce83f51927cd55f82470e4eb18e5a611e9ebd6b7a3"),
-        ("json", "eb6d3931811ca113fed014e11a7e27d9ee091cf442b7f9b616a7ef71886fca08"),
+        ("text", "fd906022581851bf3e4547ae924b0c900cce91068147ac32f6ed6370b5024189"),
+        ("json", "f11065c5cb74caeae334c49b3b2c31bcce77d742a83bf49febc35c3b1e44fb7d"),
     ])
     def test_n4_stdout_is_pinned(self, capsys, output, digest):
         # Every suite's summary lines, in suite order, byte for byte.
@@ -355,5 +355,7 @@ class TestDeterminismAndConfig:
         assert "invalid choice: 'csv'" in err
 
     def test_unknown_suite_rejected(self, capsys):
-        code, _, err = run_cli(capsys, "verify", "--n", "2", "--suite", "made-up")
-        assert code == 2
+        for name in ("made-up", "word-invariance"):
+            code, _, err = run_cli(capsys, "verify", "--n", "2", "--suite", name)
+            assert code == 2
+            assert f"invalid choice: '{name}'" in err

@@ -5,12 +5,11 @@ import sys
 
 import pytest
 
-from helpers import act_variable_permutation, divided_difference_oracle, specialize_q
+from helpers import act_variable_permutation, apply_partial_w, divided_difference_oracle, specialize_q
 
+from qschub import verify
 from qschub.operators import (
     a_minus_r_factor,
-    apply_partial_w,
-    apply_partial_w_alt,
     divided_difference,
     monomials_up_to,
     mul_x,
@@ -20,7 +19,7 @@ from qschub.operators import (
     op_rstar,
     op_s,
 )
-from qschub.perm import all_perms
+from qschub.perm import all_perms, canonical_reduced_word, mult_right_s
 from qschub.polyring import (
     MPoly,
     ONE_MINUS_Q,
@@ -32,7 +31,7 @@ from qschub.polyring import (
 from qschub.polyring import _raw
 from qschub.rep import apply_action_word
 from qschub.schubert import unpack
-from qschub.verify import RELATION_FAMILIES, commutation_checks, relation_checks
+from qschub.verify import RELATION_FAMILIES, commutation_checks, relation_checks, suite_commutation
 
 
 def x(i, n=2):
@@ -297,11 +296,27 @@ class TestPartialChains:
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_word_independence(self, n):
+        # The chain along every reduced word of w, the words built by
+        # peeling right descents, equals the chain along the canonical one.
+        def reduced_words(w):
+            if all(a < b for a, b in zip(w, w[1:])):
+                return {()}
+            return {word + (i,) for i in range(1, n) if w[i - 1] > w[i]
+                    for word in reduced_words(mult_right_s(w, i))}
+
+        def chain(word, f):
+            for i in reversed(word):
+                f = divided_difference(f, i)
+            return f
+
         rng = random.Random(14)
         polys = [random_poly(n, rng) for _ in range(3)]
         for w in all_perms(n):
+            words = reduced_words(w)
+            assert canonical_reduced_word(w) in words
             for f in polys:
-                assert apply_partial_w(w, f) == apply_partial_w_alt(w, f)
+                expected = apply_partial_w(w, f)
+                assert all(chain(word, f) == expected for word in words), w
 
 
 class TestRelationHarnesses:
@@ -315,6 +330,29 @@ class TestRelationHarnesses:
         checks = list(commutation_checks(3, 4))
         assert checks
         assert [label for ok, label in checks if not ok][:3] == []
+
+    def test_commutation_fails_on_a_broken_braid(self, monkeypatch):
+        # d_2 negated: d_1 d_2 d_1 and d_2 d_1 d_2 then differ in sign.
+        def corrupted(f, i):
+            g = divided_difference(f, i)
+            return -g if i == 2 else g
+
+        monkeypatch.setattr(verify, "divided_difference", corrupted)
+        result = suite_commutation(3, 3)
+        assert not result.passed
+        assert "FAIL" in result.lines[0]
+        assert "braid i=1 on x1^2*x2" in result.failures
+
+    def test_commutation_fails_on_a_broken_far_commutation(self, monkeypatch):
+        # d_3 applied after exchanging x_1 and x_2: d_1 d_3 then picks up a
+        # sign that d_3 d_1, on an image symmetric in x_1 and x_2, does not.
+        def corrupted(f, i):
+            return divided_difference(swap_variables(f, 1) if i == 3 else f, i)
+
+        monkeypatch.setattr(verify, "divided_difference", corrupted)
+        result = suite_commutation(4, 2)
+        assert not result.passed
+        assert "commute (1,3) on x1*x3" in result.failures
 
     def test_specific_commutation_facts(self):
         f = MPoly.variable(2, 1) ** 3

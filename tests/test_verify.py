@@ -26,7 +26,7 @@ def test_suite_passes_n3(name):
     assert result.lines
 
 
-@pytest.mark.parametrize("name", ["word-invariance", "a-minus-r"])
+@pytest.mark.parametrize("name", ["a-minus-r"])
 def test_seeded_suites_pass_n4(name):
     result = SUITES[name](4, degree_bound=3, seed=23)
     assert result.passed, result.failures[:5]
