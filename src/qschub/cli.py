@@ -29,7 +29,7 @@ MAX_N_VERIFY = 7
 MAX_N_SCAN_B = 7
 # The degree bound reaches relations, commutation, a-minus-r and kernels.  At
 # n=7 and bound 6 they took about 7 to 9, 0.9 to 1.5, 0.3 and 1.8 to 3.1 s
-# (single runs), and the whole verify 32 to 36 s, so one cap serves every n.
+# (single runs), and the whole verify about 28 s, so one cap serves every n.
 MAX_DEGREE_BOUND = 6
 
 COST_NOTE = """\
@@ -44,9 +44,10 @@ the n=8 Schubert table (8! entries) takes about 3 s and 178 MB, a small
 table's: its 94.5 MB of output is printed one row at a time).
 verify/scan-b accept n <= 7: `scan-b` takes about 0.4 s at n=6 and 5 s at
 n=7 (about 3 s with --jobs 2, which hands each worker whole degrees), and the full
-verify suite about 0.3 s at n=4, 0.5 s at n=5, 2 s at n=6 and 22 s at n=7
-(97 MB peak).  verify --degree-bound is capped at 6 for every n; at n=7 and
-bound 6 the full verify takes 32 to 36 s, the kernels suite 2 to 3 s of it."""
+verify suite about 0.3 s at n=4, 0.5 s at n=5, 2 s at n=6 and 21 to 25 s at
+n=7 (98 MB peak; the characters suite 14 to 19 s of it).  verify
+--degree-bound is capped at 6 for every n; at n=7 and bound 6 the full
+verify takes about 28 s, the kernels suite 2 to 3 s of it."""
 
 
 class SystemExit2(SystemExit):
@@ -258,8 +259,7 @@ def cmd_scan_b(args) -> int:
         out.writerow(["i", "w", "z", "b", "c"])
         for i, w, z, b, c in scan.entries:
             out.writerow([i, perm_str(w), perm_str(z), b, c])
-        print(f"# b-values observed: {hist}; conjecture violations: "
-              f"{len(outliers) or 0}")
+        print(f"# b-values observed: {hist}; conjecture violations: {len(outliers)}")
     else:
         for i, w, z, b, c in scan.entries:
             print(f"i={i} w={perm_str(w)} z={perm_str(z)} b={b:+d} c={c:+d}")

@@ -1,7 +1,7 @@
 """Representation matrices of both Hecke actions on the graded components of
 the coinvariant algebra, graded characters, the combinatorial weight formula,
 closed-form descent columns, the (b, c) ledger of the randomized action's
-descent columns, and the class traces that the equivalence check compares.
+descent columns, and the class traces of the trace-equivalence certificate.
 
 Matrix convention: the degree-k basis is ordered lexicographically on
 one-line notation, and ``columns[w][z]`` is the coefficient of the basis
@@ -41,7 +41,7 @@ on Z[q] arithmetic; the polynomial route is the tests' oracle.  The
 divided-difference sweep ``expand_homogeneous`` stays in ``schubert`` as the
 independent oracle for the Monk classes.
 
-The trace-equivalence certificate (``verify``'s ``equivalence`` suite,
+The trace-equivalence certificate (in ``verify``'s ``characters`` suite,
 from the parts below) compares the two actions once, in the coinvariant
 algebra, at the p(n) elements T_mu of ``partition_word(mu)``,
 minimal-length representatives of the conjugacy classes.  A Hecke-algebra
@@ -51,7 +51,7 @@ character is fixed by its values there: every basis element T_v takes
 Groups and Iwahori--Hecke Algebras*, Thm 3.2.9 and section 8.2), one fixed
 linear map for every character, so equal traces at the T_mu are equal traces
 at every T_v.  rho1's quotient traces at T_mu are its graded characters
-(``quotient_class_traces``).  rho2's traces on the full polynomial
+(the suite's rho1 column).  rho2's traces on the full polynomial
 components are computed on one exponent orbit per multiplicity type
 lam |- n, each orbit monomial pushed through the word, and weighted by the
 number of degree-d multisets of that type (``upstairs_class_traces``); its

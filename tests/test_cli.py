@@ -184,8 +184,8 @@ class TestVerify:
         assert "verify is capped at n <= 7" in err
 
     @pytest.mark.parametrize("output, digest", [
-        ("text", "fd906022581851bf3e4547ae924b0c900cce91068147ac32f6ed6370b5024189"),
-        ("json", "f11065c5cb74caeae334c49b3b2c31bcce77d742a83bf49febc35c3b1e44fb7d"),
+        ("text", "87aee65de386946d903e5bc79488e2c7514f544636d2e5925b357b830dc863af"),
+        ("json", "b74ebceed58138ec934141df17d70d43b55bc57053f8c8d38c7a656dc3bd375b"),
     ])
     def test_n4_stdout_is_pinned(self, capsys, output, digest):
         # Every suite's summary lines, in suite order, byte for byte.
@@ -355,7 +355,7 @@ class TestDeterminismAndConfig:
         assert "invalid choice: 'csv'" in err
 
     def test_unknown_suite_rejected(self, capsys):
-        for name in ("made-up", "word-invariance"):
+        for name in ("made-up", "word-invariance", "equivalence"):
             code, _, err = run_cli(capsys, "verify", "--n", "2", "--suite", name)
             assert code == 2
             assert f"invalid choice: '{name}'" in err

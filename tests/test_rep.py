@@ -57,7 +57,7 @@ from qschub.rep import (
     word_matrix,
 )
 from qschub.schubert import build_schubert_table
-from qschub.verify import suite_equivalence, symmetric_group_character
+from qschub.verify import suite_characters, symmetric_group_character
 
 MINUS_Q = QPoly((0, -1))
 
@@ -521,10 +521,11 @@ class TestSymmetricGroupCharacterOracle:
 class TestEquivalence:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_report(self, n):
-        result = suite_equivalence(n)
+        result = suite_characters(n)
         assert result.passed, result.failures[:3]
         rows = len(partitions_of(n)) * (n * (n - 1) // 2 + 1)
         assert result.lines == [
+            f"trace = trace = weight sum: {rows} cells",
             f"coinvariant trace pairs compared at the classes T_mu: {rows}; "
             "rho1's quotient-vs-upstairs cross-check included"
         ]
@@ -552,7 +553,7 @@ class TestEquivalence:
             return traces
 
         monkeypatch.setattr(verify, "upstairs_class_traces", corrupted)
-        failures = suite_equivalence(n).failures
+        failures = suite_characters(n).failures
         if action == "rho2":
             assert failures[0].startswith("coinvariant trace mismatch at mu=2+1, k=2: ")
             assert all(f.startswith("coinvariant trace mismatch") for f in failures)
@@ -566,7 +567,7 @@ class TestEquivalence:
             raise AssertionError("the report compares at the T_mu only")
 
         monkeypatch.setattr(rep, "spread_class_traces", no_spread)
-        assert suite_equivalence(4).passed
+        assert suite_characters(4).passed
 
     def test_graded_traces_recover_weights_at_subproducts(self):
         n = 3

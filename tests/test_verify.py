@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -5,7 +6,7 @@ import pytest
 from helpers import dense_fixed_space_dim, diagonal_scaling_samples, monomial_exponents
 from qschub import verify
 from qschub.operators import op_a, op_r
-from qschub.perm import perm_str
+from qschub.perm import partitions_of, perm_str
 from qschub.polyring import MPoly, Q
 from qschub.rep import MINUS_Q, descent_pairs
 from qschub.verify import (
@@ -125,16 +126,38 @@ def test_tally_counts_checks_and_records_failures_after_the_prefix():
 
 
 def test_equivalence_report_line_names_the_cross_check_only_where_it_runs(monkeypatch):
-    monkeypatch.setattr(verify, "quotient_class_traces", lambda n: {})
+    monkeypatch.setattr(verify, "character_table", lambda n: {})
     monkeypatch.setattr(verify, "upstairs_class_traces", lambda n, action, top: {})
-    assert verify.suite_equivalence(4).lines == [
+    assert verify.suite_characters(4).lines == [
+        "trace = trace = weight sum: 0 cells",
         "coinvariant trace pairs compared at the classes T_mu: 0; "
-        "rho1's quotient-vs-upstairs cross-check included"
+        "rho1's quotient-vs-upstairs cross-check included",
     ]
-    assert verify.suite_equivalence(5).lines == [
+    assert verify.suite_characters(5).lines == [
+        "trace = trace = weight sum: 0 cells",
         "coinvariant trace pairs compared at the classes T_mu: 0; "
-        "rho1's quotient-vs-upstairs cross-check runs for n <= 4"
+        "rho1's quotient-vs-upstairs cross-check runs for n <= 4",
     ]
+
+
+def test_a_full_verify_run_computes_each_rho1_cell_once(monkeypatch):
+    # The characters suite's table is the only rho1 pass: the trace
+    # certificate reads its rho1 column instead of computing the cells again.
+    from qschub import rep
+
+    genuine = rep.graded_character
+    rho1_cells = Counter()
+
+    def counting(action, mu, k, n):
+        if action == "rho1":
+            rho1_cells[(tuple(mu), k)] += 1
+        return genuine(action, mu, k, n)
+
+    monkeypatch.setattr(rep, "graded_character", counting)
+    monkeypatch.setattr(verify, "graded_character", counting)
+    results = run_suites(["all"], 4, 4, 17)
+    assert all(r.passed for r in results)
+    assert rho1_cells == Counter({(mu, k): 1 for mu in partitions_of(4) for k in range(7)})
 
 
 def test_a_failing_relation_renders_its_counterexamples(monkeypatch):
