@@ -28,8 +28,8 @@ MAX_N_CHAR = 7
 MAX_N_VERIFY = 7
 MAX_N_SCAN_B = 7
 # The degree bound reaches relations, commutation, a-minus-r and kernels.  At
-# n=7 and bound 6 they took about 7 to 9, 0.9 to 1.5, 0.3 and 1.8 to 3.1 s
-# (single runs), and the whole verify about 28 s, so one cap serves every n.
+# n=7 and bound 6 they took about 7 to 9, 0.9 to 1.5, 0.3 and 0.5 to 0.9 s
+# (single runs), and the whole verify about 24 s, so one cap serves every n.
 MAX_DEGREE_BOUND = 6
 
 COST_NOTE = """\
@@ -47,7 +47,7 @@ n=7 (about 3 s with --jobs 2, which hands each worker whole degrees), and the fu
 verify suite about 0.3 s at n=4, 0.5 s at n=5, 2 s at n=6 and 21 to 25 s at
 n=7 (98 MB peak; the characters suite 14 to 19 s of it).  verify
 --degree-bound is capped at 6 for every n; at n=7 and bound 6 the full
-verify takes about 28 s, the kernels suite 2 to 3 s of it."""
+verify takes about 24 s, the kernels suite under 1 s of it."""
 
 
 class SystemExit2(SystemExit):
@@ -67,8 +67,15 @@ def _q_value(text: str) -> Fraction | None:
             f"--q must be 'symbolic' or a rational like 1 or -2/3, got {text!r}")
 
 
+def _int_value(text: str, what: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{what} must be an integer, got {text!r}")
+
+
 def _degree_bound(text: str) -> int:
-    value = int(text)
+    value = _int_value(text, "degree bound")
     if value < 0:
         raise argparse.ArgumentTypeError("degree bound must be nonnegative")
     if value > MAX_DEGREE_BOUND:
@@ -77,7 +84,7 @@ def _degree_bound(text: str) -> int:
 
 
 def _jobs(text: str) -> int:
-    value = int(text)
+    value = _int_value(text, "jobs")
     if value < 1:
         raise argparse.ArgumentTypeError("jobs must be at least 1")
     return value

@@ -44,7 +44,6 @@ from qschub.rep import (
     orbit_type_counts,
 )
 from qschub.schubert import build_schubert_table
-from qschub.verify import _rank
 
 
 def solve_exact(rows: list[list[Fraction]], rhs: list[Fraction]):
@@ -77,6 +76,28 @@ def solve_exact(rows: list[list[Fraction]], rhs: list[Fraction]):
     for r, col in enumerate(pivots):
         x[col] = aug[r][cols]
     return x
+
+
+def _rank(mat: list[list[Fraction]]) -> int:
+    """The rank of a matrix over the rationals, by Gaussian elimination."""
+    rows = [row[:] for row in mat]
+    rank = 0
+    cols = len(rows[0]) if rows else 0
+    for col in range(cols):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = rows[rank][col]
+        rows[rank] = [v / inv for v in rows[rank]]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                factor = rows[r][col]
+                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+        if rank == len(rows):
+            break
+    return rank
 
 
 def dense_fixed_space_dim(op, i: int, exps, r) -> int:

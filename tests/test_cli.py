@@ -82,7 +82,7 @@ class TestChar:
         (("--output", "json"), "00df2671c8bc7f0fe8469d92383ed1dd960411e0c9a1bf126cc68e20ee8f1f3d"),
         (("--action", "rho2", "--output", "csv"),
          "c1586a20ac72108fc2a9ac2bed70e62f358327c51b96fa50f292c7728ec1c3cd"),
-    ])
+    ], ids=["json", "rho2-csv"])
     def test_n5_stdout_is_pinned(self, capsys, argv, digest):
         # All 77 cells of every column, and the rho2 column alone, byte for byte.
         code, out, _ = run_cli(capsys, "char", "--n", "5", *argv)
@@ -184,9 +184,9 @@ class TestVerify:
         assert "verify is capped at n <= 7" in err
 
     @pytest.mark.parametrize("output, digest", [
-        ("text", "87aee65de386946d903e5bc79488e2c7514f544636d2e5925b357b830dc863af"),
-        ("json", "b74ebceed58138ec934141df17d70d43b55bc57053f8c8d38c7a656dc3bd375b"),
-    ])
+        ("text", "bb1920cfca8757e128e4bc39f83f2d6d8606a82e3710f4e445ab0cf5b16a7d1c"),
+        ("json", "74ce02382d2468b56b2bfcc775e43de7642522c3670ada193bfef9e21aae35fe"),
+    ], ids=["text", "json"])
     def test_n4_stdout_is_pinned(self, capsys, output, digest):
         # Every suite's summary lines, in suite order, byte for byte.
         code, out, _ = run_cli(capsys, "verify", "--n", "4", "--output", output)
@@ -226,7 +226,7 @@ class TestScanB:
         ("json", "fff1529001ffe662ff7ac335127c4dc0aded6bc0d79294c257c6003a0e987e04"),
         ("csv", "9d78421f56fc56c7e78e831c18244422b7351769838881d2c0e5b3af4b88f3b8"),
         ("text", "91376e84d2221bf057ed2f21f3e81b6b0cf58ae306524d67952af2c03bad01ef"),
-    ])
+    ], ids=["json", "csv", "text"])
     def test_n5_ledger_is_pinned(self, capsys, output, digest):
         # All 476 ledger rows, the b histogram and the outlier list, byte for byte.
         code, out, _ = run_cli(capsys, "scan-b", "--n", "5", "--output", output)
@@ -301,6 +301,16 @@ class TestDeterminismAndConfig:
     def test_bad_jobs(self, capsys):
         code, _, err = run_cli(capsys, "char", "--n", "2", "--jobs", "0")
         assert code == 2
+
+    @pytest.mark.parametrize("argv, message", [
+        (("verify", "--n", "2", "--degree-bound", "x"), "degree bound must be an integer, got 'x'"),
+        (("char", "--n", "2", "--jobs", "two"), "jobs must be an integer, got 'two'"),
+    ], ids=["degree-bound", "jobs"])
+    def test_a_non_integer_value_is_a_plain_usage_error(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert message in err and "invalid" not in err
 
     def test_bad_degree_bound(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--n", "2", "--degree-bound", "-1")

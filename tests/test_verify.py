@@ -1,22 +1,21 @@
+import re
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from helpers import dense_fixed_space_dim, diagonal_scaling_samples, monomial_exponents
+from helpers import _rank, dense_fixed_space_dim, diagonal_scaling_samples, monomial_exponents
 from qschub import verify
-from qschub.operators import op_a, op_r
+from qschub.operators import _pairwise, _sorting_rule, op_a, op_r, op_rstar
 from qschub.perm import partitions_of, perm_str
-from qschub.polyring import MPoly, Q
+from qschub.polyring import MPoly, ONE_MINUS_Q, Q
 from qschub.rep import MINUS_Q, descent_pairs
 from qschub.verify import (
     SUITES,
     SuiteResult,
     character_table,
     run_suites,
-    _fixed_space_dims,
     _mahonian,
-    _rank,
 )
 
 
@@ -75,20 +74,23 @@ def test_rank():
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
-def test_block_fixed_space_dims_equal_the_dense_corank(n):
-    # The special values -1, 0 and 1 too, where the dimensions may leave the
-    # generic count: the block sum must still equal the dense corank there.
+def test_dense_fixed_space_dim_is_the_i_symmetric_count(n):
+    # The oracle of the kernels suite's claim, at the special values -1, 0
+    # and 1 too: the i-symmetric polynomials of degree d have one basis
+    # element per exponent orbit {e, s_i e}.
     points = [Fraction(-1), Fraction(0), Fraction(1), Fraction(-3, 7), Fraction(5, 2)]
     for op in (op_a, op_r):
         for i in range(1, n):
             for d in range(5):
                 exps = monomial_exponents(n, d)
-                dims, leaks = _fixed_space_dims(op, i, exps, points)
-                assert leaks == []
-                assert dims == [dense_fixed_space_dim(op, i, exps, r) for r in points], (op, i, d)
+                expected = (len(exps) + sum(e[i - 1] == e[i] for e in exps)) // 2
+                for r in points:
+                    assert dense_fixed_space_dim(op, i, exps, r) == expected, (op, i, d, r)
 
 
 def test_a_term_leaving_its_block_fails_the_kernels_suite(monkeypatch):
+    # The stray term also breaks the image's i-symmetry and the fixed orbit
+    # sum x^(0, 0, 1), so all three checks of that image fail.
     def leaky_r(f, i):
         out = op_r(f, i)
         if i == 1 and f == MPoly.monomial(3, (0, 0, 1)):
@@ -97,16 +99,46 @@ def test_a_term_leaving_its_block_fails_the_kernels_suite(monkeypatch):
 
     monkeypatch.setattr(verify, "op_r", leaky_r)
     result = verify.suite_kernels(3, degree_bound=2)
-    assert result.failures == ["R image of x^(0, 0, 1) at i=1 leaves its block: (1, 0, 0)"]
+    assert result.failures == [
+        "R image of x^(0, 0, 1) at i=1 leaves its block: (1, 0, 0)",
+        "R image of x^(0, 0, 1) at i=1 plus q x^(0, 0, 1) is not i-symmetric",
+        "R at i=1 does not fix the orbit sum of x^(0, 0, 1)",
+    ]
 
 
 def test_a_wrong_fixed_space_fails_the_kernels_suite(monkeypatch):
+    # The identity fixes everything: every orbit sum stays fixed, but
+    # x^e + q x^e is not i-symmetric wherever e_i != e_{i+1}.
     monkeypatch.setattr(verify, "op_a", lambda f, i: f)
     result = verify.suite_kernels(3, degree_bound=2)
-    assert result.failures
-    assert all(f.startswith("A fixed space i=") for f in result.failures)
-    first = result.failures[0]
-    assert first.startswith("A fixed space i=1, degree 1, q=") and first.endswith(": 3 vs 2")
+    assert result.failures == [
+        f"A image of x^{e} at i={i} plus q x^{e} is not i-symmetric"
+        for i in (1, 2)
+        for d in range(3)
+        for e in sorted(monomial_exponents(3, d), reverse=True)
+        if e[i - 1] != e[i]
+    ]
+    assert result.lines == ["A and R fixed spaces = i-symmetric polynomials, "
+                            "over Z[q]: 108 identities checked, FAIL (12 counterexamples)"]
+
+
+# R's rule with the ascent swap weighted q, as in Rstar's.
+_Q_ASCENT_SWAP_RULE = _sorting_rule(Q, ONE_MINUS_Q, Q)
+
+
+@pytest.mark.parametrize("name, mutant, failures", [
+    ("R", lambda f, i: _pairwise(f, i, _Q_ASCENT_SWAP_RULE), 28),
+    ("R", op_rstar, 42),
+    ("A", lambda f, i: f, 28),
+], ids=["R-with-q-on-the-ascent-swap", "R-as-Rstar", "A-as-the-identity"])
+def test_a_mutated_operator_fails_the_kernels_suite(monkeypatch, name, mutant, failures):
+    monkeypatch.setattr(verify, f"op_{name.lower()}", mutant)
+    result = verify.suite_kernels(3, degree_bound=3)
+    assert len(result.failures) == failures
+    # Every label names the operator, i and the exponent vector e.
+    e = r"x\^\(\d, \d, \d\)"
+    label = re.compile(rf"{name} (image of {e} at i=[12] .+|at i=[12] does not fix the orbit sum of {e})")
+    assert all(label.fullmatch(f) for f in result.failures), result.failures
 
 
 def test_result_rendering():
