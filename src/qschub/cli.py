@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Subcommands: schubert | char | matrix | verify | scan-b.  Output is
-deterministic byte-for-byte for a fixed (flags, seed) combination.  Exit
-codes: 0 all checks pass, 1 a verification failure, 2 usage error.
+deterministic byte-for-byte for fixed flags.  Exit codes: 0 all checks
+pass, 1 a verification failure, 2 usage error.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from .rep import ACTIONS, bc_scan, generator_matrix
 from .schubert import build_schubert_table, schubert_table_rows
 from .verify import CHARACTER_COLUMNS, SUITES, character_table, run_suites
 
-DEFAULT_SEED = 20201
 MAX_N_TABLES = 8
 # The full char table takes about 9 to 12 s serial at n=7 (77 MB peak), the
 # rho1 and rho2 columns about 8 and 3.2 to 3.7 s of it; n=8 was not run.
@@ -222,12 +221,11 @@ def cmd_matrix(args) -> int:
 
 def cmd_verify(args) -> int:
     _require_n(args.n, 2, MAX_N_VERIFY, "verify")
-    results = run_suites(args.suite or ["all"], args.n, args.degree_bound, args.seed)
+    results = run_suites(args.suite or ["all"], args.n, args.degree_bound)
     all_passed = all(r.passed for r in results)
     if args.output == "json":
         print(json.dumps({
             "n": args.n,
-            "seed": args.seed,
             "suites": [
                 {"name": r.name, "passed": r.passed, "detail": r.lines,
                  "failures": r.failures}
@@ -318,8 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = subcommand("verify", cmd_verify, "run verification suites", outputs=("json", "text"))
     p.add_argument("--degree-bound", type=_degree_bound, default=4,
                    help=f"monomial degree bound for operator checks, at most {MAX_DEGREE_BOUND}")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                   help="seed for the randomized property checks")
     p.add_argument("--suite", action="append", default=None,
                    choices=tuple(SUITES) + ("all",),
                    help="suite name; repeatable; default all")

@@ -1,15 +1,17 @@
-"""Verification suites: exhaustive and seeded-random checks of the exact
-identities the library is built on.  Failures are collected as report
-content, except the structural invariants that the library checks as it
-builds (``InvariantViolation``), which raise; every suite is deterministic
-given (n, seed).
+"""Verification suites: exhaustive checks of the exact identities the
+library is built on.  Each suite yields ``(ok, label)`` pairs that
+``SuiteResult.tally`` counts into one summary line per section.  Failures
+are collected as report content, except the structural invariants that the
+library checks as it builds (``InvariantViolation``), which raise; every
+suite is deterministic given (n, degree_bound).
 """
 
 from __future__ import annotations
 
-import random
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import accumulate
 
 from .operators import (
     a_minus_r_factor,
@@ -55,6 +57,10 @@ A_MINUS_R_MAX_POWER = 6
 # the order it reports them.
 RELATION_FAMILIES = {"S": op_s, "A": op_a, "B": op_b, "R": op_r, "Rstar": op_rstar}
 
+# Largest n at which the schubert-recursion suite also expands every Monk
+# product and every x_i multiple of a class by the divided-difference sweep.
+MONK_CROSS_CHECK_MAX_N = 4
+
 # Largest n at which the characters suite also derives rho1's coinvariant
 # traces from its traces on every monomial.
 DIRECT_CROSS_CHECK_MAX_N = 4
@@ -69,10 +75,6 @@ class SuiteResult:
     @property
     def passed(self) -> bool:
         return not self.failures
-
-    def check(self, ok: bool, label: str):
-        if not ok:
-            self.failures.append(label)
 
     def tally(self, title: str, checks, prefix: str = "") -> int:
         """Record every failed label of ``checks``, ``(ok, label)`` pairs,
@@ -147,7 +149,7 @@ def commutation_checks(n: int, degree_bound: int):
                     yield dd(mul_x(f, j), i) == mul_x(dd(f, i), j), f"far_x ({i},{j}) on {mono}"
 
 
-def suite_relations(n: int, degree_bound: int, seed: int = 0) -> SuiteResult:
+def suite_relations(n: int, degree_bound: int) -> SuiteResult:
     res = SuiteResult("relations")
     for family, op in RELATION_FAMILIES.items():
         res.tally(f"{family} relations", relation_checks(op, n, degree_bound, family == "S"),
@@ -155,139 +157,95 @@ def suite_relations(n: int, degree_bound: int, seed: int = 0) -> SuiteResult:
     return res
 
 
-def suite_commutation(n: int, degree_bound: int, seed: int = 0) -> SuiteResult:
+def suite_commutation(n: int, degree_bound: int) -> SuiteResult:
     res = SuiteResult("commutation")
     res.tally("divided difference commutation", commutation_checks(n, degree_bound))
     return res
 
 
-def suite_schubert_recursion(n: int, degree_bound: int = 0, seed: int = 0) -> SuiteResult:
+def suite_schubert_recursion(n: int, degree_bound: int) -> SuiteResult:
     res = SuiteResult("schubert-recursion")
     table = build_schubert_table(n)
     polys = table.polys
     zero = MPoly.zero(n)
-    count = 0
-    for w in all_perms(n):
-        for i in range(1, n):
-            expected = polys[mult_right_s(w, i)] if w[i - 1] > w[i] else zero
-            res.check(
-                divided_difference(polys[w], i) == expected,
-                f"recursion at w={perm_str(w)}, i={i}",
-            )
-            count += 1
-    res.lines.append(f"divided-difference recursion: {count} cases")
+    res.tally("divided-difference recursion", (
+        (divided_difference(polys[w], i) == (polys[mult_right_s(w, i)] if w[i - 1] > w[i] else zero),
+         f"recursion at w={perm_str(w)}, i={i}")
+        for w in all_perms(n) for i in range(1, n)))
+    partial_sums = accumulate(MPoly.variable(n, i) for i in range(1, n))
+    res.tally("linear classes x1+...+xi", (
+        (polys[mult_right_s(identity(n), i)] == partial_sum, f"linear class at i={i}")
+        for i, partial_sum in enumerate(partial_sums, 1)))
+    res.tally("graded dimensions match the inversion generating function", (
+        (len(table.basis(k)) == expect, f"basis size at degree {k}: {len(table.basis(k))} vs {expect}")
+        for k, expect in enumerate(_mahonian(n))))
 
-    partial_sum = MPoly.zero(n)
-    for i in range(1, n):
-        partial_sum = partial_sum + MPoly.variable(n, i)
-        w = mult_right_s(identity(n), i)
-        res.check(polys[w] == partial_sum, f"linear class at i={i}")
-    res.lines.append(f"linear classes x1+...+xi: {n - 1} cases")
-
-    mahonian = _mahonian(n)
-    for k, expect in enumerate(mahonian):
-        res.check(
-            len(table.basis(k)) == expect,
-            f"basis size at degree {k}: {len(table.basis(k))} vs {expect}",
-        )
-    res.lines.append(f"graded dimensions match the inversion generating function: {len(mahonian)} degrees")
-
-    if n <= 4:
-        checked = 0
-
-        def check_x_action(i, w):
-            plus, minus = x_action_on_schubert(i, w)
-            xvec = expand_homogeneous(mul_x(table[w], i), length(w) + 1, table)
-            signed: dict = {}
-            for z in plus:
-                signed[z] = signed.get(z, 0) + 1
-            for z in minus:
-                signed[z] = signed.get(z, 0) - 1
-            signed = {z: QPoly((v,)) for z, v in signed.items() if v}
-            res.check(xvec.coords == signed, f"x-action at i={i}, w={perm_str(w)}")
-
-        for i in range(1, n):
-            si_class = table[mult_right_s(identity(n), i)]
+    def monk_checks():
+        for i in range(1, n + 1):
+            si_class = table[mult_right_s(identity(n), i)] if i < n else None
             for w in all_perms(n):
                 k = length(w) + 1
-                vec = expand_homogeneous(si_class * table[w], k, table)
-                expected_support = monk_products(i, w)
-                ok = vec.support() == expected_support and all(
-                    vec[z] == QP_ONE for z in expected_support
-                )
-                res.check(ok, f"monk at i={i}, w={perm_str(w)}")
-                check_x_action(i, w)
-                checked += 2
-        for w in all_perms(n):
-            check_x_action(n, w)
-            checked += 1
-        res.lines.append(f"monk / x-action against polynomial expansion: {checked} cases")
-    else:
-        res.lines.append("monk / x-action cross-check skipped (runs for n <= 4)")
+                if si_class is not None:
+                    vec = expand_homogeneous(si_class * table[w], k, table)
+                    support = monk_products(i, w)
+                    yield (vec.support() == support and all(vec[z] == QP_ONE for z in support),
+                           f"monk at i={i}, w={perm_str(w)}")
+                plus, minus = x_action_on_schubert(i, w)
+                signed = Counter(plus)
+                signed.subtract(minus)
+                xvec = expand_homogeneous(mul_x(table[w], i), k, table)
+                yield (xvec.coords == {z: QPoly((v,)) for z, v in signed.items() if v},
+                       f"x-action at i={i}, w={perm_str(w)}")
+
+    res.tally(f"monk / x-action against polynomial expansion (runs for n <= {MONK_CROSS_CHECK_MAX_N})",
+              monk_checks() if n <= MONK_CROSS_CHECK_MAX_N else ())
     return res
 
 
-def suite_descent_columns(n: int, degree_bound: int = 0, seed: int = 0) -> SuiteResult:
+def suite_descent_columns(n: int, degree_bound: int) -> SuiteResult:
     """rho1's Monk-read descent columns against ``descent_column_formula``;
     then every rho1 and rho2 generator is built, and with it each column's
-    shape is checked by ``generator_matrix``, which raises on a bad one."""
+    shape is checked by ``generator_matrix``, which raises on a bad one, so
+    every column it returns counts as one passed check."""
     res = SuiteResult("descent-columns")
     table = build_schubert_table(n)
-    count = 0
-    for i, w in descent_pairs(n):
-        k = length(w)
-        col = generator_matrix("rho1", i, k, table).columns[w]
-        res.check(
-            col == descent_column_formula(i, w),
-            f"closed form at i={i}, w={perm_str(w)}",
-        )
-        count += 1
-    res.lines.append(f"closed-form descent columns: {count} pairs")
-
-    structural = 0
-    for action in ("rho1", "rho2"):
-        for i in range(1, n):
-            for k in range(table.max_degree + 1):
-                structural += len(generator_matrix(action, i, k, table).basis)
-    res.lines.append(f"column support and diagonal structure: {structural} columns")
+    res.tally("closed-form descent columns", (
+        (generator_matrix("rho1", i, length(w), table).columns[w] == descent_column_formula(i, w),
+         f"closed form at i={i}, w={perm_str(w)}")
+        for i, w in descent_pairs(n)))
+    res.tally("column support and diagonal structure", (
+        (True, "")
+        for action in ("rho1", "rho2") for i in range(1, n) for k in range(table.max_degree + 1)
+        for _ in generator_matrix(action, i, k, table).basis))
     return res
 
 
-def suite_a_minus_r(n: int, degree_bound: int = 4, seed: int = 5) -> SuiteResult:
+def suite_a_minus_r(n: int, degree_bound: int) -> SuiteResult:
     res = SuiteResult("a-minus-r")
-    count = 0
-    for i in range(1, n):
-        # m = 0 input is a constant, fixed by both operators: difference 0.
-        res.check(
-            op_a(MPoly.const(n, 1), i) == op_r(MPoly.const(n, 1), i),
-            f"constant case i={i}",
-        )
-        for j in range(1, n + 1):
-            for m in range(1, A_MINUS_R_MAX_POWER + 1):
-                f = MPoly.variable(n, j) ** m
-                lhs = op_a(f, i) - op_r(f, i)
-                rhs = divided_difference(MPoly.variable(n, j) ** (m + 1), i).scale(ONE_MINUS_Q)
-                res.check(lhs == rhs, f"power identity i={i}, j={j}, m={m}")
-                count += 1
-    res.lines.append(f"difference on variable powers: {count} cases (constants checked to vanish)")
 
-    rng = random.Random(seed)
-    inputs = monomials_up_to(n, min(degree_bound, 4)) + _random_polys(n, 3, rng, count=5)
-    factored = 0
-    for f in inputs:
+    def power_checks():
         for i in range(1, n):
-            diff, witness = a_minus_r_factor(i, f)
-            res.check(
-                witness.scale(ONE_MINUS_Q) == diff,
-                f"factorization i={i} on {f}",
-            )
-            # Every input has int coefficients, so its witness has no q.
-            res.check(
-                all(c.degree <= 0 for c in witness.terms.values()),
-                f"q-free witness i={i} on {f}",
-            )
-            factored += 1
-    res.lines.append(f"symmetric (1-q)-divisible difference with witness: {factored} cases")
+            # m = 0 input is a constant, fixed by both operators: difference 0.
+            yield op_a(MPoly.const(n, 1), i) == op_r(MPoly.const(n, 1), i), f"constant case i={i}"
+            for j in range(1, n + 1):
+                for m in range(1, A_MINUS_R_MAX_POWER + 1):
+                    f = MPoly.variable(n, j) ** m
+                    rhs = divided_difference(MPoly.variable(n, j) ** (m + 1), i).scale(ONE_MINUS_Q)
+                    yield op_a(f, i) - op_r(f, i) == rhs, f"power identity i={i}, j={j}, m={m}"
+
+    def factor_checks():
+        # Both checks are Z-linear in f (the witness of a Z-combination is the
+        # same combination of witnesses), so every monomial of degree <= 3,
+        # or 4 at a larger bound, covers every int polynomial of those degrees.
+        for f in monomials_up_to(n, min(max(degree_bound, 3), 4)):
+            for i in range(1, n):
+                diff, witness = a_minus_r_factor(i, f)
+                yield witness.scale(ONE_MINUS_Q) == diff, f"factorization i={i} on {f}"
+                # Every input has int coefficients, so its witness has no q.
+                yield all(c.degree <= 0 for c in witness.terms.values()), f"q-free witness i={i} on {f}"
+
+    res.tally("difference on variable powers and constants", power_checks())
+    res.tally("symmetric (1-q)-divisible difference with q-free witness", factor_checks())
     return res
 
 
@@ -318,7 +276,7 @@ def kernel_checks(n: int, degree_bound: int):
                            f"{name} at i={i} does not fix the orbit sum of x^{e}")
 
 
-def suite_kernels(n: int, degree_bound: int = 5, seed: int = 0) -> SuiteResult:
+def suite_kernels(n: int, degree_bound: int) -> SuiteResult:
     """The fixed space of A_i and of R_i on the polynomials of degree <=
     degree_bound is exactly the i-symmetric polynomials S, over Z[q] and at
     every rational q other than -1, by the checks of ``kernel_checks``:
@@ -363,32 +321,25 @@ def symmetric_group_character(lam: Partition, mu: Partition) -> int:
     return total
 
 
-def suite_knuth(n: int, degree_bound: int = 0, seed: int = 0) -> SuiteResult:
+def suite_knuth(n: int, degree_bound: int) -> SuiteResult:
     """Coset-weight sums over each Knuth class at every mu: equal within a
     shape, and the border-strip character at q = 1."""
     res = SuiteResult("knuth")
-    classes_by_shape = knuth_classes(n)
     mus = partitions_of(n)
-    count = 0
-    for shape, classes in classes_by_shape:
-        res.check(
-            len(classes) == standard_tableaux_count(shape),
-            f"class count at shape {partition_str(shape)}",
-        )
-        for mu in mus:
-            values = [sum((coset_weight(w, mu) for w in cls), QP_ZERO) for cls in classes]
-            res.check(
-                all(v == values[0] for v in values),
-                f"class independence at shape {partition_str(shape)}, mu={partition_str(mu)}",
-            )
-            oracle = symmetric_group_character(shape, mu)
-            res.check(
-                values[0].evaluate(1) == oracle,
-                f"q=1 character at shape {partition_str(shape)}, mu={partition_str(mu)}: "
-                f"{values[0].evaluate(1)} vs {oracle}",
-            )
-            count += len(classes)
-    res.lines.append(f"knuth-class character sums: {count} values over {len(mus)} types")
+
+    def checks():
+        for shape, classes in knuth_classes(n):
+            shape_name = partition_str(shape)
+            yield len(classes) == standard_tableaux_count(shape), f"class count at shape {shape_name}"
+            for mu in mus:
+                values = [sum((coset_weight(w, mu) for w in cls), QP_ZERO) for cls in classes]
+                yield (all(v == values[0] for v in values),
+                       f"class independence at shape {shape_name}, mu={partition_str(mu)}")
+                at_one, oracle = values[0].evaluate(1), symmetric_group_character(shape, mu)
+                yield (at_one == oracle, f"q=1 character at shape {shape_name}, "
+                                         f"mu={partition_str(mu)}: {at_one} vs {oracle}")
+
+    res.tally(f"knuth-class character sums over {len(mus)} types", checks())
     return res
 
 
@@ -420,7 +371,7 @@ def character_table(
     return {(k, mu): cell for k, row in zip(degrees, rows) for mu, cell in zip(partitions_of(n), row)}
 
 
-def suite_characters(n: int, degree_bound: int = 0, seed: int = 0) -> SuiteResult:
+def suite_characters(n: int, degree_bound: int) -> SuiteResult:
     """Both traces against the combinatorial weight sum, every degree and
     type; then the trace-equivalence certificate on the same rho1 column.
 
@@ -439,32 +390,30 @@ def suite_characters(n: int, degree_bound: int = 0, seed: int = 0) -> SuiteResul
 
     For n <= ``DIRECT_CROSS_CHECK_MAX_N`` rho1's quotient traces are also
     compared with the coinvariant traces derived from its upstairs traces on
-    every monomial; above it that direct route is too slow and is skipped.
+    every monomial; above it that direct route is too slow, and its line
+    counts no checks.
     """
     res = SuiteResult("characters")
     table = character_table(n)
-    for (k, mu), values in table.items():
-        res.check(
-            len(set(values)) == 1,
-            f"k={k}, mu={partition_str(mu)}: {' / '.join(map(str, values))}",
-        )
-    res.lines.append(f"trace = trace = weight sum: {len(table)} cells")
+    res.tally("trace = trace = weight sum", (
+        (len(set(values)) == 1, f"k={k}, mu={partition_str(mu)}: {' / '.join(map(str, values))}")
+        for (k, mu), values in table.items()))
 
     top = n * (n - 1) // 2
-    derived2 = coinvariant_traces_from_graded(upstairs_class_traces(n, "rho2", top), n, top)
-    if n <= DIRECT_CROSS_CHECK_MAX_N:
-        extent = "rho1's quotient-vs-upstairs cross-check included"
-        derived1 = coinvariant_traces_from_graded(upstairs_class_traces(n, "rho1", top), n, top)
-        for (k, mu), (t, _, _) in table.items():
-            res.check(t == derived1[(mu, k)],
-                      f"quotient vs upstairs-derived rho1 trace at T_mu, mu={mu}, degree {k}: "
-                      f"{t} vs {derived1[(mu, k)]}")
-    else:
-        extent = f"rho1's quotient-vs-upstairs cross-check runs for n <= {DIRECT_CROSS_CHECK_MAX_N}"
-    res.lines.append(f"coinvariant trace pairs compared at the classes T_mu: {len(table)}; {extent}")
-    for (k, mu), (t, _, _) in table.items():
-        res.check(t == derived2[(mu, k)],
-                  f"coinvariant trace mismatch at mu={partition_str(mu)}, k={k}: {t} vs {derived2[(mu, k)]}")
+
+    def pairs(action):
+        """(k, mu, rho1's quotient trace, the coinvariant trace derived from
+        ``action``'s upstairs traces) at every cell of the table."""
+        derived = coinvariant_traces_from_graded(upstairs_class_traces(n, action, top), n, top)
+        return ((k, mu, t, derived[(mu, k)]) for (k, mu), (t, _, _) in table.items())
+
+    res.tally(f"rho1 quotient vs upstairs-derived traces at the classes T_mu "
+              f"(runs for n <= {DIRECT_CROSS_CHECK_MAX_N})", (
+        (t == d, f"quotient vs upstairs-derived rho1 trace at T_mu, mu={mu}, degree {k}: {t} vs {d}")
+        for k, mu, t, d in (pairs("rho1") if n <= DIRECT_CROSS_CHECK_MAX_N else ())))
+    res.tally("rho1 vs rho2 coinvariant traces at the classes T_mu", (
+        (t == d, f"coinvariant trace mismatch at mu={partition_str(mu)}, k={k}: {t} vs {d}")
+        for k, mu, t, d in pairs("rho2")))
     return res
 
 
@@ -480,11 +429,11 @@ SUITES = {
 }
 
 
-def run_suites(names, n: int, degree_bound: int, seed: int) -> list[SuiteResult]:
+def run_suites(names, n: int, degree_bound: int) -> list[SuiteResult]:
     """Run the named suites, each once, in the order first named; ``all``
     among the names runs every suite in ``SUITES`` order."""
     names = SUITES if "all" in names else dict.fromkeys(names)
-    return [SUITES[name](n, degree_bound=degree_bound, seed=seed) for name in names]
+    return [SUITES[name](n, degree_bound) for name in names]
 
 
 def _mahonian(n: int) -> list[int]:
@@ -499,15 +448,3 @@ def _mahonian(n: int) -> list[int]:
         coeffs = nxt
     return coeffs
 
-
-def _random_polys(n: int, degree: int, rng: random.Random, count: int) -> list[MPoly]:
-    """``count`` sums of four distinct monomials of degree <= ``degree``
-    (fewer when there are fewer), with int coefficients in [-3, 3]."""
-    monos = monomials_up_to(n, degree)
-    out = []
-    for _ in range(count):
-        f = MPoly.zero(n)
-        for mono in rng.sample(monos, k=min(4, len(monos))):
-            f = f + mono.scale(QPoly((rng.randint(-3, 3),)))
-        out.append(f)
-    return out

@@ -32,7 +32,7 @@ def test_criterion_1_main_character_identity():
     elapsed_n5 = None
     for n in (2, 3, 4, 5):
         t0 = time.monotonic()
-        result = suite_characters(n)
+        result = suite_characters(n, 4)
         if n == 5:
             elapsed_n5 = time.monotonic() - t0
         failures.extend(f"n={n}: {f}" for f in result.failures)
@@ -70,7 +70,7 @@ def test_criterion_2_hecke_relation_suites():
 def test_criterion_3_schubert_ground_truth():
     failures = []
     for n in (2, 3, 4, 5, 6):
-        result = suite_schubert_recursion(n)
+        result = suite_schubert_recursion(n, 4)
         relevant = result.failures
         if n > 5:
             # at n=6 only the graded-dimension count is part of the gate
@@ -89,7 +89,7 @@ def test_criterion_3_schubert_ground_truth():
 def test_criterion_4_descent_column_closed_form():
     failures = []
     for n in (2, 3, 4, 5, 6):
-        result = suite_descent_columns(n)
+        result = suite_descent_columns(n, 4)
         failures.extend(f"n={n}: {f}" for f in result.failures)
     report(
         4,
@@ -103,7 +103,7 @@ def test_criterion_4_descent_column_closed_form():
 def test_criterion_5_trace_equivalence():
     failures = []
     for n in (2, 3, 4, 5):
-        result = suite_characters(n)
+        result = suite_characters(n, 4)
         failures.extend(f"n={n}: {f}" for f in result.failures)
     report(
         5,
@@ -158,7 +158,7 @@ def test_criterion_6_q_one_collapse():
 def test_criterion_7_knuth_class_characters():
     failures = []
     for n in (2, 3, 4, 5):
-        result = suite_knuth(n)
+        result = suite_knuth(n, 4)
         failures.extend(f"n={n}: {f}" for f in result.failures)
     report(
         7,
@@ -172,9 +172,9 @@ def test_criterion_7_knuth_class_characters():
 def test_criterion_8_difference_identity_and_kernels():
     failures = []
     for n in (2, 3, 4):
-        result = suite_a_minus_r(n)
+        result = suite_a_minus_r(n, 4)
         failures.extend(f"n={n}: {f}" for f in result.failures)
-        result = suite_kernels(n, degree_bound=5)
+        result = suite_kernels(n, 5)
         failures.extend(f"n={n}: {f}" for f in result.failures)
     report(
         8,

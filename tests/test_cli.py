@@ -155,6 +155,7 @@ class TestVerify:
         )
         assert code == 0
         data = json.loads(out)
+        assert set(data) == {"n", "suites", "passed"}
         assert data["passed"] is True
         assert [s["name"] for s in data["suites"]] == ["knuth"]
 
@@ -184,8 +185,8 @@ class TestVerify:
         assert "verify is capped at n <= 7" in err
 
     @pytest.mark.parametrize("output, digest", [
-        ("text", "bb1920cfca8757e128e4bc39f83f2d6d8606a82e3710f4e445ab0cf5b16a7d1c"),
-        ("json", "74ce02382d2468b56b2bfcc775e43de7642522c3670ada193bfef9e21aae35fe"),
+        ("text", "522dc3762c1727fd73d24cb32c165997849e935c774ce6dbb942d0074131f0bc"),
+        ("json", "e23544fbba1b494b310c7175755daaa9c3971393c5e03a2251ffe6e5fb1ee0ab"),
     ], ids=["text", "json"])
     def test_n4_stdout_is_pinned(self, capsys, output, digest):
         # Every suite's summary lines, in suite order, byte for byte.
@@ -351,6 +352,7 @@ class TestDeterminismAndConfig:
         ("char", "--n", "2", "--seed", "3"),
         ("matrix", "--n", "2", "--action", "rho1", "--i", "1", "--k", "1", "--jobs", "2"),
         ("scan-b", "--n", "2", "--degree-bound", "2"),
+        ("verify", "--n", "2", "--seed", "3"),
     ])
     def test_flag_the_subcommand_does_not_read_is_rejected(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)

@@ -389,6 +389,18 @@ class TestAMinusR:
                 assert witness.scale(ONE_MINUS_Q) == diff
                 assert all(c.degree <= 0 for c in witness.terms.values())
 
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_witness_of_a_combination_is_the_combination_of_witnesses(self, n):
+        # Why the a-minus-r suite need factor monomials only.
+        rng = random.Random(n)
+        monos = monomials_up_to(n, 3)
+        for _ in range(4):
+            terms = [(mono, QPoly((rng.randint(-3, 3),))) for mono in rng.sample(monos, 4)]
+            combo = sum((mono.scale(c) for mono, c in terms), MPoly.zero(n))
+            for i in range(1, n):
+                witnesses = (a_minus_r_factor(i, mono)[1].scale(c) for mono, c in terms)
+                assert a_minus_r_factor(i, combo)[1] == sum(witnesses, MPoly.zero(n))
+
 
 # Each case corrupts one input or helper and calls the code that checks the
 # broken invariant; it prints the InvariantViolation message, or "no raise".

@@ -521,13 +521,14 @@ class TestSymmetricGroupCharacterOracle:
 class TestEquivalence:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_report(self, n):
-        result = suite_characters(n)
+        result = suite_characters(n, 4)
         assert result.passed, result.failures[:3]
         rows = len(partitions_of(n)) * (n * (n - 1) // 2 + 1)
         assert result.lines == [
-            f"trace = trace = weight sum: {rows} cells",
-            f"coinvariant trace pairs compared at the classes T_mu: {rows}; "
-            "rho1's quotient-vs-upstairs cross-check included"
+            f"trace = trace = weight sum: {rows} identities checked, PASS",
+            "rho1 quotient vs upstairs-derived traces at the classes T_mu (runs for n <= 4): "
+            f"{rows} identities checked, PASS",
+            f"rho1 vs rho2 coinvariant traces at the classes T_mu: {rows} identities checked, PASS",
         ]
 
     def test_identity_element_rows_are_dimensions(self):
@@ -553,7 +554,7 @@ class TestEquivalence:
             return traces
 
         monkeypatch.setattr(verify, "upstairs_class_traces", corrupted)
-        failures = suite_characters(n).failures
+        failures = suite_characters(n, 4).failures
         if action == "rho2":
             assert failures[0].startswith("coinvariant trace mismatch at mu=2+1, k=2: ")
             assert all(f.startswith("coinvariant trace mismatch") for f in failures)
@@ -567,7 +568,7 @@ class TestEquivalence:
             raise AssertionError("the report compares at the T_mu only")
 
         monkeypatch.setattr(rep, "spread_class_traces", no_spread)
-        assert suite_characters(4).passed
+        assert suite_characters(4, 4).passed
 
     def test_graded_traces_recover_weights_at_subproducts(self):
         n = 3

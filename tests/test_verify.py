@@ -5,10 +5,10 @@ from fractions import Fraction
 import pytest
 
 from helpers import _rank, dense_fixed_space_dim, diagonal_scaling_samples, monomial_exponents
-from qschub import verify
-from qschub.operators import _pairwise, _sorting_rule, op_a, op_r, op_rstar
+from qschub import operators, verify
+from qschub.operators import _R_RULE, _pairwise, _sorting_rule, op_a, op_r, op_rstar
 from qschub.perm import partitions_of, perm_str
-from qschub.polyring import MPoly, ONE_MINUS_Q, Q
+from qschub.polyring import MPoly, ONE_MINUS_Q, Q, QP_ONE
 from qschub.rep import MINUS_Q, descent_pairs
 from qschub.verify import (
     SUITES,
@@ -19,17 +19,16 @@ from qschub.verify import (
 )
 
 
+# The one form of a suite's summary line, as ``SuiteResult.tally`` writes it.
+SUMMARY_LINE = re.compile(r".+: \d+ identities checked, (PASS|FAIL \(\d+ counterexamples\))")
+
+
 @pytest.mark.parametrize("name", sorted(SUITES))
 def test_suite_passes_n3(name):
-    result = SUITES[name](3, degree_bound=3, seed=17)
+    result = SUITES[name](3, 3)
     assert result.passed, result.failures[:5]
     assert result.lines
-
-
-@pytest.mark.parametrize("name", ["a-minus-r"])
-def test_seeded_suites_pass_n4(name):
-    result = SUITES[name](4, degree_bound=3, seed=23)
-    assert result.passed, result.failures[:5]
+    assert all(SUMMARY_LINE.fullmatch(line) for line in result.lines), result.lines
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -42,13 +41,13 @@ def test_diagonal_scaling_oracle_scales_by_minus_q(n):
 
 
 def test_run_suites_all():
-    results = run_suites("all", 2, degree_bound=3, seed=17)
+    results = run_suites("all", 2, 3)
     assert [r.name for r in results] == list(SUITES)
     assert all(r.passed for r in results)
 
 
 def test_run_suites_subset():
-    results = run_suites(["knuth", "relations"], 3, degree_bound=2, seed=17)
+    results = run_suites(["knuth", "relations"], 3, 2)
     assert [r.name for r in results] == ["knuth", "relations"]
 
 
@@ -158,18 +157,27 @@ def test_tally_counts_checks_and_records_failures_after_the_prefix():
 
 
 def test_equivalence_report_line_names_the_cross_check_only_where_it_runs(monkeypatch):
-    monkeypatch.setattr(verify, "character_table", lambda n: {})
-    monkeypatch.setattr(verify, "upstairs_class_traces", lambda n, action, top: {})
-    assert verify.suite_characters(4).lines == [
-        "trace = trace = weight sum: 0 cells",
-        "coinvariant trace pairs compared at the classes T_mu: 0; "
-        "rho1's quotient-vs-upstairs cross-check included",
+    # Above the cap the rho1 cross-check's line stays, a tally over no checks
+    # whose title names the cap, and rho1's upstairs traces are not computed.
+    cell = {(0, (1,)): (QP_ONE, QP_ONE, QP_ONE)}
+    computed = []
+
+    def upstairs(n, action, top):
+        computed.append((n, action))
+        return {((1,), 0): QP_ONE}
+
+    monkeypatch.setattr(verify, "character_table", lambda n: cell)
+    monkeypatch.setattr(verify, "upstairs_class_traces", upstairs)
+    monkeypatch.setattr(verify, "coinvariant_traces_from_graded", lambda traces, n, top: traces)
+    lines = [
+        "trace = trace = weight sum: 1 identities checked, PASS",
+        "rho1 quotient vs upstairs-derived traces at the classes T_mu (runs for n <= 4): "
+        "{} identities checked, PASS",
+        "rho1 vs rho2 coinvariant traces at the classes T_mu: 1 identities checked, PASS",
     ]
-    assert verify.suite_characters(5).lines == [
-        "trace = trace = weight sum: 0 cells",
-        "coinvariant trace pairs compared at the classes T_mu: 0; "
-        "rho1's quotient-vs-upstairs cross-check runs for n <= 4",
-    ]
+    assert verify.suite_characters(4, 4).lines == [line.format(1) for line in lines]
+    assert verify.suite_characters(5, 4).lines == [line.format(0) for line in lines]
+    assert computed == [(4, "rho1"), (4, "rho2"), (5, "rho2")]
 
 
 def test_a_full_verify_run_computes_each_rho1_cell_once(monkeypatch):
@@ -187,7 +195,7 @@ def test_a_full_verify_run_computes_each_rho1_cell_once(monkeypatch):
 
     monkeypatch.setattr(rep, "graded_character", counting)
     monkeypatch.setattr(verify, "graded_character", counting)
-    results = run_suites(["all"], 4, 4, 17)
+    results = run_suites(["all"], 4, 4)
     assert all(r.passed for r in results)
     assert rho1_cells == Counter({(mu, k): 1 for mu in partitions_of(4) for k in range(7)})
 
@@ -206,3 +214,88 @@ def test_a_failing_relation_renders_its_counterexamples(monkeypatch):
         "  counterexample: Rstar: quadratic i=1 on x1",
         "  counterexample: Rstar: quadratic i=1 on x2",
     ])
+
+
+def _balanced_pairs_weighted_q_squared(genuine):
+    # R, but a balanced exponent pair is weighted q^2 instead of fixed.  The
+    # extra (q^2 - 1) x^e keeps A - R i-symmetric and divisible by 1 - q, so
+    # only the q-free witness check sees it.
+    def rule(a, b):
+        return (((a, b), Q * Q),) if a == b else _R_RULE(a, b)
+    return lambda f, i: _pairwise(f, i, rule)
+
+
+def _drop_diagonal(genuine):
+    return lambda i, w: {z: c for z, c in genuine(i, w).items() if z != w}
+
+
+def _drop_first_plus_term(genuine):
+    return lambda i, w: (genuine(i, w)[0][1:], genuine(i, w)[1])
+
+
+def _negate_shape_21(genuine):
+    return lambda lam, mu: -genuine(lam, mu) if lam == (2, 1) else genuine(lam, mu)
+
+
+def _rho2_trace_plus_one(genuine):
+    def traces(n, action, top):
+        out = genuine(n, action, top)
+        if action == "rho2":
+            out[((2, 1), 2)] = out[((2, 1), 2)] + QP_ONE
+        return out
+    return traces
+
+
+@pytest.mark.parametrize("name, module, attr, mutant, failing_line, failures", [
+    ("descent-columns", verify, "descent_column_formula", _drop_diagonal, 0, [
+        "closed form at i=1, w=2,1,3",
+        "closed form at i=1, w=3,1,2",
+        "closed form at i=1, w=3,2,1",
+        "closed form at i=2, w=1,3,2",
+        "closed form at i=2, w=2,3,1",
+        "closed form at i=2, w=3,2,1",
+    ]),
+    ("schubert-recursion", verify, "x_action_on_schubert", _drop_first_plus_term, 3, [
+        "x-action at i=1, w=1,2,3",
+        "x-action at i=1, w=1,3,2",
+        "x-action at i=1, w=2,1,3",
+        "x-action at i=1, w=2,3,1",
+        "x-action at i=2, w=1,2,3",
+        "x-action at i=2, w=2,1,3",
+        "x-action at i=2, w=3,1,2",
+    ]),
+    ("a-minus-r", operators, "op_r", _balanced_pairs_weighted_q_squared, 1, [
+        "q-free witness i=1 on 1",
+        "q-free witness i=2 on 1",
+        "q-free witness i=2 on x1",
+        "q-free witness i=1 on x3",
+        "q-free witness i=2 on x1^2",
+        "q-free witness i=1 on x1*x2",
+        "q-free witness i=2 on x2*x3",
+        "q-free witness i=1 on x3^2",
+        "q-free witness i=2 on x1^3",
+        "q-free witness i=1 on x1*x2*x3",
+        "q-free witness i=2 on x1*x2*x3",
+        "q-free witness i=1 on x3^3",
+    ]),
+    ("knuth", verify, "symmetric_group_character", _negate_shape_21, 0, [
+        "q=1 character at shape 2+1, mu=3: -1 vs 1",
+        "q=1 character at shape 2+1, mu=1+1+1: 2 vs -2",
+    ]),
+    ("characters", verify, "upstairs_class_traces", _rho2_trace_plus_one, 2, [
+        "coinvariant trace mismatch at mu=2+1, k=2: 1-q vs 2-q",
+        "coinvariant trace mismatch at mu=2+1, k=3: -q vs -1-q",
+    ]),
+], ids=["descent-columns", "schubert-recursion", "a-minus-r", "knuth", "characters"])
+def test_a_broken_dependency_fails_only_its_own_line(
+        monkeypatch, name, module, attr, mutant, failing_line, failures):
+    monkeypatch.setattr(module, attr, mutant(getattr(module, attr)))
+    try:
+        result = SUITES[name](3, 3)
+    finally:
+        # The mutant's values must not stay in the border-strip oracle's cache.
+        monkeypatch.undo()
+        verify.symmetric_group_character.cache_clear()
+    assert result.failures == failures
+    assert [j for j, line in enumerate(result.lines) if not line.endswith(", PASS")] == [failing_line]
+    assert result.lines[failing_line].endswith(f", FAIL ({len(failures)} counterexamples)")
