@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 from fractions import Fraction
 
@@ -22,31 +21,27 @@ from .verify import CHARACTER_COLUMNS, SUITES, character_table, run_suites
 
 MAX_N_TABLES = 8
 # The full char table takes about 9 to 12 s serial at n=7 (77 MB peak), the
-# rho1 and rho2 columns about 8 and 3.2 to 3.7 s of it; n=8 was not run.
+# rho1 and rho2 columns about 8 and 3.2 to 3.7 s of it; at n=8 the rho2
+# cells alone ran 134 s at a 1.31 GB peak.
 MAX_N_CHAR = 7
 MAX_N_VERIFY = 7
 MAX_N_SCAN_B = 7
-# The degree bound reaches relations, commutation, a-minus-r and kernels.  At
-# n=7 and bound 6 they took about 7 to 9, 0.9 to 1.5, 0.3 and 0.5 to 0.9 s
-# (single runs), and the whole verify about 24 s, so one cap serves every n.
-MAX_DEGREE_BOUND = 6
 
 COST_NOTE = """\
 cost guide (single runs on a shared 2-core Xeon VM): the full `char` table
 takes about 0.3 s at n=5, 0.7 to 1.2 s at n=6 (0.5 to 0.9 s with --jobs 2)
 and about 9 to 12 s at n=7 (77 MB peak; rho1 8 s, rho2 3.2 to 3.7 s, weights
 0.3 s; about 6 to 9 s with --jobs 2, no process above 66 MB); `char` is
-capped at n=7 on that time, and n=8 was not run.  One `matrix` takes under
-a second up to n=6 and about 1 s at n=7; n=8 only for `schubert`/`matrix`:
-the n=8 Schubert table (8! entries) takes about 3 s and 178 MB, a small
-`matrix` at n=8 about 3 s and `schubert --n 8` about 6 s (182 MB peak, the
-table's: its 94.5 MB of output is printed one row at a time).
+capped at n=7, since at n=8 its rho2 cells alone ran 134 s at a 1.31 GB
+peak.  One `matrix` takes under a second up to n=6 and about 1 s at n=7;
+n=8 only for `schubert`/`matrix`: the n=8 Schubert table (8! entries) takes
+about 3 s and 178 MB, a small `matrix` at n=8 about 3 s and `schubert --n 8`
+about 6 s (182 MB peak, the table's: its 94.5 MB of output is printed one
+row at a time).
 verify/scan-b accept n <= 7: `scan-b` takes about 0.4 s at n=6 and 5 s at
 n=7 (about 3 s with --jobs 2, which hands each worker whole degrees), and the full
 verify suite about 0.3 s at n=4, 0.5 s at n=5, 2 s at n=6 and 21 to 25 s at
-n=7 (98 MB peak; the characters suite 14 to 19 s of it).  verify
---degree-bound is capped at 6 for every n; at n=7 and bound 6 the full
-verify takes about 24 s, the kernels suite under 1 s of it."""
+n=7 (98 MB peak; the characters suite 14 to 19 s of it)."""
 
 
 class SystemExit2(SystemExit):
@@ -66,24 +61,11 @@ def _q_value(text: str) -> Fraction | None:
             f"--q must be 'symbolic' or a rational like 1 or -2/3, got {text!r}")
 
 
-def _int_value(text: str, what: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{what} must be an integer, got {text!r}")
-
-
-def _degree_bound(text: str) -> int:
-    value = _int_value(text, "degree bound")
-    if value < 0:
-        raise argparse.ArgumentTypeError("degree bound must be nonnegative")
-    if value > MAX_DEGREE_BOUND:
-        raise argparse.ArgumentTypeError(f"degree bound is capped at {MAX_DEGREE_BOUND}")
-    return value
-
-
 def _jobs(text: str) -> int:
-    value = _int_value(text, "jobs")
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"jobs must be an integer, got {text!r}")
     if value < 1:
         raise argparse.ArgumentTypeError("jobs must be at least 1")
     return value
@@ -93,11 +75,9 @@ def _require_n(n: int, low: int, high: int, what: str):
     if n < low:
         raise SystemExit2(f"{what} needs n >= {low}")
     if n > high:
-        estimate = math.factorial(n)
-        raise SystemExit2(
-            f"{what} is capped at n <= {high}; n={n} would mean "
-            f"{estimate} basis permutations"
-        )
+        # n! stays unevaluated: at a large n it is slow to compute and past
+        # the int-to-str digit limit.
+        raise SystemExit2(f"{what} is capped at n <= {high}; n={n} would mean {n}! basis permutations")
 
 
 def _render_value(v: QPoly, q: Fraction | None) -> str:
@@ -221,7 +201,7 @@ def cmd_matrix(args) -> int:
 
 def cmd_verify(args) -> int:
     _require_n(args.n, 2, MAX_N_VERIFY, "verify")
-    results = run_suites(args.suite or ["all"], args.n, args.degree_bound)
+    results = run_suites(args.suite or ["all"], args.n)
     all_passed = all(r.passed for r in results)
     if args.output == "json":
         print(json.dumps({
@@ -314,8 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True, help="degree of the component")
 
     p = subcommand("verify", cmd_verify, "run verification suites", outputs=("json", "text"))
-    p.add_argument("--degree-bound", type=_degree_bound, default=4,
-                   help=f"monomial degree bound for operator checks, at most {MAX_DEGREE_BOUND}")
     p.add_argument("--suite", action="append", default=None,
                    choices=tuple(SUITES) + ("all",),
                    help="suite name; repeatable; default all")

@@ -9,6 +9,7 @@ import time
 from qschub.perm import partitions_of
 from qschub.rep import bc_scan, graded_character
 from qschub.verify import (
+    KERNEL_CHECK_DEGREE,
     RELATION_FAMILIES,
     SuiteResult,
     commutation_checks,
@@ -32,7 +33,7 @@ def test_criterion_1_main_character_identity():
     elapsed_n5 = None
     for n in (2, 3, 4, 5):
         t0 = time.monotonic()
-        result = suite_characters(n, 4)
+        result = suite_characters(n)
         if n == 5:
             elapsed_n5 = time.monotonic() - t0
         failures.extend(f"n={n}: {f}" for f in result.failures)
@@ -70,7 +71,7 @@ def test_criterion_2_hecke_relation_suites():
 def test_criterion_3_schubert_ground_truth():
     failures = []
     for n in (2, 3, 4, 5, 6):
-        result = suite_schubert_recursion(n, 4)
+        result = suite_schubert_recursion(n)
         relevant = result.failures
         if n > 5:
             # at n=6 only the graded-dimension count is part of the gate
@@ -89,7 +90,7 @@ def test_criterion_3_schubert_ground_truth():
 def test_criterion_4_descent_column_closed_form():
     failures = []
     for n in (2, 3, 4, 5, 6):
-        result = suite_descent_columns(n, 4)
+        result = suite_descent_columns(n)
         failures.extend(f"n={n}: {f}" for f in result.failures)
     report(
         4,
@@ -103,7 +104,7 @@ def test_criterion_4_descent_column_closed_form():
 def test_criterion_5_trace_equivalence():
     failures = []
     for n in (2, 3, 4, 5):
-        result = suite_characters(n, 4)
+        result = suite_characters(n)
         failures.extend(f"n={n}: {f}" for f in result.failures)
     report(
         5,
@@ -158,7 +159,7 @@ def test_criterion_6_q_one_collapse():
 def test_criterion_7_knuth_class_characters():
     failures = []
     for n in (2, 3, 4, 5):
-        result = suite_knuth(n, 4)
+        result = suite_knuth(n)
         failures.extend(f"n={n}: {f}" for f in result.failures)
     report(
         7,
@@ -172,16 +173,16 @@ def test_criterion_7_knuth_class_characters():
 def test_criterion_8_difference_identity_and_kernels():
     failures = []
     for n in (2, 3, 4):
-        result = suite_a_minus_r(n, 4)
+        result = suite_a_minus_r(n)
         failures.extend(f"n={n}: {f}" for f in result.failures)
-        result = suite_kernels(n, 5)
+        result = suite_kernels(n)
         failures.extend(f"n={n}: {f}" for f in result.failures)
     report(
         8,
         not failures,
         "difference of the two actions on variable powers factors exactly "
         "through (1-q) for m <= 6, and the fixed spaces of A_i and R_i are "
-        "exactly the i-symmetric polynomials over Z[q], degree <= 5, n <= 4"
+        f"exactly the i-symmetric polynomials over Z[q], degree <= {KERNEL_CHECK_DEGREE}, n <= 4"
         + (f"; first failure: {failures[0]}" if failures else ""),
     )
 

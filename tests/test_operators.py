@@ -338,7 +338,8 @@ class TestRelationHarnesses:
             return -g if i == 2 else g
 
         monkeypatch.setattr(verify, "divided_difference", corrupted)
-        result = suite_commutation(3, 3)
+        monkeypatch.setattr(verify, "OPERATOR_CHECK_DEGREE", 3)
+        result = suite_commutation(3)
         assert not result.passed
         assert "FAIL" in result.lines[0]
         assert "braid i=1 on x1^2*x2" in result.failures
@@ -350,7 +351,8 @@ class TestRelationHarnesses:
             return divided_difference(swap_variables(f, 1) if i == 3 else f, i)
 
         monkeypatch.setattr(verify, "divided_difference", corrupted)
-        result = suite_commutation(4, 2)
+        monkeypatch.setattr(verify, "OPERATOR_CHECK_DEGREE", 2)
+        result = suite_commutation(4)
         assert not result.passed
         assert "commute (1,3) on x1*x3" in result.failures
 

@@ -521,7 +521,7 @@ class TestSymmetricGroupCharacterOracle:
 class TestEquivalence:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_report(self, n):
-        result = suite_characters(n, 4)
+        result = suite_characters(n)
         assert result.passed, result.failures[:3]
         rows = len(partitions_of(n)) * (n * (n - 1) // 2 + 1)
         assert result.lines == [
@@ -554,7 +554,7 @@ class TestEquivalence:
             return traces
 
         monkeypatch.setattr(verify, "upstairs_class_traces", corrupted)
-        failures = suite_characters(n, 4).failures
+        failures = suite_characters(n).failures
         if action == "rho2":
             assert failures[0].startswith("coinvariant trace mismatch at mu=2+1, k=2: ")
             assert all(f.startswith("coinvariant trace mismatch") for f in failures)
@@ -568,7 +568,7 @@ class TestEquivalence:
             raise AssertionError("the report compares at the T_mu only")
 
         monkeypatch.setattr(rep, "spread_class_traces", no_spread)
-        assert suite_characters(4, 4).passed
+        assert suite_characters(4).passed
 
     def test_graded_traces_recover_weights_at_subproducts(self):
         n = 3

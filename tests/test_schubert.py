@@ -460,7 +460,7 @@ class TestOracleIndependence:
                 monkeypatch.setattr(module, "x_action_on_schubert", dropped_term)
         monkeypatch.setattr(schubert, "_MONOMIAL_CLASSES", {})
 
-        assert not verify.suite_schubert_recursion(3, 4).passed
+        assert not verify.suite_schubert_recursion(3).passed
         assert {e: sweep_class(e, table) for e in exponents} == before
         assert any(monomial_class(e) != before[e] for e in exponents)
 

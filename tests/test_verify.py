@@ -25,7 +25,7 @@ SUMMARY_LINE = re.compile(r".+: \d+ identities checked, (PASS|FAIL \(\d+ counter
 
 @pytest.mark.parametrize("name", sorted(SUITES))
 def test_suite_passes_n3(name):
-    result = SUITES[name](3, 3)
+    result = SUITES[name](3)
     assert result.passed, result.failures[:5]
     assert result.lines
     assert all(SUMMARY_LINE.fullmatch(line) for line in result.lines), result.lines
@@ -41,13 +41,13 @@ def test_diagonal_scaling_oracle_scales_by_minus_q(n):
 
 
 def test_run_suites_all():
-    results = run_suites("all", 2, 3)
+    results = run_suites("all", 2)
     assert [r.name for r in results] == list(SUITES)
     assert all(r.passed for r in results)
 
 
 def test_run_suites_subset():
-    results = run_suites(["knuth", "relations"], 3, 2)
+    results = run_suites(["knuth", "relations"], 3)
     assert [r.name for r in results] == ["knuth", "relations"]
 
 
@@ -97,7 +97,8 @@ def test_a_term_leaving_its_block_fails_the_kernels_suite(monkeypatch):
         return out
 
     monkeypatch.setattr(verify, "op_r", leaky_r)
-    result = verify.suite_kernels(3, degree_bound=2)
+    monkeypatch.setattr(verify, "KERNEL_CHECK_DEGREE", 2)
+    result = verify.suite_kernels(3)
     assert result.failures == [
         "R image of x^(0, 0, 1) at i=1 leaves its block: (1, 0, 0)",
         "R image of x^(0, 0, 1) at i=1 plus q x^(0, 0, 1) is not i-symmetric",
@@ -109,7 +110,8 @@ def test_a_wrong_fixed_space_fails_the_kernels_suite(monkeypatch):
     # The identity fixes everything: every orbit sum stays fixed, but
     # x^e + q x^e is not i-symmetric wherever e_i != e_{i+1}.
     monkeypatch.setattr(verify, "op_a", lambda f, i: f)
-    result = verify.suite_kernels(3, degree_bound=2)
+    monkeypatch.setattr(verify, "KERNEL_CHECK_DEGREE", 2)
+    result = verify.suite_kernels(3)
     assert result.failures == [
         f"A image of x^{e} at i={i} plus q x^{e} is not i-symmetric"
         for i in (1, 2)
@@ -117,8 +119,8 @@ def test_a_wrong_fixed_space_fails_the_kernels_suite(monkeypatch):
         for e in sorted(monomial_exponents(3, d), reverse=True)
         if e[i - 1] != e[i]
     ]
-    assert result.lines == ["A and R fixed spaces = i-symmetric polynomials, "
-                            "over Z[q]: 108 identities checked, FAIL (12 counterexamples)"]
+    assert result.lines == ["A and R fixed spaces = i-symmetric polynomials, over Z[q], "
+                            "degree <= 2: 108 identities checked, FAIL (12 counterexamples)"]
 
 
 # R's rule with the ascent swap weighted q, as in Rstar's.
@@ -132,7 +134,8 @@ _Q_ASCENT_SWAP_RULE = _sorting_rule(Q, ONE_MINUS_Q, Q)
 ], ids=["R-with-q-on-the-ascent-swap", "R-as-Rstar", "A-as-the-identity"])
 def test_a_mutated_operator_fails_the_kernels_suite(monkeypatch, name, mutant, failures):
     monkeypatch.setattr(verify, f"op_{name.lower()}", mutant)
-    result = verify.suite_kernels(3, degree_bound=3)
+    monkeypatch.setattr(verify, "KERNEL_CHECK_DEGREE", 3)
+    result = verify.suite_kernels(3)
     assert len(result.failures) == failures
     # Every label names the operator, i and the exponent vector e.
     e = r"x\^\(\d, \d, \d\)"
@@ -175,8 +178,8 @@ def test_equivalence_report_line_names_the_cross_check_only_where_it_runs(monkey
         "{} identities checked, PASS",
         "rho1 vs rho2 coinvariant traces at the classes T_mu: 1 identities checked, PASS",
     ]
-    assert verify.suite_characters(4, 4).lines == [line.format(1) for line in lines]
-    assert verify.suite_characters(5, 4).lines == [line.format(0) for line in lines]
+    assert verify.suite_characters(4).lines == [line.format(1) for line in lines]
+    assert verify.suite_characters(5).lines == [line.format(0) for line in lines]
     assert computed == [(4, "rho1"), (4, "rho2"), (5, "rho2")]
 
 
@@ -195,25 +198,45 @@ def test_a_full_verify_run_computes_each_rho1_cell_once(monkeypatch):
 
     monkeypatch.setattr(rep, "graded_character", counting)
     monkeypatch.setattr(verify, "graded_character", counting)
-    results = run_suites(["all"], 4, 4)
+    results = run_suites(["all"], 4)
     assert all(r.passed for r in results)
     assert rho1_cells == Counter({(mu, k): 1 for mu in partitions_of(4) for k in range(7)})
 
 
 def test_a_failing_relation_renders_its_counterexamples(monkeypatch):
     monkeypatch.setitem(verify.RELATION_FAMILIES, "Rstar", lambda f, i: f.scale(Q))
-    result = verify.suite_relations(2, 1)
+    monkeypatch.setattr(verify, "OPERATOR_CHECK_DEGREE", 1)
+    result = verify.suite_relations(2)
     assert result.render() == "\n".join([
         "[FAIL] relations",
-        "  S relations: 3 identities checked, PASS",
-        "  A relations: 3 identities checked, PASS",
-        "  B relations: 3 identities checked, PASS",
-        "  R relations: 3 identities checked, PASS",
-        "  Rstar relations: 3 identities checked, FAIL (3 counterexamples)",
+        "  S relations, degree <= 1: 3 identities checked, PASS",
+        "  A relations, degree <= 1: 3 identities checked, PASS",
+        "  B relations, degree <= 1: 3 identities checked, PASS",
+        "  R relations, degree <= 1: 3 identities checked, PASS",
+        "  Rstar relations, degree <= 1: 3 identities checked, FAIL (3 counterexamples)",
         "  counterexample: Rstar: quadratic i=1 on 1",
         "  counterexample: Rstar: quadratic i=1 on x1",
         "  counterexample: Rstar: quadratic i=1 on x2",
     ])
+
+
+@pytest.mark.parametrize("name, constant, line", [
+    ("relations", "OPERATOR_CHECK_DEGREE", 0),
+    ("commutation", "OPERATOR_CHECK_DEGREE", 0),
+    ("a-minus-r", "A_MINUS_R_MAX_POWER", 0),
+    ("a-minus-r", "OPERATOR_CHECK_DEGREE", 1),
+    ("kernels", "KERNEL_CHECK_DEGREE", 0),
+])
+def test_a_fixed_reach_title_follows_its_constant(monkeypatch, name, constant, line):
+    # A report names the reach of each such section, since no flag does.
+    titles, counts = [], []
+    for reach in (1, 2):
+        monkeypatch.setattr(verify, constant, reach)
+        title, summary = SUITES[name](3).lines[line].rsplit(": ", 1)
+        titles.append(title)
+        counts.append(int(summary.split()[0]))
+    assert titles[0].endswith(" <= 1") and titles[1] == titles[0][:-1] + "2"
+    assert counts[0] < counts[1]
 
 
 def _balanced_pairs_weighted_q_squared(genuine):
@@ -290,8 +313,10 @@ def _rho2_trace_plus_one(genuine):
 def test_a_broken_dependency_fails_only_its_own_line(
         monkeypatch, name, module, attr, mutant, failing_line, failures):
     monkeypatch.setattr(module, attr, mutant(getattr(module, attr)))
+    # The a-minus-r labels above are those of the monomials of degree <= 3.
+    monkeypatch.setattr(verify, "OPERATOR_CHECK_DEGREE", 3)
     try:
-        result = SUITES[name](3, 3)
+        result = SUITES[name](3)
     finally:
         # The mutant's values must not stay in the border-strip oracle's cache.
         monkeypatch.undo()
