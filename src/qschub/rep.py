@@ -53,14 +53,18 @@ linear map for every character, so equal traces at the T_mu are equal traces
 at every T_v.  rho1's quotient traces at T_mu are its graded characters
 (the suite's rho1 column).  rho2's traces on the full polynomial
 components are computed on one exponent orbit per multiplicity type
-lam |- n, each orbit monomial pushed through the word, and weighted by the
-number of degree-d multisets of that type (``upstairs_class_traces``); its
-coinvariant traces peel the symmetric Hilbert series off them
-(``coinvariant_traces_from_graded``).  That series has constant term 1, so
-the peeling is a bijection over Z[q], and equal coinvariant traces are
-equal full-component traces.  ``spread_class_traces`` carries class traces
-to every T_v for the oracles and the benchmark; the polynomial routes and
-the left-descent recursions over every T_v are kept as test oracles only.
+lam |- n, each orbit monomial built once and pushed through every word, and
+weighted by the number of degree-d multisets of that type
+(``upstairs_class_traces``); its coinvariant traces divide the symmetric
+Hilbert series prod_{i<=n} 1/(1 - t^i) out of them by multiplying with its
+inverse, the finite product prod_{i<=n} (1 - t^i)
+(``coinvariant_traces_from_graded``).  That product has integer
+coefficients, so the division is exact over Z[q] and a bijection, and equal
+coinvariant traces are equal full-component traces.
+``spread_class_traces`` carries class traces to every T_v, one row per
+distinct class polynomial, for the oracles and the benchmark; the
+polynomial routes and the left-descent recursions over every T_v are kept
+as test oracles only.
 """
 
 from __future__ import annotations
@@ -442,16 +446,6 @@ def _ledger_rows(i: int, w: Perm, column: dict[Perm, QPoly]) -> list[tuple[int, 
     return rows
 
 
-def symmetric_hilbert_dims(n: int, up_to: int) -> list[int]:
-    """Dimensions of the symmetric-function subspaces by degree: partitions
-    into parts of size at most n."""
-    dims = [1] + [0] * up_to
-    for part in range(1, n + 1):
-        for d in range(part, up_to + 1):
-            dims[d] += dims[d - part]
-    return dims
-
-
 def orbit_type_counts(n: int, max_degree: int) -> dict[Partition, list[int]]:
     """``N(lam, d)`` for every lam |- n and d <= max_degree: the number of
     exponent multisets of degree d (partitions of d into at most n parts,
@@ -478,17 +472,30 @@ def spread_class_traces(
 ) -> dict[tuple[Perm, int], QPoly]:
     """Traces of every Hecke basis element T_v from the traces at the T_mu,
     degree by degree: ``tr(T_v) = sum_mu f_{v,mu} * tr(T_mu)`` with the class
-    polynomials of ``perm.class_polynomial``."""
+    polynomials of ``perm.class_polynomial``.
+
+    Many T_v share a class polynomial (11 of the 24 at n = 4 are distinct,
+    28 of the 120 at n = 5), so each distinct one is summed once and its row
+    of traces shared.  Rows are keyed by the polynomial's items, not by the
+    dict's identity: ``class_polynomial`` may replace a memo entry with an
+    equal new dict, and the id of a freed dict can be reused by another."""
+    rows: dict[frozenset, list[QPoly]] = {}
     out: dict[tuple[Perm, int], QPoly] = {}
     for v in all_perms(n):
         f = class_polynomial(v)
-        for d in range(max_degree + 1):
-            acc = QP_ZERO
-            for mu, c in f.items():
-                t = class_traces[(mu, d)]
-                if t:
-                    acc = acc + c * t
-            out[(v, d)] = acc
+        key = frozenset(f.items())
+        row = rows.get(key)
+        if row is None:
+            row = rows[key] = []
+            for d in range(max_degree + 1):
+                acc = QP_ZERO
+                for mu, c in f.items():
+                    t = class_traces[(mu, d)]
+                    if t:
+                        acc = acc + c * t
+                row.append(acc)
+        for d, t in enumerate(row):
+            out[(v, d)] = t
     return out
 
 
@@ -503,32 +510,33 @@ def upstairs_class_traces(n: int, action: str, max_degree: int) -> dict[tuple[Pa
     ``sum_lam N(lam, d) * tr(T_mu | M^lam)`` (``orbit_type_counts``), with
     ``tr(T_mu | M^lam)`` computed on one orbit per type (``orbit_of_type``).
     rho1 multiplies by variables and has no such reduction; it pushes every
-    monomial of each degree through the word.
+    monomial of each degree through the word.  Either way each monomial,
+    with its exponent vector, is built once and pushed through every word.
     """
     if action == "rho1":
-        by_degree: list[list[tuple[int, ...]]] = [[] for _ in range(max_degree + 1)]
+        by_degree: list[list[tuple[tuple[int, ...], MPoly]]] = [[] for _ in range(max_degree + 1)]
         for f in monomials_up_to(n, max_degree):
             e = next(iter(f.terms))
-            by_degree[sum(e)].append(e)
+            by_degree[sum(e)].append((e, f))
         blocks = [
-            (exponents, [int(d == degree) for d in range(max_degree + 1)])
-            for degree, exponents in enumerate(by_degree)
+            (seeds, [int(d == degree) for d in range(max_degree + 1)])
+            for degree, seeds in enumerate(by_degree)
         ]
     else:
         blocks = [
-            (orbit_of_type(lam), weights)
+            ([(e, MPoly.monomial(n, e)) for e in orbit_of_type(lam)], weights)
             for lam, weights in orbit_type_counts(n, max_degree).items()
             if any(weights)
         ]
+    words = [(mu, partition_word(mu)) for mu in partitions_of(n)]
     traces: dict[tuple[Partition, int], QPoly] = {
-        (mu, d): QP_ZERO for mu in partitions_of(n) for d in range(max_degree + 1)
+        (mu, d): QP_ZERO for mu, _ in words for d in range(max_degree + 1)
     }
-    for exponents, weights in blocks:
-        for mu in partitions_of(n):
-            word = partition_word(mu)
+    for seeds, weights in blocks:
+        for mu, word in words:
             t = QP_ZERO
-            for e in exponents:
-                c = apply_action_word(action, word, MPoly.monomial(n, e)).terms.get(e)
+            for e, f in seeds:
+                c = apply_action_word(action, word, f).terms.get(e)
                 if c:
                     t = t + c
             if t:
@@ -552,18 +560,40 @@ def upstairs_graded_traces(n: int, action: str, max_degree: int) -> dict[tuple[P
 def coinvariant_traces_from_graded(
     graded: dict[tuple, QPoly], n: int, max_degree: int
 ) -> dict[tuple, QPoly]:
-    """Coinvariant-component traces from full-component traces: peel off the
-    symmetric-series multiples degree by degree.  The traces may be keyed by
-    basis element or by class, ``(x, degree)``."""
-    dims = symmetric_hilbert_dims(n, max_degree)
+    """Coinvariant-component traces from full-component traces: the symmetric
+    Hilbert series prod_{i<=n} 1/(1 - t^i) divided out of each trace series
+    by multiplying with its inverse, the finite product prod_{i<=n} (1 - t^i)
+    truncated at ``max_degree`` (``symmetric_series_inverse``).  That product
+    has integer coefficients, so the division is exact over Z[q], and
+    degree k needs only the inverse's nonzero coefficients up to k.  The
+    traces may be keyed by basis element or by class, ``(x, degree)``."""
+    # The constant term is 1: each trace starts from its own input.
+    terms = [(j, c) for j, c in enumerate(symmetric_series_inverse(n, max_degree)) if j and c]
     out: dict[tuple, QPoly] = {}
     for x in dict.fromkeys(x for x, _ in graded):
         for k in range(max_degree + 1):
             acc = graded[(x, k)]
-            for j in range(1, k + 1):
-                if dims[j]:
-                    acc = acc - out[(x, k - j)] * dims[j]
+            for j, c in terms:
+                if j > k:
+                    break
+                t = graded[(x, k - j)]
+                if t:
+                    acc = acc - t if c == -1 else acc + t * c
             out[(x, k)] = acc
+    return out
+
+
+def symmetric_series_inverse(n: int, up_to: int) -> list[int]:
+    """Coefficients of t^0 .. t^up_to in prod_{i<=n} (1 - t^i), the inverse
+    of the symmetric Hilbert series prod_{i<=n} 1/(1 - t^i).
+
+    >>> symmetric_series_inverse(4, 6)
+    [1, -1, -1, 0, 0, 2, 0]
+    """
+    out = [1] + [0] * up_to
+    for part in range(1, n + 1):
+        for d in range(up_to, part - 1, -1):
+            out[d] -= out[d - part]
     return out
 
 

@@ -396,11 +396,13 @@ def suite_characters(n: int) -> SuiteResult:
 
     Nothing more needs comparing.  The traces at the T_mu fix those at every
     T_v through one linear map, the class polynomials, applied to both sides
-    alike.  The symmetric Hilbert series has constant term 1, so its
-    convolution and the deconvolution of ``rep.coinvariant_traces_from_graded``
-    are inverse bijections over Z[q]: rho1's full-component traces, its
-    quotient traces convolved with the series by ideal invariance, equal
-    rho2's exactly when every pair agrees.
+    alike.  ``rep.coinvariant_traces_from_graded`` divides the symmetric
+    Hilbert series prod_{i<=n} 1/(1 - t^i) out by multiplying with
+    prod_{i<=n} (1 - t^i), its inverse, which has integer coefficients; so
+    the division and the convolution with the series are inverse bijections
+    over Z[q]: rho1's full-component traces, its quotient traces convolved
+    with the series by ideal invariance, equal rho2's exactly when every
+    pair agrees.
 
     For n <= ``DIRECT_CROSS_CHECK_MAX_N`` rho1's quotient traces are also
     compared with the coinvariant traces derived from its upstairs traces on

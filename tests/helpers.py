@@ -7,8 +7,10 @@ left descents -- on polynomials and on the generator matrices or exponent
 orbits -- that the library's traces at the T_mu, spread by class
 polynomials, are compared against; the graded characters and the diagonal
 scaling at descents by the polynomial route; the coset decomposition and
-valley weights whose product is the oracle of ``perm.coset_weight``; and a
-stand-in process pool that records its size."""
+valley weights whose product is the oracle of ``perm.coset_weight``; the
+symmetric Hilbert dimensions, whose convolution undoes the coinvariant
+deconvolution, and the class-polynomial spread summed afresh for every T_v;
+and a stand-in process pool that records its size."""
 
 from __future__ import annotations
 
@@ -26,6 +28,7 @@ from qschub.perm import (
     all_perms,
     canonical_reduced_word,
     check_partition,
+    class_polynomial,
     has_left_descent,
     identity,
     mult_left_s,
@@ -496,6 +499,35 @@ def upstairs_class_traces_oracle(n: int, max_degree: int) -> dict[tuple[Partitio
                     acc = acc + modules[lam] * per_degree[d]
             traces[(mu, d)] = acc
     return traces
+
+
+def symmetric_hilbert_dims(n: int, up_to: int) -> list[int]:
+    """Dimensions of the symmetric-function subspaces by degree: partitions
+    into parts of size at most n.  Convolving the output of
+    ``rep.coinvariant_traces_from_graded`` with them gives back its input."""
+    dims = [1] + [0] * up_to
+    for part in range(1, n + 1):
+        for d in range(part, up_to + 1):
+            dims[d] += dims[d - part]
+    return dims
+
+
+def spread_class_traces_oracle(
+    class_traces: dict[tuple[Partition, int], QPoly], n: int, max_degree: int
+) -> dict[tuple[Perm, int], QPoly]:
+    """``rep.spread_class_traces`` summed afresh for every T_v and degree:
+    ``tr(T_v) = sum_mu f_{v,mu} * tr(T_mu)``, no row shared."""
+    out: dict[tuple[Perm, int], QPoly] = {}
+    for v in all_perms(n):
+        f = class_polynomial(v)
+        for d in range(max_degree + 1):
+            acc = QP_ZERO
+            for mu, c in f.items():
+                t = class_traces[(mu, d)]
+                if t:
+                    acc = acc + c * t
+            out[(v, d)] = acc
+    return out
 
 
 def record_pool_sizes(monkeypatch, cpus) -> list[int]:

@@ -17,11 +17,13 @@ from helpers import (
     quotient_basis_traces_oracle,
     quotient_traces_by_descent_steps,
     record_pool_sizes,
+    spread_class_traces_oracle,
+    symmetric_hilbert_dims,
     upstairs_class_traces_oracle,
     upstairs_graded_traces_oracle,
     upstairs_traces_by_descent_steps,
 )
-from qschub import rep, verify
+from qschub import perm, rep, verify
 from qschub.operators import InvariantViolation, monomials_up_to
 from qschub.perm import (
     all_perms,
@@ -50,7 +52,7 @@ from qschub.rep import (
     orbit_type_counts,
     quotient_basis_traces,
     quotient_class_traces,
-    symmetric_hilbert_dims,
+    spread_class_traces,
     upstairs_class_traces,
     upstairs_graded_traces,
     weight_character,
@@ -60,6 +62,13 @@ from qschub.schubert import build_schubert_table
 from qschub.verify import suite_characters, symmetric_group_character
 
 MINUS_Q = QPoly((0, -1))
+
+
+def random_traces(rng: random.Random, keys, max_degree: int) -> dict:
+    """A random element of Z[q], zero about a fifth of the time, at every
+    (key, degree) up to max_degree."""
+    return {(x, d): QPoly([rng.randint(-5, 5) for _ in range(rng.randint(0, 4))])
+            for x in keys for d in range(max_degree + 1)}
 
 
 class TestGeneratorMatrix:
@@ -583,6 +592,36 @@ class TestEquivalence:
         # partitions into parts of size <= n
         assert symmetric_hilbert_dims(3, 6) == [1, 1, 2, 3, 4, 5, 7]
         assert symmetric_hilbert_dims(2, 4) == [1, 1, 2, 2, 3]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+    def test_deconvolution_is_undone_by_the_hilbert_dims(self, n):
+        # Convolving the coinvariant traces with the symmetric Hilbert
+        # dimensions gives back the random Z[q] traces they came from, keyed
+        # by class and by a sample of permutations.
+        rng = random.Random(40 + n)
+        top = n * (n - 1) // 2
+        perms = rng.sample(all_perms(n), min(6, math.factorial(n)))
+        for max_degree in sorted({0, n - 1, top, top + 2}):
+            dims = symmetric_hilbert_dims(n, max_degree)
+            for keys in (partitions_of(n), perms):
+                graded = random_traces(rng, keys, max_degree)
+                out = coinvariant_traces_from_graded(graded, n, max_degree)
+                assert set(out) == set(graded)
+                for (x, k), t in graded.items():
+                    back = QP_ZERO
+                    for j in range(k + 1):
+                        back = back + out[(x, k - j)] * dims[j]
+                    assert back == t, (x, k, max_degree)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_spread_matches_the_per_element_oracle(self, n, monkeypatch):
+        # One row per distinct class polynomial against the sum for every
+        # T_v.  The memo starts empty, as in a fresh process: filling it
+        # replaces entries with equal new dicts, so at n = 5 rows keyed by
+        # a dict's id would pick up another polynomial's row.
+        monkeypatch.setattr(perm, "_CLASS_POLYNOMIALS", {})
+        traces = random_traces(random.Random(60 + n), partitions_of(n), 3)
+        assert spread_class_traces(traces, n, 3) == spread_class_traces_oracle(traces, n, 3)
 
     def test_quotient_traces_match_basis_element_matrices(self):
         n = 3
