@@ -20,9 +20,9 @@ from .schubert import build_schubert_table, schubert_table_rows
 from .verify import CHARACTER_COLUMNS, SUITES, character_table, run_suites
 
 MAX_N_TABLES = 8
-# The full char table takes about 9 to 12 s serial at n=7 (77 MB peak), the
-# rho1 and rho2 columns about 8 and 3.2 to 3.7 s of it; at n=8 the rho2
-# cells alone ran 134 s at a 1.31 GB peak.
+# The full char table takes about 7 to 8.5 s serial at n=7 (74 MB peak), the
+# rho1 and rho2 columns about 5 to 6.5 and 3.2 to 3.7 s of it; at n=8 the
+# rho2 cells alone ran 134 s at a 1.31 GB peak.
 MAX_N_CHAR = 7
 MAX_N_VERIFY = 7
 MAX_N_SCAN_B = 7
@@ -30,8 +30,9 @@ MAX_N_SCAN_B = 7
 COST_NOTE = """\
 cost guide (single runs on a shared 2-core Xeon VM): the full `char` table
 takes about 0.3 s at n=5, 0.7 to 1.2 s at n=6 (0.5 to 0.9 s with --jobs 2)
-and about 9 to 12 s at n=7 (77 MB peak; rho1 8 s, rho2 3.2 to 3.7 s, weights
-0.3 s; about 6 to 9 s with --jobs 2, no process above 66 MB); `char` is
+and about 7 to 8.5 s at n=7 (74 MB peak; rho1 5 to 6.5 s, rho2 3.2 to 3.7 s,
+weights 0.3 s; about 4.5 to 5 s with --jobs 2, which hands each worker dual
+pairs of degrees {k, top - k}, no process above 61 MB); `char` is
 capped at n=7, since at n=8 its rho2 cells alone ran 134 s at a 1.31 GB
 peak.  One `matrix` takes under a second up to n=6 and about 1 s at n=7;
 n=8 only for `schubert`/`matrix`: the n=8 Schubert table (8! entries) takes
@@ -40,8 +41,9 @@ about 6 s (182 MB peak, the table's: its 94.5 MB of output is printed one
 row at a time).
 verify/scan-b accept n <= 7: `scan-b` takes about 0.4 s at n=6 and 5 s at
 n=7 (about 3 s with --jobs 2, which hands each worker whole degrees), and the full
-verify suite about 0.3 s at n=4, 0.5 s at n=5, 2 s at n=6 and 21 to 25 s at
-n=7 (98 MB peak; the characters suite 14 to 19 s of it)."""
+verify suite about 0.3 s at n=4, 0.5 s at n=5, 2 s at n=6 and 16 to 18 s at
+n=7 (99 MB peak; the characters suite 10.5 to 11 s of it, descent-columns
+7.5 to 10 s)."""
 
 
 class SystemExit2(SystemExit):

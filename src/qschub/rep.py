@@ -24,8 +24,9 @@ Schubert coordinates come from ``schubert.monomial_class``: the class of
 each monomial in the quotient is built once by Monk's rule and memoized, and
 a polynomial's coordinates are its coefficients times those integer classes,
 summed over all its terms: a class holds only permutations of its monomial's
-degree, so no term needs a degree filter.  Generator and word matrices
-read every column on ints (``_read_column``): the Schubert polynomial, whose
+degree, so no term needs a degree filter.  Word matrices, and the generator
+matrices of rho2 and of rho1 and symq1 at degree k with 2k <= top, read
+every column on ints (``_read_column``): the Schubert polynomial, whose
 coefficients are integers, is pushed through the word at q = 2^B, a ring map
 Z[q] -> Z (Kronecker substitution; Harvey, *J. Symbolic Comput.* 44, 2009),
 its packed coordinates are summed by ``schubert.packed_class_sum``, and each
@@ -40,6 +41,21 @@ cell's packed sum is decoded once.  No trace in ``graded_character`` runs
 on Z[q] arithmetic; the polynomial route is the tests' oracle.  The
 divided-difference sweep ``expand_homogeneous`` stays in ``schubert`` as the
 independent oracle for the Monk classes.
+
+Above the middle degree rho1's and symq1's generator matrices are not read
+but derived, by Poincaré duality (``generator_matrix``, ``_dual_matrix``).
+The coinvariant algebra carries the pairing <f, g> = d_{w0}(f g), under
+which the divided difference d_i and x_i are self-adjoint and s_i is
+anti-self-adjoint, since d_{w0} s_i = -d_{w0}.  A_i = d_i x_i - q x_i d_i
+equals (1 - q) x_i d_i + s_i, so its adjoint is (1 - q)(x_i d_i + s_i) - s_i
+= -q A_i at 1/q, and s_i's is -s_i.  The Schubert basis is self-dual,
+d_{w0}(S_u S_v) = 1 if v = w0 u and 0 otherwise (Macdonald, *Notes on
+Schubert Polynomials*, 1991).  So the matrix at degree top - k is the
+transpose of the one at k, reindexed by w -> w0 w and twisted by
+c -> -q c(1/q) for rho1 and c -> -c for symq1.  rho2 has no such adjoint:
+R_i moves ideal elements off the ideal, so it does not act on the quotient
+alone, and the transpose form fails on 4890 entries at n = 6; its matrices
+are read at every degree.
 
 The trace-equivalence certificate (in ``verify``'s ``characters`` suite,
 from the parts below) compares the two actions once, in the coinvariant
@@ -152,30 +168,82 @@ _GEN_CACHE: dict[tuple[int, str, int, int], RepMatrix] = {}
 
 def generator_matrix(action: str, i: int, k: int, table: SchubertTable) -> RepMatrix:
     """Matrix of the i-th generator of the given action on the degree-k
-    component, in the Schubert basis: ``word_matrix`` of the one-letter word
-    (i,), cached.
+    component, in the Schubert basis, cached.
 
-    For the two deformed actions every column is checked by
-    ``_check_column_shape`` before the matrix is cached, and a matrix that
-    fails is not cached: an ascent column (w[i-1] < w[i]) is the unit column;
-    a descent column holds -q at w, and each of its other entries sits at a
-    class z with an ascent at i (z[i-1] < z[i]).
+    rho2, and rho1 and symq1 at 2k <= top, are read as ``word_matrix`` of
+    the one-letter word (i,).  rho1 and symq1 at 2k > top are the dual of
+    the degree top - k matrix (``_dual_matrix``), which is read first if it
+    is not cached.  Under the pairing <f, g> = d_{w0}(f g) of the
+    coinvariant algebra, d_i and x_i are self-adjoint and s_i is
+    anti-self-adjoint (d_{w0} s_i = -d_{w0}); so A_i = (1 - q) x_i d_i + s_i
+    has the adjoint (1 - q) x_i d_i - q s_i, which is -q A_i at 1/q.  The
+    Schubert basis is self-dual, <S_u, S_v> = 1 if v = w0 u and 0 otherwise,
+    so one degree's matrix is the other's transpose, reindexed by w -> w0 w
+    and twisted (module docstring).  R_i has no such adjoint (the transpose
+    form fails on 4890 entries at n = 6), so rho2 is read at every degree.
+
+    For the two deformed actions every column, derived ones included, is
+    checked by ``_check_column_shape`` before the matrix is cached, and a
+    failure caches neither degree: an ascent column (w[i-1] < w[i]) is the
+    unit column; a descent column holds -q at w, and each of its other
+    entries sits at a class z with an ascent at i (z[i-1] < z[i]).
     """
     if action not in ACTIONS:
         raise ValueError(f"unknown action {action!r}")
     n = table.n
     if not 1 <= i < n:
         raise ValueError(f"generator index {i} out of range for n={n}")
-    key = (n, action, i, k)
-    cached = _GEN_CACHE.get(key)
+    cached = _GEN_CACHE.get((n, action, i, k))
     if cached is not None:
         return cached
-    out = word_matrix(action, (i,), k, table)
+    top = table.max_degree
+    if action == "rho2" or 2 * k <= top:
+        built = {k: word_matrix(action, (i,), k, table)}
+    else:
+        built = {}
+        source = _GEN_CACHE.get((n, action, i, top - k))
+        if source is None:
+            source = built[top - k] = word_matrix(action, (i,), top - k, table)
+        built[k] = _dual_matrix(source, i, table)
     if action != "symq1":
-        for w, col in out.columns.items():
-            _check_column_shape(i, w, col)
-    _GEN_CACHE[key] = out
-    return out
+        for out in built.values():
+            for w, col in out.columns.items():
+                _check_column_shape(i, w, col)
+    for d, out in built.items():
+        _GEN_CACHE[(n, action, i, d)] = out
+    return built[k]
+
+
+def _dual_matrix(source: RepMatrix, i: int, table: SchubertTable) -> RepMatrix:
+    """The i-th generator's matrix at degree top - source.k from its matrix
+    ``source`` at degree source.k, for rho1 or symq1 (``generator_matrix``):
+    column w0 z holds, at w0 w, the twisted entry of column w at z of the
+    source, w0 w being w with each value v replaced by n + 1 - v.
+
+    The twist is -c for symq1 and -q c(1/q) for rho1, whose entries have
+    q-degree at most 1 by the closed form (``descent_column_formula``); an
+    entry of another degree raises ``InvariantViolation``.
+    """
+    n = table.n
+    w0 = {w: tuple(n + 1 - v for v in w) for w in source.basis}
+    basis = table.basis(table.max_degree - source.k)
+    columns: dict[Perm, dict[Perm, QPoly]] = {w: {} for w in basis}
+    twisted: dict[QPoly, QPoly] = {}
+    for w, col in source.columns.items():
+        for z, c in col.items():
+            t = twisted.get(c)
+            if t is None:
+                if source.action == "symq1":
+                    t = -c
+                elif c.degree > 1:
+                    raise InvariantViolation(
+                        f"rho1 entry at i={i}, w={w}, z={z} has q-degree {c.degree} > 1: no dual")
+                else:
+                    a0, a1 = c.c + (0,) * (2 - len(c.c))
+                    t = QPoly((-a1, -a0))
+                twisted[c] = t
+            columns[w0[z]][w0[w]] = t
+    return RepMatrix(source.action, table.max_degree - source.k, basis, columns)
 
 
 def _check_column_shape(i: int, w: Perm, col: dict[Perm, QPoly]):

@@ -214,10 +214,13 @@ def suite_schubert_recursion(n: int) -> SuiteResult:
 
 
 def suite_descent_columns(n: int) -> SuiteResult:
-    """rho1's Monk-read descent columns against ``descent_column_formula``;
-    then every rho1 and rho2 generator is built, and with it each column's
-    shape is checked by ``generator_matrix``, which raises on a bad one, so
-    every column it returns counts as one passed check."""
+    """rho1's descent columns against ``descent_column_formula``, one by
+    one: those of degree k with 2k <= top are Monk-read, those with
+    2k > top dual-derived from them (``rep.generator_matrix``), so the
+    formula checks both routes.  Then every rho1 and rho2 generator is
+    built, and with it each column's shape is checked by
+    ``generator_matrix``, which raises on a bad one, so every column it
+    returns counts as one passed check."""
     res = SuiteResult("descent-columns")
     table = build_schubert_table(n)
     res.tally("closed-form descent columns", (
@@ -372,17 +375,30 @@ def _character_degree(args) -> list[tuple[QPoly, ...]]:
     ]
 
 
+def _character_pair(args) -> list[list[tuple[QPoly, ...]]]:
+    n, columns, degrees = args
+    return [_character_degree((n, columns, k)) for k in degrees]
+
+
 def character_table(
     n: int, columns=CHARACTER_COLUMNS, jobs: int = 1
 ) -> dict[tuple[int, Partition], tuple[QPoly, ...]]:
     """The requested character columns (any of ``CHARACTER_COLUMNS``: the
     two actions' graded characters and the weight sum) at every degree k and
-    type mu, keyed ``(k, mu)`` in that order, one value per column.  Each
-    degree is one job for ``parallel_map``, so a worker builds the generator
-    matrices of only the degrees it is given."""
-    degrees = range(n * (n - 1) // 2 + 1)
-    rows = parallel_map(_character_degree, [(n, columns, k) for k in degrees], jobs)
-    return {(k, mu): cell for k, row in zip(degrees, rows) for mu, cell in zip(partitions_of(n), row)}
+    type mu, keyed ``(k, mu)`` in that order, one value per column.
+
+    Each dual pair of degrees {k, top - k} is one job for ``parallel_map``,
+    so a worker builds the generator matrices of only the degrees it is
+    given, and the rho1 matrices of degree top - k are the duals of those of
+    degree k that it has just built (``rep.generator_matrix``).  The pairs
+    are handed out from the middle degree down, largest first, and the rows
+    are put back in degree order."""
+    top = n * (n - 1) // 2
+    pairs = [(k,) if 2 * k == top else (k, top - k) for k in range(top // 2, -1, -1)]
+    rows = {}
+    for pair, part in zip(pairs, parallel_map(_character_pair, [(n, columns, p) for p in pairs], jobs)):
+        rows.update(zip(pair, part))
+    return {(k, mu): cell for k in range(top + 1) for mu, cell in zip(partitions_of(n), rows[k])}
 
 
 def suite_characters(n: int) -> SuiteResult:

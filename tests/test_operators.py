@@ -411,7 +411,7 @@ import contextlib
 import sys
 from unittest import mock
 from qschub import operators, rep, schubert
-from qschub.polyring import MPoly, QP_ONE
+from qschub.polyring import MPoly, QP_ONE, QPoly
 
 def raises(call, *patch):
     with mock.patch.object(*patch) if patch else contextlib.nullcontext():
@@ -423,6 +423,10 @@ def raises(call, *patch):
 
 zero = lambda f, i: MPoly.zero(f.n)
 stair = schubert.staircase_monomial
+read = rep._read_column
+# Every off-diagonal entry of a column read becomes q^2: the shape still holds.
+q_squared = lambda action, word, w, k, table: {
+    z: c if z == w else QPoly.q_power(2) for z, c in read(action, word, w, k, table).items()}
 print(sys.flags.optimize)
 print(*[
     raises(lambda: operators.a_minus_r_factor(1, MPoly.variable(2, 1)), operators, "op_r", zero),
@@ -447,6 +451,8 @@ print(*[
            schubert, "_coordinate_bound", lambda f, k: 0),
     raises(lambda: rep.generator_matrix("rho1", 1, 1, schubert.build_schubert_table(3)),
            rep, "_letter_mass", lambda action, k: 0),
+    raises(lambda: rep.generator_matrix("rho1", 1, 2, schubert.build_schubert_table(3)),
+           rep, "_read_column", q_squared),
     raises(lambda: rep.graded_character("rho1", (2, 1), 1, 3), rep.RepMatrix, "norm", 0),
     raises(lambda: rep.graded_character("rho2", (2, 1), 1, 3),
            rep, "_letter_mass", lambda action, k: 0),
@@ -476,6 +482,7 @@ class TestInvariantChecks:
             "exponent (0, 2, 0) off the staircase at (2, 3, 1)",
             "packed coordinate at (2, 1, 3) does not decode within the bound",
             "packed coordinate at (1, 3, 2) does not decode within the bound",
+            "rho1 entry at i=1, w=(2, 1, 3), z=(1, 3, 2) has q-degree 2 > 1: no dual",
             "packed rho1 trace at mu=(2, 1), degree 1 does not decode within the bound",
             "packed rho2 trace at mu=(2, 1), degree 1 does not decode within the bound",
         ]

@@ -64,6 +64,20 @@ from qschub.verify import suite_characters, symmetric_group_character
 MINUS_Q = QPoly((0, -1))
 
 
+def record_word_matrix_reads(monkeypatch) -> list[tuple[str, int]]:
+    """Make every ``rep.word_matrix`` call append its (action, k) to the
+    returned list, then read the matrix as before."""
+    reads = []
+    genuine = rep.word_matrix
+
+    def word_matrix_(action, word, k, table):
+        reads.append((action, k))
+        return genuine(action, word, k, table)
+
+    monkeypatch.setattr(rep, "word_matrix", word_matrix_)
+    return reads
+
+
 def random_traces(rng: random.Random, keys, max_degree: int) -> dict:
     """A random element of Z[q], zero about a fifth of the time, at every
     (key, degree) up to max_degree."""
@@ -130,16 +144,17 @@ class TestGeneratorMatrix:
             generator_matrix("rho3", 1, 1, build_schubert_table(2))
 
     @staticmethod
-    def _read_column_with_stray_entry(monkeypatch, action, i, w, z):
+    def _read_column_with_stray_entry(monkeypatch, action, i, w, z, c=QP_ONE):
         """Empty the generator cache and make the column read of S_w under
-        the i-th generator return one extra entry 1 at z."""
+        the i-th generator return one extra entry c at z, or, when c is not
+        1, c in place of its entry at z."""
         genuine = rep._read_column
 
         def read(action_, word, v, k, table):
             col = genuine(action_, word, v, k, table)
             if (action_, word, v) == (action, (i,), w):
-                assert z not in col
-                col = {**col, z: QP_ONE}
+                assert (z in col) == (c != QP_ONE)
+                col = {**col, z: c}
             return col
 
         monkeypatch.setattr(rep, "_GEN_CACHE", {})
@@ -159,6 +174,52 @@ class TestGeneratorMatrix:
                            match=r"^descent column at i=1, w=\(2, 1, 4, 3\) has an entry "
                                  r"at \(3, 1, 2, 4\), a descent at 1$"):
             generator_matrix("rho2", 1, 2, build_schubert_table(4))
+        assert rep._GEN_CACHE == {}
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_dual_degrees_match_the_monk_read(self, monkeypatch, n):
+        monkeypatch.setattr(rep, "_GEN_CACHE", {})
+        table = build_schubert_table(n)
+        for action in ("rho1", "symq1"):
+            for i in range(1, n):
+                for k in range(table.max_degree + 1):
+                    assert generator_matrix(action, i, k, table).entries == \
+                        word_matrix(action, (i,), k, table).entries, (action, i, k)
+
+    def test_a_cold_dual_request_reads_and_caches_both_degrees(self, monkeypatch):
+        table = build_schubert_table(5)
+        reads = record_word_matrix_reads(monkeypatch)
+        for action in ("rho1", "symq1"):
+            monkeypatch.setattr(rep, "_GEN_CACHE", {})
+            reads.clear()
+            dual_first = generator_matrix(action, 2, 7, table)
+            assert reads == [(action, 3)]
+            assert set(rep._GEN_CACHE) == {(5, action, 2, 3), (5, action, 2, 7)}
+            source = generator_matrix(action, 2, 3, table)
+            assert reads == [(action, 3)]
+            monkeypatch.setattr(rep, "_GEN_CACHE", {})
+            assert generator_matrix(action, 2, 3, table).entries == source.entries
+            assert generator_matrix(action, 2, 7, table).entries == dual_first.entries
+            assert reads == [(action, 3), (action, 3)]
+        monkeypatch.setattr(rep, "_GEN_CACHE", {})
+        reads.clear()
+        generator_matrix("rho2", 2, 7, table)
+        assert reads == [("rho2", 7)]
+
+    def test_stray_entry_in_a_source_column_fails_the_dual_build(self, monkeypatch):
+        self._read_column_with_stray_entry(monkeypatch, "rho1", 1, (1, 3, 2), (2, 1, 3))
+        with pytest.raises(InvariantViolation,
+                           match=r"^ascent column at i=1, w=\(1, 3, 2\) is not a unit column$"):
+            generator_matrix("rho1", 1, 2, build_schubert_table(3))
+        assert rep._GEN_CACHE == {}
+
+    def test_a_source_entry_of_q_degree_two_has_no_dual(self, monkeypatch):
+        self._read_column_with_stray_entry(monkeypatch, "rho1", 1, (2, 1, 3), (1, 3, 2),
+                                           QPoly.q_power(2))
+        with pytest.raises(InvariantViolation,
+                           match=r"^rho1 entry at i=1, w=\(2, 1, 3\), z=\(1, 3, 2\) "
+                                 r"has q-degree 2 > 1: no dual$"):
+            generator_matrix("rho1", 1, 2, build_schubert_table(3))
         assert rep._GEN_CACHE == {}
 
 
@@ -876,15 +937,15 @@ class TestWorkerCount:
         sizes = record_pool_sizes(monkeypatch, cpus=3)
         monkeypatch.setattr(rep, "_GEN_CACHE", {})
         assert bc_scan(4, jobs=1000) == serial  # 7 degrees
-        cells = verify.character_table(3, jobs=1000)  # 4 degrees
+        cells = verify.character_table(4, jobs=1000)  # 4 dual pairs of degrees
         assert all(len(set(values)) == 1 for values in cells.values())
         monkeypatch.setattr("os.cpu_count", lambda: 64)
         assert bc_scan(4, jobs=1000) == serial
-        verify.character_table(3, jobs=1000)
+        verify.character_table(4, jobs=1000)
         assert rep.parallel_map(abs, [-2, 1, -3], jobs=2) == [2, 1, 3]
         monkeypatch.setattr("os.cpu_count", lambda: None)
         assert bc_scan(4, jobs=1000) == serial  # one worker: no pool
-        verify.character_table(3, jobs=1000)
+        verify.character_table(4, jobs=1000)
         assert sizes == [3, 3, 7, 4, 2]
 
     def test_a_degree_job_builds_only_its_degree(self, monkeypatch):
@@ -899,6 +960,34 @@ class TestWorkerCount:
         part = rep._bc_degree((4, 2))
         assert set(part) == {(i, w) for i, w in descent_pairs(4) if length(w) == 2}
         assert set(rep._GEN_CACHE) == {(4, "rho2", i, 2) for i in range(1, 4)}
+
+    def test_a_dual_pair_job_reads_rho1_at_its_lower_degree_only(self, monkeypatch):
+        from qschub import rep, verify
+
+        monkeypatch.setattr(rep, "_GEN_CACHE", {})
+        reads = record_word_matrix_reads(monkeypatch)
+        rows = verify._character_pair((4, verify.CHARACTER_COLUMNS, (2, 4)))
+        assert rows == [verify._character_degree((4, verify.CHARACTER_COLUMNS, k)) for k in (2, 4)]
+        assert sorted(set(reads)) == [("rho1", 2)]
+        assert set(rep._GEN_CACHE) == {(4, "rho1", i, k) for i in range(1, 4) for k in (2, 4)}
+
+    def test_dual_pair_jobs_give_the_rows_in_degree_order(self, monkeypatch):
+        from qschub import rep, verify
+
+        handed = []
+        genuine = rep.parallel_map
+
+        def parallel_map(fn, items, jobs=1):
+            handed.extend(items)
+            return genuine(fn, items, jobs)
+
+        serial = verify.character_table(5)
+        monkeypatch.setattr(verify, "parallel_map", parallel_map)
+        record_pool_sizes(monkeypatch, cpus=2)
+        paired = verify.character_table(5, jobs=2)
+        assert [degrees for _, _, degrees in handed] == [(5,), (4, 6), (3, 7), (2, 8), (1, 9), (0, 10)]
+        assert paired == serial
+        assert list(paired) == [(k, mu) for k in range(11) for mu in partitions_of(5)]
 
     def test_one_worker_keeps_cached_matrices(self, monkeypatch):
         from qschub import rep
