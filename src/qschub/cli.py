@@ -20,21 +20,22 @@ from .schubert import build_schubert_table, schubert_table_rows
 from .verify import CHARACTER_COLUMNS, SUITES, character_table, run_suites
 
 MAX_N_TABLES = 8
-# The full char table takes about 7 to 8.5 s serial at n=7 (74 MB peak), the
-# rho1 and rho2 columns about 5 to 6.5 and 3.2 to 3.7 s of it; at n=8 the
-# rho2 cells alone ran 134 s at a 1.31 GB peak.
+# The full char table takes about 6.3 to 6.8 s serial at n=7 (63 MB peak),
+# the rho1 and rho2 columns about 3.9 to 4.8 and 2.9 to 4 s of it, rho1
+# computing only the cells with 2k <= top; at n=8 the rho2 cells alone ran
+# 134 s at a 1.31 GB peak.
 MAX_N_CHAR = 7
 MAX_N_VERIFY = 7
 MAX_N_SCAN_B = 7
 
 COST_NOTE = """\
 cost guide (single runs on a shared 2-core Xeon VM): the full `char` table
-takes about 0.3 s at n=5, 0.7 to 1.2 s at n=6 (0.5 to 0.9 s with --jobs 2)
-and about 7 to 8.5 s at n=7 (74 MB peak; rho1 5 to 6.5 s, rho2 3.2 to 3.7 s,
-weights 0.3 s; about 4.5 to 5 s with --jobs 2, which hands each worker dual
-pairs of degrees {k, top - k}, no process above 61 MB); `char` is
-capped at n=7, since at n=8 its rho2 cells alone ran 134 s at a 1.31 GB
-peak.  One `matrix` takes under a second up to n=6 and about 1 s at n=7;
+takes about 0.15 s at n=5, 0.5 to 0.7 s at n=6 (no faster with --jobs 2)
+and about 6.3 to 6.8 s at n=7 (63 MB peak; rho1 3.9 to 4.8 s, rho2 2.9 to
+4 s, weights 0.3 s; about 3.8 to 4.6 s with --jobs 2, which hands each worker
+dual pairs of degrees {k, top - k}, no process above 55 MB); rho1 computes
+the cells with 2k <= top and twists them into the rest.  `char` is capped at
+n=7, since at n=8 its rho2 cells alone ran 134 s at a 1.31 GB peak.  One `matrix` takes under a second up to n=6 and about 1 s at n=7;
 n=8 only for `schubert`/`matrix`: the n=8 Schubert table (8! entries) takes
 about 3 s and 178 MB, a small `matrix` at n=8 about 3 s and `schubert --n 8`
 about 6 s (182 MB peak, the table's: its 94.5 MB of output is printed one
@@ -42,8 +43,8 @@ row at a time).
 verify/scan-b accept n <= 7: `scan-b` takes about 0.4 s at n=6 and 5 s at
 n=7 (about 3 s with --jobs 2, which hands each worker whole degrees), and the full
 verify suite about 0.3 s at n=4, 0.5 s at n=5, 2 s at n=6 and 16 to 18 s at
-n=7 (99 MB peak; the characters suite 10.5 to 11 s of it, descent-columns
-7.5 to 10 s)."""
+n=7 (93 MB peak; the characters suite 9.5 to 10.5 s of it at 68 MB,
+descent-columns 7.5 to 10 s)."""
 
 
 class SystemExit2(SystemExit):

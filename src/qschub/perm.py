@@ -173,10 +173,16 @@ def perms_by_length(n: int) -> tuple[tuple[Perm, ...], ...]:
     return tuple(tuple(b) for b in buckets)
 
 
-def perms_of_length(n: int, k: int) -> tuple[Perm, ...]:
+def check_length(n: int, k: int) -> int:
+    """k, if it is the length of some permutation of S_n, that is a degree of
+    its coinvariant algebra; else ``ValueError`` naming k."""
     if not 0 <= k <= n * (n - 1) // 2:
         raise ValueError(f"no permutations of length {k} in S_{n}")
-    return perms_by_length(n)[k]
+    return k
+
+
+def perms_of_length(n: int, k: int) -> tuple[Perm, ...]:
+    return perms_by_length(n)[check_length(n, k)]
 
 
 def partition_word(mu) -> Word:

@@ -11,8 +11,8 @@ dense view ``entries[z][w]`` holds the same coefficients with the zeros.
 Words of generators: for the q-commutator action a word acts on the
 quotient as the product of the single-generator matrices (the action is
 multiplicative over i-symmetric factors, so the cutting ideal is invariant),
-and rho1's traces have that one path: ``graded_character("rho1")`` applies
-the cached matrices' columns along the word.  The monomial-sorting
+and rho1's traces have that one path: ``_rho1_trace`` applies the cached
+matrices' columns along the word.  The monomial-sorting
 action, while a genuine Hecke action on the polynomial ring, moves some
 ideal elements off the ideal, so for it only the compressed word image is
 well defined on the quotient basis: the whole word applied to a polynomial
@@ -57,6 +57,18 @@ R_i moves ideal elements off the ideal, so it does not act on the quotient
 alone, and the transpose form fails on 4890 entries at n = 6; its matrices
 are read at every degree.
 
+The same duality carries rho1's graded characters across the middle degree:
+char(mu, top - k)(q) = (-q)^L char(mu, k)(1/q), L = len(partition_word(mu)).
+The trace of a word on the twisted transposes is (-q)^L times the trace of
+the reversed word at 1/q, and the reversed word, a minimal-length element
+of the same conjugacy class, has the same trace in every Hecke-algebra
+module (Geck--Pfeiffer, section 8.2; the proof is ``graded_character``'s).
+So ``graded_character("rho1")`` computes only the cells with 2k <= top,
+memoized per (n, mu, k) in ``_CELL_CACHE``, and twists them for the cells
+above, building no generator matrix above the middle degree.  rho2 and the
+weight sum are computed at every cell, which ``verify``'s ``characters``
+suite compares with each derived one.
+
 The trace-equivalence certificate (in ``verify``'s ``characters`` suite,
 from the parts below) compares the two actions once, in the coinvariant
 algebra, at the p(n) elements T_mu of ``partition_word(mu)``,
@@ -87,7 +99,6 @@ from __future__ import annotations
 
 import os
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import permutations
 
@@ -97,6 +108,7 @@ from .perm import (
     Perm,
     all_perms,
     canonical_reduced_word,
+    check_length,
     check_partition,
     class_polynomial,
     coset_weight,
@@ -106,6 +118,7 @@ from .perm import (
     perms_of_length,
 )
 from .polyring import MPoly, Q, QPoly, QP_ZERO, QP_ONE, _raw
+from .records import Frozen, Record
 from .schubert import (
     SchubertTable,
     build_schubert_table,
@@ -121,18 +134,17 @@ _ACTION_OPS = {"rho1": op_a, "rho2": op_r, "symq1": op_s}
 MINUS_Q = QPoly((0, -1))
 
 
-@dataclass(frozen=True)
-class RepMatrix:
+class RepMatrix(Frozen):
     """Square matrix over Z[q] indexed by the length-k permutations, stored
     as the sparse columns ``columns[w]`` of the matrix convention above."""
 
-    action: str
-    k: int
-    basis: tuple[Perm, ...]
-    columns: dict[Perm, dict[Perm, QPoly]]
-    # shift -> the columns packed at q = 2^shift; filled by packed_columns.
-    _packed: dict[int, dict[Perm, dict[Perm, int]]] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
+    FIELDS = ("action", "k", "basis", "columns")
+
+    def __init__(self, action: str, k: int, basis: tuple[Perm, ...],
+                 columns: dict[Perm, dict[Perm, QPoly]]):
+        self._set(action, k, basis, columns)
+        # shift -> the columns packed at q = 2^shift; filled by packed_columns.
+        self.__dict__["_packed"] = {}
 
     @cached_property
     def norm(self) -> int:
@@ -164,6 +176,10 @@ class RepMatrix:
 
 
 _GEN_CACHE: dict[tuple[int, str, int, int], RepMatrix] = {}
+# (n, mu, k) -> rho1's graded character at mu and degree k, for 2k <= top
+# only: the cells above the middle degree are their twists
+# (``graded_character``).
+_CELL_CACHE: dict[tuple[int, Partition, int], QPoly] = {}
 
 
 def generator_matrix(action: str, i: int, k: int, table: SchubertTable) -> RepMatrix:
@@ -186,7 +202,8 @@ def generator_matrix(action: str, i: int, k: int, table: SchubertTable) -> RepMa
     checked by ``_check_column_shape`` before the matrix is cached, and a
     failure caches neither degree: an ascent column (w[i-1] < w[i]) is the
     unit column; a descent column holds -q at w, and each of its other
-    entries sits at a class z with an ascent at i (z[i-1] < z[i]).
+    entries sits at a class z with an ascent at i (z[i-1] < z[i]).  A degree
+    k outside 0..top raises ``ValueError`` naming k, for every action.
     """
     if action not in ACTIONS:
         raise ValueError(f"unknown action {action!r}")
@@ -196,6 +213,7 @@ def generator_matrix(action: str, i: int, k: int, table: SchubertTable) -> RepMa
     cached = _GEN_CACHE.get((n, action, i, k))
     if cached is not None:
         return cached
+    check_length(n, k)
     top = table.max_degree
     if action == "rho2" or 2 * k <= top:
         built = {k: word_matrix(action, (i,), k, table)}
@@ -356,45 +374,58 @@ def basis_element_matrix(action: str, w: Perm, k: int, table: SchubertTable) -> 
     return word_matrix(action, canonical_reduced_word(w), k, table)
 
 
-@dataclass(frozen=True)
-class CharacterValue:
+class CharacterValue(Frozen):
     """One graded character value, at degree k and the partition mu."""
 
-    k: int
-    mu: Partition
-    value: QPoly
+    FIELDS = ("k", "mu", "value")
+
+    def __init__(self, k: int, mu: Partition, value: QPoly):
+        self._set(k, mu, value)
 
 
 def graded_character(action: str, mu, k: int, n: int) -> CharacterValue:
-    """Trace of the subproduct element of mu on the degree-k component.
+    """Trace of T_mu, the element of ``partition_word(mu)``, on the degree-k
+    component.
 
-    Computed diagonally, one basis class w at a time.  rho1 preserves the
-    cutting ideal, so its word acts as the product of the cached generator
-    matrices: their columns are applied along the word to the unit
-    vector at w.  All n - 1 generators of the degree are built, not only
-    those on mu's word, so the first cell asked at degree k pays for the
-    whole degree whatever its mu: a table's cells cost the same in any
-    order.  rho2 applies the whole word upstairs, to the Schubert polynomial
-    of w by linearity (below).  Either way only the coordinate at w is read.
+    rho1 at 2k <= top is the packed column product ``_rho1_trace``, memoized
+    per (n, mu, k) in ``_CELL_CACHE``.  rho1 at 2k > top is not computed: it
+    is (-q)^L c(1/q), c the cell at degree top - k and L = len(word)
+    (``_dual_trace``), c computed first if it is not memoized.  So each dual
+    pair of cells costs one column product, in either request order, and no
+    generator matrix above the middle degree is built for a trace.
 
-    Both run on ints packed at q = 2^B, and the diagonal is summed as one
-    int and decoded once (``schubert.unpack``); B = bit_length(bound) + 1.
+    The proof.  With M_i the i-th generator's matrix at degree k, its matrix
+    at degree top - k is J tw(M_i)^T J (``generator_matrix``), J the
+    permutation matrix of w -> w0 w (J J = 1) and tw the entrywise twist
+    c -> -q c(1/q).  A product of L twisted matrices is (-q)^L times the
+    product at 1/q, and a transpose keeps the trace, so along the word
+    i_1 ... i_L the trace at degree top - k is
 
-    rho1's product packs the columns (``RepMatrix.packed_columns``).  The
-    bound comes from the matrices: a word has at most n - 1 letters and each
-    multiplies the L1 norm of a vector by at most N, the largest column norm
-    of the degree's generators (``RepMatrix.norm``), so |basis_k| * N^(n-1)
-    caps every q-coefficient of the trace, which has at most
-    1 + len(word) * (largest q-degree of an entry) digits.
+        tr(tw(M_i_1)^T ... tw(M_i_L)^T) = (-q)^L tr(M_i_L ... M_i_1)(1/q).
 
-    rho2 groups the degree's basis by staircase monomial in one pass,
-    {x^e: [(w, S_w[e]), ...]}, pushes each x^e once through the word at
-    q = 2^B (``apply_action_word``), and adds S_w[e] times the image's packed
-    coordinate at w (``coordinate_at``) for every w in its group.  At an int
-    q the word and ``coordinate_at`` are Z-linear, so the packed sum is the
-    same int as the sum over w of the coordinate at w of the image of S_w:
-    every monomial is pushed once per cell instead of once for each S_w
-    that holds it.  The bound, taken on the images of the S_w, is unchanged:
+    The reversed word is a reduced word of T_mu's inverse, a minimal-length
+    element of the same conjugacy class (block by block it is a Coxeter
+    element of the block again, reached by cyclic shifts and far
+    commutations), and minimal-length elements of one class have the same
+    trace in every module of the Hecke algebra (Geck--Pfeiffer,
+    *Characters of Finite Coxeter Groups and Iwahori--Hecke Algebras*,
+    section 8.2); so that trace is c.  Every entry of M_i has q-degree at
+    most 1, so c has q-degree at most L and the twist is a polynomial; a
+    wider c raises ``InvariantViolation``.  rho2 and the weight sum are
+    computed at every cell, so in ``verify``'s ``characters`` suite every
+    derived rho1 cell meets a computed twin.
+
+    rho2 applies the whole word upstairs, to the Schubert polynomial of each
+    degree-k class w by linearity, and reads only the coordinate at w.  It
+    runs on ints packed at q = 2^B, B = bit_length(bound) + 1: the degree's
+    basis is grouped by staircase monomial in one pass,
+    {x^e: [(w, S_w[e]), ...]}, each x^e is pushed once through the word at
+    q = 2^B (``apply_action_word``), and S_w[e] times the image's packed
+    coordinate at w (``coordinate_at``) is added for every w in its group.
+    At an int q the word and ``coordinate_at`` are Z-linear, so the packed
+    sum is the same int as the sum over w of the coordinate at w of the
+    image of S_w: every monomial is pushed once per cell instead of once for
+    each S_w that holds it.  The bound, taken on the images of the S_w, is
 
         bound = sum over w of L1(S_w) * m^len(word) * (n - 1)^k,
 
@@ -405,44 +436,90 @@ def graded_character(action: str, mu, k: int, n: int) -> CharacterValue:
     every q-coefficient within the w-th summand, and the trace within the
     bound.  S_w has q-degree 0 and every letter raises the q-degree by at
     most one, so the trace has at most 1 + len(word) digits.  A wider one,
-    or a digit past the bound, raises ``InvariantViolation``.
+    or a digit past the bound, raises ``InvariantViolation``.  The packed
+    sum is decoded once (``schubert.unpack``).
     """
     if action not in ("rho1", "rho2"):
         raise ValueError(f"unknown action {action!r}; graded characters are of rho1 and rho2")
-    table = build_schubert_table(n)
     mu = check_partition(mu, n)
-    word = partition_word(mu)
+    check_length(n, k)
     if action == "rho1":
-        generators = [generator_matrix(action, i, k, table) for i in range(1, n)]
-        basis = table.basis(k)
-        bound = len(basis) * max((g.norm for g in generators), default=1) ** (n - 1)
-        shift = bound.bit_length() + 1
-        digits = 1 + len(word) * max((g.q_degree for g in generators), default=0)
-        steps = [(i, generators[i - 1].packed_columns(shift)) for i in reversed(word)]
-        total = 0
-        for w in basis:
-            vec = {w: 1}
-            for i, cols in steps:
-                vec = _apply_columns(i, cols, vec)
-            total += vec.get(w, 0)
-        value = unpack(total, shift, digits, bound, "rho1 trace", f"mu={mu}, degree {k}")
-    else:
-        by_monomial: dict[tuple[int, ...], list[tuple[Perm, int]]] = {}
-        l1 = 0
-        for w in table.basis(k):
-            for e, c in table.polys[w].terms.items():
-                by_monomial.setdefault(e, []).append((w, c))
-                l1 += c
-        bound = l1 * _letter_mass(action, k) ** len(word) * (n - 1) ** k
-        shift = bound.bit_length() + 1
-        total = 0
-        for e, uses in by_monomial.items():
-            image = apply_action_word(action, word, _raw(n, {e: 1}), 1 << shift)
-            for w, c in uses:
-                total += c * coordinate_at(image, w)
-        value = unpack(total, shift, 1 + len(word), bound, f"{action} trace",
-                       f"mu={mu}, degree {k}")
+        lower = min(k, n * (n - 1) // 2 - k)
+        value = _CELL_CACHE.get((n, mu, lower))
+        if value is None:
+            value = _CELL_CACHE[(n, mu, lower)] = _rho1_trace(mu, lower, build_schubert_table(n))
+        if lower != k:
+            value = _dual_trace(value, len(partition_word(mu)), f"mu={mu}, degree {lower}")
+        return CharacterValue(k, mu, value)
+    table = build_schubert_table(n)
+    word = partition_word(mu)
+    by_monomial: dict[tuple[int, ...], list[tuple[Perm, int]]] = {}
+    l1 = 0
+    for w in table.basis(k):
+        for e, c in table.polys[w].terms.items():
+            by_monomial.setdefault(e, []).append((w, c))
+            l1 += c
+    bound = l1 * _letter_mass(action, k) ** len(word) * (n - 1) ** k
+    shift = bound.bit_length() + 1
+    total = 0
+    for e, uses in by_monomial.items():
+        image = apply_action_word(action, word, _raw(n, {e: 1}), 1 << shift)
+        for w, c in uses:
+            total += c * coordinate_at(image, w)
+    value = unpack(total, shift, 1 + len(word), bound, f"{action} trace", f"mu={mu}, degree {k}")
     return CharacterValue(k, mu, value)
+
+
+def _rho1_trace(mu: Partition, k: int, table: SchubertTable) -> QPoly:
+    """rho1's trace of T_mu on the degree-k component, at any k: the cached
+    generator matrices' columns applied along the word to the unit vector
+    at each basis class w, and the coordinate at w summed.
+
+    rho1 preserves the cutting ideal, so its word acts as the product of the
+    generator matrices.  All n - 1 generators of the degree are built, not
+    only those on mu's word, so the first cell asked at degree k pays for
+    the whole degree whatever its mu: a table's cells cost the same in any
+    order.
+
+    The product runs on the columns packed at q = 2^B
+    (``RepMatrix.packed_columns``), and the diagonal is summed as one int
+    and decoded once (``schubert.unpack``), B = bit_length(bound) + 1.  The
+    bound comes from the matrices: a word has at most n - 1 letters and each
+    multiplies the L1 norm of a vector by at most N, the largest column norm
+    of the degree's generators (``RepMatrix.norm``), so |basis_k| * N^(n-1)
+    caps every q-coefficient of the trace, which has at most
+    1 + len(word) * (largest q-degree of an entry) digits.  A wider trace,
+    or a digit past the bound, raises ``InvariantViolation``.
+    """
+    n = table.n
+    word = partition_word(mu)
+    generators = [generator_matrix("rho1", i, k, table) for i in range(1, n)]
+    basis = table.basis(k)
+    bound = len(basis) * max((g.norm for g in generators), default=1) ** (n - 1)
+    shift = bound.bit_length() + 1
+    digits = 1 + len(word) * max((g.q_degree for g in generators), default=0)
+    steps = [(i, generators[i - 1].packed_columns(shift)) for i in reversed(word)]
+    total = 0
+    for w in basis:
+        vec = {w: 1}
+        for i, cols in steps:
+            vec = _apply_columns(i, cols, vec)
+        total += vec.get(w, 0)
+    return unpack(total, shift, digits, bound, "rho1 trace", f"mu={mu}, degree {k}")
+
+
+def _dual_trace(lower: QPoly, length: int, at: str) -> QPoly:
+    """(-q)^length * lower(1/q): rho1's cell at degree top - k from its cell
+    ``lower`` at the same mu and degree k, named by ``at``, length being
+    len(partition_word(mu)) (``graded_character``).  A lower cell of
+    q-degree above length would give a Laurent polynomial, and raises
+    ``InvariantViolation``."""
+    if lower.degree > length:
+        raise InvariantViolation(
+            f"rho1 trace at {at} has q-degree {lower.degree} > {length}: no dual")
+    sign = -1 if length % 2 else 1
+    c = lower.c + (0,) * (length + 1 - len(lower.c))
+    return QPoly(sign * d for d in reversed(c))
 
 
 def weight_character(mu, k: int, n: int) -> CharacterValue:
@@ -710,13 +787,16 @@ def descent_pairs(n: int) -> list[tuple[int, Perm]]:
     return [(i, w) for i in range(1, n) for w in all_perms(n) if w[i - 1] > w[i]]
 
 
-@dataclass
-class BCScan:
+class BCScan(Record):
     """Full (b, c) ledger over all descent columns of S_n (``_ledger_rows``)."""
 
-    n: int
-    entries: list[tuple[int, Perm, Perm, int, int]]  # (i, w, z, b, c)
-    structural_violations: list[str]
+    FIELDS = ("n", "entries", "structural_violations")
+
+    def __init__(self, n: int, entries: list[tuple[int, Perm, Perm, int, int]],
+                 structural_violations: list[str]):
+        self.n = n
+        self.entries = entries  # (i, w, z, b, c)
+        self.structural_violations = structural_violations
 
     def b_histogram(self) -> dict[int, int]:
         hist: dict[int, int] = {}

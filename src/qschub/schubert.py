@@ -45,7 +45,6 @@ would pass its own check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
 
@@ -64,10 +63,10 @@ from .perm import (
     perms_of_length,
 )
 from .polyring import MPoly, QPoly, QP_ZERO, _raw
+from .records import Frozen
 
 
-@dataclass(frozen=True)
-class SchubertTable:
+class SchubertTable(Frozen):
     """All Schubert polynomials of S_n; immutable and shared.
 
     ``polys[w]`` is S_w with its positive int coefficients, keyed on the
@@ -76,8 +75,10 @@ class SchubertTable:
     polynomial.
     """
 
-    n: int
-    polys: dict[Perm, MPoly]
+    FIELDS = ("n", "polys")
+
+    def __init__(self, n: int, polys: dict[Perm, MPoly]):
+        self._set(n, polys)
 
     def __getitem__(self, w: Perm) -> MPoly:
         """S_w over Z[q]: one constant ``QPoly`` per distinct coefficient,
@@ -184,13 +185,14 @@ def build_schubert_table(n: int) -> SchubertTable:
     return SchubertTable(n, polys)
 
 
-@dataclass(frozen=True)
-class CoinvariantVector:
+class CoinvariantVector(Frozen):
     """Residue class of a degree-k polynomial in the Schubert basis; only the
     nonzero coordinates are stored."""
 
-    k: int
-    coords: dict[Perm, QPoly]
+    FIELDS = ("k", "coords")
+
+    def __init__(self, k: int, coords: dict[Perm, QPoly]):
+        self._set(k, coords)
 
     def __getitem__(self, z: Perm) -> QPoly:
         return self.coords.get(z, QP_ZERO)

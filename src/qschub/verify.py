@@ -10,7 +10,6 @@ its title, so a report says what it certifies.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import accumulate
 
@@ -39,6 +38,7 @@ from .perm import (
     standard_tableaux_count,
 )
 from .polyring import MPoly, ONE_MINUS_Q, Q, QPoly, QP_ONE, QP_ZERO, is_i_symmetric
+from .records import Record
 from .rep import (
     coinvariant_traces_from_graded,
     descent_column_formula,
@@ -75,11 +75,13 @@ MONK_CROSS_CHECK_MAX_N = 4
 DIRECT_CROSS_CHECK_MAX_N = 4
 
 
-@dataclass
-class SuiteResult:
-    name: str
-    lines: list[str] = field(default_factory=list)
-    failures: list[str] = field(default_factory=list)
+class SuiteResult(Record):
+    FIELDS = ("name", "lines", "failures")
+
+    def __init__(self, name: str, lines: list[str] | None = None, failures: list[str] | None = None):
+        self.name = name
+        self.lines = [] if lines is None else lines
+        self.failures = [] if failures is None else failures
 
     @property
     def passed(self) -> bool:
@@ -388,11 +390,12 @@ def character_table(
     type mu, keyed ``(k, mu)`` in that order, one value per column.
 
     Each dual pair of degrees {k, top - k} is one job for ``parallel_map``,
-    so a worker builds the generator matrices of only the degrees it is
-    given, and the rho1 matrices of degree top - k are the duals of those of
-    degree k that it has just built (``rep.generator_matrix``).  The pairs
-    are handed out from the middle degree down, largest first, and the rows
-    are put back in degree order."""
+    so a worker builds rho1's generator matrices only at the pair's lower
+    degree k: its rho1 cells at degree top - k are the twists of those at k
+    that it has just computed and memoized (``rep.graded_character``), and
+    rho2's cells read no matrix.  The pairs are handed out from the middle
+    degree down, largest first, and the rows are put back in degree
+    order."""
     top = n * (n - 1) // 2
     pairs = [(k,) if 2 * k == top else (k, top - k) for k in range(top // 2, -1, -1)]
     rows = {}
@@ -404,6 +407,11 @@ def character_table(
 def suite_characters(n: int) -> SuiteResult:
     """Both traces against the combinatorial weight sum, every degree and
     type; then the trace-equivalence certificate on the same rho1 column.
+
+    rho1's cells above the middle degree are twists of its lower cells
+    (``rep.graded_character``), while rho2's and the weight sum's are
+    computed at every cell; so the first line sets a computed twin beside
+    every derived rho1 cell, and a wrong twist would fail it.
 
     The certificate compares, at every (mu, k), rho1's quotient trace at T_mu
     (its graded character, the table's rho1 column) with rho2's coinvariant

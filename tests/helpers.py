@@ -10,7 +10,8 @@ scaling at descents by the polynomial route; the coset decomposition and
 valley weights whose product is the oracle of ``perm.coset_weight``; the
 symmetric Hilbert dimensions, whose convolution undoes the coinvariant
 deconvolution, and the class-polynomial spread summed afresh for every T_v;
-and a stand-in process pool that records its size."""
+a stand-in process pool that records its size, and the emptying of the
+generator-matrix cache together with the rho1 cell memo."""
 
 from __future__ import annotations
 
@@ -554,3 +555,13 @@ def record_pool_sizes(monkeypatch, cpus) -> list[int]:
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr("os.cpu_count", lambda: cpus)
     return sizes
+
+
+def empty_rep_caches(monkeypatch):
+    """Give ``rep`` an empty generator-matrix cache and an empty rho1 cell
+    memo for the rest of the test: a memoized cell would answer without
+    building the matrices that a test counts or corrupts."""
+    from qschub import rep
+
+    monkeypatch.setattr(rep, "_GEN_CACHE", {})
+    monkeypatch.setattr(rep, "_CELL_CACHE", {})

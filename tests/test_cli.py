@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from helpers import record_pool_sizes
+from helpers import empty_rep_caches, record_pool_sizes
 
 from qschub.cli import main
 from qschub.polyring import QPoly
@@ -252,7 +252,7 @@ class TestScanB:
                 column = {**column, (1, 3, 2): entry}
             return column
 
-        monkeypatch.setattr(rep, "_GEN_CACHE", {})
+        empty_rep_caches(monkeypatch)
         monkeypatch.setattr(rep, "_read_column", patched)
         assert rep.bc_scan(3).structural_violations == [message]
         code, out, _ = run_cli(capsys, "scan-b", "--n", "3")

@@ -456,6 +456,8 @@ print(*[
     raises(lambda: rep.graded_character("rho1", (2, 1), 1, 3), rep.RepMatrix, "norm", 0),
     raises(lambda: rep.graded_character("rho2", (2, 1), 1, 3),
            rep, "_letter_mass", lambda action, k: 0),
+    raises(lambda: rep.graded_character("rho1", (2, 1), 2, 3),
+           rep, "_rho1_trace", lambda mu, k, table: QPoly.q_power(2)),
 ], sep="\\n")
 """
 
@@ -485,4 +487,5 @@ class TestInvariantChecks:
             "rho1 entry at i=1, w=(2, 1, 3), z=(1, 3, 2) has q-degree 2 > 1: no dual",
             "packed rho1 trace at mu=(2, 1), degree 1 does not decode within the bound",
             "packed rho2 trace at mu=(2, 1), degree 1 does not decode within the bound",
+            "rho1 trace at mu=(2, 1), degree 1 has q-degree 2 > 1: no dual",
         ]

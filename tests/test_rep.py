@@ -7,6 +7,7 @@ import pytest
 
 from helpers import (
     apply_partial_w,
+    empty_rep_caches,
     from_word,
     graded_character_oracle,
     identity_matrix,
@@ -157,7 +158,7 @@ class TestGeneratorMatrix:
                 col = {**col, z: c}
             return col
 
-        monkeypatch.setattr(rep, "_GEN_CACHE", {})
+        empty_rep_caches(monkeypatch)
         monkeypatch.setattr(rep, "_read_column", read)
 
     def test_stray_entry_in_an_ascent_column_fails_the_build(self, monkeypatch):
@@ -178,7 +179,7 @@ class TestGeneratorMatrix:
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_dual_degrees_match_the_monk_read(self, monkeypatch, n):
-        monkeypatch.setattr(rep, "_GEN_CACHE", {})
+        empty_rep_caches(monkeypatch)
         table = build_schubert_table(n)
         for action in ("rho1", "symq1"):
             for i in range(1, n):
@@ -190,18 +191,18 @@ class TestGeneratorMatrix:
         table = build_schubert_table(5)
         reads = record_word_matrix_reads(monkeypatch)
         for action in ("rho1", "symq1"):
-            monkeypatch.setattr(rep, "_GEN_CACHE", {})
+            empty_rep_caches(monkeypatch)
             reads.clear()
             dual_first = generator_matrix(action, 2, 7, table)
             assert reads == [(action, 3)]
             assert set(rep._GEN_CACHE) == {(5, action, 2, 3), (5, action, 2, 7)}
             source = generator_matrix(action, 2, 3, table)
             assert reads == [(action, 3)]
-            monkeypatch.setattr(rep, "_GEN_CACHE", {})
+            empty_rep_caches(monkeypatch)
             assert generator_matrix(action, 2, 3, table).entries == source.entries
             assert generator_matrix(action, 2, 7, table).entries == dual_first.entries
             assert reads == [(action, 3), (action, 3)]
-        monkeypatch.setattr(rep, "_GEN_CACHE", {})
+        empty_rep_caches(monkeypatch)
         reads.clear()
         generator_matrix("rho2", 2, 7, table)
         assert reads == [("rho2", 7)]
@@ -391,6 +392,68 @@ class TestCharacters:
         pushed = Counter(e for terms in inputs for e in terms)
         assert set(pushed) == staircase and set(pushed.values()) == {1}
         assert got == graded_character_oracle(action, mu, k, n)
+
+    @pytest.mark.parametrize("order", ["upward", "downward"])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_every_rho1_cell_from_an_empty_memo(self, monkeypatch, n, order):
+        # Downward, each cell above the middle degree is asked before its
+        # dual and computes it; upward, it is the twist of a memoized cell.
+        empty_rep_caches(monkeypatch)
+        top = n * (n - 1) // 2
+        degrees = range(top + 1) if order == "upward" else range(top, -1, -1)
+        for k in degrees:
+            for mu in partitions_of(n):
+                got = graded_character("rho1", mu, k, n).value
+                assert got == weight_character(mu, k, n).value, (mu, k)
+                if n <= 4:
+                    assert got == graded_character_oracle("rho1", mu, k, n), (mu, k)
+
+    def test_a_cold_cell_above_the_middle_builds_only_its_dual_degree(self, monkeypatch):
+        n, mu, k = 5, (3, 2), 7  # top 10: the dual degree is 3
+        empty_rep_caches(monkeypatch)
+        reads = record_word_matrix_reads(monkeypatch)
+        upper = graded_character("rho1", mu, k, n).value
+        assert upper == weight_character(mu, k, n).value
+        assert sorted(set(reads)) == [("rho1", 3)]
+        assert set(rep._GEN_CACHE) == {(n, "rho1", i, 3) for i in range(1, n)}
+        lower = graded_character_oracle("rho1", mu, 3, n)
+        assert rep._CELL_CACHE == {(n, mu, 3): lower}
+        # A repeat builds nothing, and a list mu finds the tuple's entry.
+        reads.clear()
+        cached = dict(rep._GEN_CACHE)
+        assert graded_character("rho1", mu, k, n).value == upper
+        assert graded_character("rho1", list(mu), 3, n).value == lower
+        assert graded_character("rho1", list(mu), k, n).value == upper
+        assert reads == [] and rep._GEN_CACHE == cached
+        assert rep._CELL_CACHE == {(n, mu, 3): lower}
+
+    def test_the_twist_reverses_and_signs_the_lower_cell(self):
+        # (-q)^3 (1 + 2/q) = -2q^2 - q^3: neither palindromic nor of even length.
+        assert rep._dual_trace(QPoly((1, 2)), 3, "x") == QPoly((0, 0, -2, -1))
+        assert rep._dual_trace(QPoly((1, 2)), 2, "x") == QPoly((0, 2, 1))
+        assert rep._dual_trace(QP_ZERO, 1, "x") == QP_ZERO
+
+    def test_a_lower_cell_wider_than_the_word_has_no_dual(self, monkeypatch):
+        empty_rep_caches(monkeypatch)
+        monkeypatch.setattr(rep, "_rho1_trace", lambda mu, k, table: QPoly.q_power(2))
+        with pytest.raises(InvariantViolation,
+                           match=r"^rho1 trace at mu=\(2, 1\), degree 1 has q-degree 2 > 1: no dual$"):
+            graded_character("rho1", (2, 1), 2, 3)
+
+    @pytest.mark.parametrize("k", [-1, 7])
+    def test_a_degree_outside_the_algebra_is_named(self, k):
+        # n = 4 has degrees 0..6.  Above the middle degree rho1 and symq1 once
+        # named the dual degree, 6 - k, instead of k.
+        table = build_schubert_table(4)
+        message = rf"^no permutations of length {k} in S_4$"
+        for action in ACTIONS:
+            with pytest.raises(ValueError, match=message):
+                generator_matrix(action, 1, k, table)
+        for action in ("rho1", "rho2"):
+            with pytest.raises(ValueError, match=message):
+                graded_character(action, (2, 1, 1), k, 4)
+        with pytest.raises(ValueError, match=message):
+            weight_character((2, 1, 1), k, 4)
 
     def test_character_value_metadata(self):
         cv = graded_character("rho2", (2, 1), 1, 3)
@@ -721,7 +784,10 @@ class TestTraceKernels:
         # read or a reversed word, which the real generators hide: Hecke
         # characters agree at T_v and T_{v^-1}.  Ascent columns stay unit
         # columns, the shape every rho1 generator is checked to have when it
-        # is built and that the column product relies on.
+        # is built and that the column product relies on.  The fakes are not
+        # dual across degrees, so graded_character's twist above the middle
+        # degree does not apply to them: the product kernel is called at
+        # every degree.
         from qschub import rep
 
         n = 4
@@ -740,8 +806,8 @@ class TestTraceKernels:
             return fakes[(i, k)]
 
         monkeypatch.setattr(rep, "generator_matrix", fake_generator)
-        traces = quotient_class_traces(n)
-        assert set(traces) == {(mu, k) for mu in partitions_of(n) for k in range(table.max_degree + 1)}
+        traces = {(mu, k): rep._rho1_trace(mu, k, table)
+                  for mu in partitions_of(n) for k in range(table.max_degree + 1)}
         for (mu, k), trace in traces.items():
             product = identity_matrix(k, table.basis(k))
             for i in partition_word(mu):
@@ -753,6 +819,7 @@ class TestTraceKernels:
         # generators hold only 0, +-1 and +-q, so their products never carry
         # from one q-digit into the next; these fakes have entries up to q^2
         # with coefficients of both signs past 2^40, and unit ascent columns.
+        # The product kernel is called at every degree, as above.
         from qschub import rep
 
         n = 4
@@ -772,7 +839,8 @@ class TestTraceKernels:
             return fakes[(i, k)]
 
         monkeypatch.setattr(rep, "generator_matrix", fake_generator)
-        traces = quotient_class_traces(n)
+        traces = {(mu, k): rep._rho1_trace(mu, k, table)
+                  for mu in partitions_of(n) for k in range(table.max_degree + 1)}
         for (mu, k), trace in traces.items():
             product = identity_matrix(k, table.basis(k))
             for i in partition_word(mu):
@@ -935,7 +1003,7 @@ class TestWorkerCount:
 
         serial = bc_scan(4)
         sizes = record_pool_sizes(monkeypatch, cpus=3)
-        monkeypatch.setattr(rep, "_GEN_CACHE", {})
+        empty_rep_caches(monkeypatch)
         assert bc_scan(4, jobs=1000) == serial  # 7 degrees
         cells = verify.character_table(4, jobs=1000)  # 4 dual pairs of degrees
         assert all(len(set(values)) == 1 for values in cells.values())
@@ -949,14 +1017,17 @@ class TestWorkerCount:
         assert sizes == [3, 3, 7, 4, 2]
 
     def test_a_degree_job_builds_only_its_degree(self, monkeypatch):
+        # Degree 4 of top 6 is above the middle: its rho1 cells are the twists
+        # of degree 2's, and no matrix of degree 4 is built.
         from qschub import rep, verify
 
-        monkeypatch.setattr(rep, "_GEN_CACHE", {})
-        row = verify._character_degree((4, verify.CHARACTER_COLUMNS, 2))
-        assert len(row) == len(partitions_of(4))
-        assert all(len(set(values)) == 1 for values in row)
-        assert set(rep._GEN_CACHE) == {(4, "rho1", i, 2) for i in range(1, 4)}
-        monkeypatch.setattr(rep, "_GEN_CACHE", {})
+        for k, built in [(2, 2), (4, 2)]:
+            empty_rep_caches(monkeypatch)
+            row = verify._character_degree((4, verify.CHARACTER_COLUMNS, k))
+            assert len(row) == len(partitions_of(4))
+            assert all(len(set(values)) == 1 for values in row)
+            assert set(rep._GEN_CACHE) == {(4, "rho1", i, built) for i in range(1, 4)}
+        empty_rep_caches(monkeypatch)
         part = rep._bc_degree((4, 2))
         assert set(part) == {(i, w) for i, w in descent_pairs(4) if length(w) == 2}
         assert set(rep._GEN_CACHE) == {(4, "rho2", i, 2) for i in range(1, 4)}
@@ -964,12 +1035,12 @@ class TestWorkerCount:
     def test_a_dual_pair_job_reads_rho1_at_its_lower_degree_only(self, monkeypatch):
         from qschub import rep, verify
 
-        monkeypatch.setattr(rep, "_GEN_CACHE", {})
+        empty_rep_caches(monkeypatch)
         reads = record_word_matrix_reads(monkeypatch)
         rows = verify._character_pair((4, verify.CHARACTER_COLUMNS, (2, 4)))
         assert rows == [verify._character_degree((4, verify.CHARACTER_COLUMNS, k)) for k in (2, 4)]
         assert sorted(set(reads)) == [("rho1", 2)]
-        assert set(rep._GEN_CACHE) == {(4, "rho1", i, k) for i in range(1, 4) for k in (2, 4)}
+        assert set(rep._GEN_CACHE) == {(4, "rho1", i, 2) for i in range(1, 4)}
 
     def test_dual_pair_jobs_give_the_rows_in_degree_order(self, monkeypatch):
         from qschub import rep, verify
