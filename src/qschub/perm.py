@@ -280,10 +280,6 @@ def rsk_insertion_tableau(w: Perm) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(r) for r in rows)
 
 
-def tableau_shape(tab) -> Partition:
-    return tuple(len(row) for row in tab)
-
-
 @lru_cache(maxsize=None)
 def knuth_classes(n: int) -> tuple[tuple[Partition, tuple[tuple[Perm, ...], ...]], ...]:
     """S_n split into Knuth classes, grouped by RSK shape.
@@ -297,7 +293,7 @@ def knuth_classes(n: int) -> tuple[tuple[Partition, tuple[tuple[Perm, ...], ...]
         by_tableau.setdefault(rsk_insertion_tableau(w), []).append(w)
     by_shape: dict[Partition, list[tuple[Perm, ...]]] = {}
     for tab, members in by_tableau.items():
-        by_shape.setdefault(tableau_shape(tab), []).append(tuple(sorted(members)))
+        by_shape.setdefault(tuple(len(row) for row in tab), []).append(tuple(sorted(members)))
     return tuple(
         (shape, tuple(sorted(by_shape[shape])))
         for shape in sorted(by_shape, reverse=True)

@@ -42,32 +42,51 @@ on Z[q] arithmetic; the polynomial route is the tests' oracle.  The
 divided-difference sweep ``expand_homogeneous`` stays in ``schubert`` as the
 independent oracle for the Monk classes.
 
-Above the middle degree rho1's and symq1's generator matrices are not read
-but derived, by Poincaré duality (``generator_matrix``, ``_dual_matrix``).
-The coinvariant algebra carries the pairing <f, g> = d_{w0}(f g), under
+Degree duality carries rho1's and symq1's generator matrices, and rho1's
+graded characters, from degree k to top - k; this is its one proof.  The
+coinvariant algebra carries the Poincaré pairing <f, g> = d_{w0}(f g), under
 which the divided difference d_i and x_i are self-adjoint and s_i is
 anti-self-adjoint, since d_{w0} s_i = -d_{w0}.  A_i = d_i x_i - q x_i d_i
-equals (1 - q) x_i d_i + s_i, so its adjoint is (1 - q)(x_i d_i + s_i) - s_i
-= -q A_i at 1/q, and s_i's is -s_i.  The Schubert basis is self-dual,
-d_{w0}(S_u S_v) = 1 if v = w0 u and 0 otherwise (Macdonald, *Notes on
-Schubert Polynomials*, 1991).  So the matrix at degree top - k is the
-transpose of the one at k, reindexed by w -> w0 w and twisted by
-c -> -q c(1/q) for rho1 and c -> -c for symq1.  rho2 has no such adjoint:
-R_i moves ideal elements off the ideal, so it does not act on the quotient
-alone, and the transpose form fails on 4890 entries at n = 6; its matrices
-are read at every degree.
+equals (1 - q) x_i d_i + s_i, so its adjoint is (1 - q) x_i d_i - q s_i,
+which is -q A_i at 1/q, and s_i's is -s_i.  The Schubert basis is
+self-dual, d_{w0}(S_u S_v) = 1 if v = w0 u and 0 otherwise (Macdonald,
+*Notes on Schubert Polynomials*, 1991).
 
-The same duality carries rho1's graded characters across the middle degree:
-char(mu, top - k)(q) = (-q)^L char(mu, k)(1/q), L = len(partition_word(mu)).
-The trace of a word on the twisted transposes is (-q)^L times the trace of
-the reversed word at 1/q, and the reversed word, a minimal-length element
-of the same conjugacy class, has the same trace in every Hecke-algebra
-module (Geck--Pfeiffer, section 8.2; the proof is ``graded_character``'s).
-So ``graded_character("rho1")`` computes only the cells with 2k <= top,
-memoized per (n, mu, k) in ``_CELL_CACHE``, and twists them for the cells
-above, building no generator matrix above the middle degree.  rho2 and the
-weight sum are computed at every cell, which ``verify``'s ``characters``
-suite compares with each derived one.
+* Matrices.  With M_i the i-th generator's matrix at degree k, J the
+  permutation matrix of w -> w0 w (J J = 1) and tw an entrywise twist, the
+  matrix at degree top - k is J tw(M_i)^T J: the transpose, reindexed,
+  with tw(c) = -q c(1/q) for rho1 and -c for symq1.  Every rho1 entry has
+  q-degree at most 1 (``descent_column_formula``).  rho2 has no such
+  adjoint: R_i moves ideal elements off the ideal, so it does not act on
+  the quotient alone, and the transpose form fails on 4890 entries at
+  n = 6.
+* Traces.  rho1's graded characters satisfy char(mu, top - k)(q) =
+  (-q)^L char(mu, k)(1/q), L = len(partition_word(mu)).  A product of L
+  twisted matrices is (-q)^L times the product at 1/q, and a transpose
+  keeps the trace, so along the word i_1 ... i_L the trace at degree
+  top - k is
+
+      tr(tw(M_i_1)^T ... tw(M_i_L)^T) = (-q)^L tr(M_i_L ... M_i_1)(1/q).
+
+  The reversed word is a reduced word of T_mu's inverse, a minimal-length
+  element of the same conjugacy class (block by block a Coxeter element of
+  the block again, reached by cyclic shifts and far commutations), and
+  minimal-length elements of one class have the same trace in every module
+  of the Hecke algebra (Geck--Pfeiffer, *Characters of Finite Coxeter
+  Groups and Iwahori--Hecke Algebras*, section 8.2); so that trace is
+  char(mu, k), of q-degree at most L since every entry of M_i has q-degree
+  at most 1.
+
+Both twists of rho1 are (-q)^L c(1/q), L = 1 for a matrix entry, and
+``_twist`` is the one place that computes it; a c of q-degree above L,
+which would twist to a Laurent polynomial, raises ``InvariantViolation``.
+``generator_matrix`` derives rho1's and symq1's matrices with 2k > top
+(``_dual_matrix``) and reads rho2's at every degree; ``graded_character``
+twists rho1's cells with 2k > top from those with 2k <= top.  rho2's cells
+and the weight sum are computed at every cell, so ``verify``'s
+``characters`` suite sets a computed twin beside every derived rho1 cell,
+and its ``descent-columns`` suite checks every derived rho1 column against
+the closed form.
 
 The trace-equivalence certificate (in ``verify``'s ``characters`` suite,
 from the parts below) compares the two actions once, in the coinvariant
@@ -75,11 +94,10 @@ algebra, at the p(n) elements T_mu of ``partition_word(mu)``,
 minimal-length representatives of the conjugacy classes.  A Hecke-algebra
 character is fixed by its values there: every basis element T_v takes
 ``tr(T_v) = sum_mu f_{v,mu} * tr(T_mu)`` with the class polynomials of
-``perm.class_polynomial`` (Geck--Pfeiffer, *Characters of Finite Coxeter
-Groups and Iwahori--Hecke Algebras*, Thm 3.2.9 and section 8.2), one fixed
-linear map for every character, so equal traces at the T_mu are equal traces
-at every T_v.  rho1's quotient traces at T_mu are its graded characters
-(the suite's rho1 column).  rho2's traces on the full polynomial
+``perm.class_polynomial`` (Geck--Pfeiffer, Thm 3.2.9 and section 8.2),
+one fixed linear map for every character, so equal traces at the T_mu are
+equal traces at every T_v.  rho1's quotient traces at T_mu are its graded
+characters (the suite's rho1 column).  rho2's traces on the full polynomial
 components are computed on one exponent orbit per multiplicity type
 lam |- n, each orbit monomial built once and pushed through every word, and
 weighted by the number of degree-d multisets of that type
@@ -118,7 +136,7 @@ from .perm import (
     perms_of_length,
 )
 from .polyring import MPoly, Q, QPoly, QP_ZERO, QP_ONE, _raw
-from .records import Frozen, Record
+from .records import Frozen
 from .schubert import (
     SchubertTable,
     build_schubert_table,
@@ -189,14 +207,8 @@ def generator_matrix(action: str, i: int, k: int, table: SchubertTable) -> RepMa
     rho2, and rho1 and symq1 at 2k <= top, are read as ``word_matrix`` of
     the one-letter word (i,).  rho1 and symq1 at 2k > top are the dual of
     the degree top - k matrix (``_dual_matrix``), which is read first if it
-    is not cached.  Under the pairing <f, g> = d_{w0}(f g) of the
-    coinvariant algebra, d_i and x_i are self-adjoint and s_i is
-    anti-self-adjoint (d_{w0} s_i = -d_{w0}); so A_i = (1 - q) x_i d_i + s_i
-    has the adjoint (1 - q) x_i d_i - q s_i, which is -q A_i at 1/q.  The
-    Schubert basis is self-dual, <S_u, S_v> = 1 if v = w0 u and 0 otherwise,
-    so one degree's matrix is the other's transpose, reindexed by w -> w0 w
-    and twisted (module docstring).  R_i has no such adjoint (the transpose
-    form fails on 4890 entries at n = 6), so rho2 is read at every degree.
+    is not cached; the module docstring proves the duality, and why rho2
+    has none.
 
     For the two deformed actions every column, derived ones included, is
     checked by ``_check_column_shape`` before the matrix is cached, and a
@@ -236,11 +248,9 @@ def _dual_matrix(source: RepMatrix, i: int, table: SchubertTable) -> RepMatrix:
     """The i-th generator's matrix at degree top - source.k from its matrix
     ``source`` at degree source.k, for rho1 or symq1 (``generator_matrix``):
     column w0 z holds, at w0 w, the twisted entry of column w at z of the
-    source, w0 w being w with each value v replaced by n + 1 - v.
-
-    The twist is -c for symq1 and -q c(1/q) for rho1, whose entries have
-    q-degree at most 1 by the closed form (``descent_column_formula``); an
-    entry of another degree raises ``InvariantViolation``.
+    source, w0 w being w with each value v replaced by n + 1 - v, and the
+    twist -c for symq1 and ``_twist(c, 1)`` for rho1 (module docstring),
+    computed once per distinct entry.
     """
     n = table.n
     w0 = {w: tuple(n + 1 - v for v in w) for w in source.basis}
@@ -251,15 +261,8 @@ def _dual_matrix(source: RepMatrix, i: int, table: SchubertTable) -> RepMatrix:
         for z, c in col.items():
             t = twisted.get(c)
             if t is None:
-                if source.action == "symq1":
-                    t = -c
-                elif c.degree > 1:
-                    raise InvariantViolation(
-                        f"rho1 entry at i={i}, w={w}, z={z} has q-degree {c.degree} > 1: no dual")
-                else:
-                    a0, a1 = c.c + (0,) * (2 - len(c.c))
-                    t = QPoly((-a1, -a0))
-                twisted[c] = t
+                t = twisted[c] = (-c if source.action == "symq1"
+                                  else _twist(c, 1, "entry at i={}, w={}, z={}", i, w, z))
             columns[w0[z]][w0[w]] = t
     return RepMatrix(source.action, table.max_degree - source.k, basis, columns)
 
@@ -389,31 +392,10 @@ def graded_character(action: str, mu, k: int, n: int) -> CharacterValue:
 
     rho1 at 2k <= top is the packed column product ``_rho1_trace``, memoized
     per (n, mu, k) in ``_CELL_CACHE``.  rho1 at 2k > top is not computed: it
-    is (-q)^L c(1/q), c the cell at degree top - k and L = len(word)
-    (``_dual_trace``), c computed first if it is not memoized.  So each dual
+    is ``_twist(c, len(word))``, c the cell at degree top - k, computed first
+    if it is not memoized (the module docstring proves it).  So each dual
     pair of cells costs one column product, in either request order, and no
     generator matrix above the middle degree is built for a trace.
-
-    The proof.  With M_i the i-th generator's matrix at degree k, its matrix
-    at degree top - k is J tw(M_i)^T J (``generator_matrix``), J the
-    permutation matrix of w -> w0 w (J J = 1) and tw the entrywise twist
-    c -> -q c(1/q).  A product of L twisted matrices is (-q)^L times the
-    product at 1/q, and a transpose keeps the trace, so along the word
-    i_1 ... i_L the trace at degree top - k is
-
-        tr(tw(M_i_1)^T ... tw(M_i_L)^T) = (-q)^L tr(M_i_L ... M_i_1)(1/q).
-
-    The reversed word is a reduced word of T_mu's inverse, a minimal-length
-    element of the same conjugacy class (block by block it is a Coxeter
-    element of the block again, reached by cyclic shifts and far
-    commutations), and minimal-length elements of one class have the same
-    trace in every module of the Hecke algebra (Geck--Pfeiffer,
-    *Characters of Finite Coxeter Groups and Iwahori--Hecke Algebras*,
-    section 8.2); so that trace is c.  Every entry of M_i has q-degree at
-    most 1, so c has q-degree at most L and the twist is a polynomial; a
-    wider c raises ``InvariantViolation``.  rho2 and the weight sum are
-    computed at every cell, so in ``verify``'s ``characters`` suite every
-    derived rho1 cell meets a computed twin.
 
     rho2 applies the whole word upstairs, to the Schubert polynomial of each
     degree-k class w by linearity, and reads only the coordinate at w.  It
@@ -449,7 +431,7 @@ def graded_character(action: str, mu, k: int, n: int) -> CharacterValue:
         if value is None:
             value = _CELL_CACHE[(n, mu, lower)] = _rho1_trace(mu, lower, build_schubert_table(n))
         if lower != k:
-            value = _dual_trace(value, len(partition_word(mu)), f"mu={mu}, degree {lower}")
+            value = _twist(value, len(partition_word(mu)), "trace at mu={}, degree {}", mu, lower)
         return CharacterValue(k, mu, value)
     table = build_schubert_table(n)
     word = partition_word(mu)
@@ -508,18 +490,18 @@ def _rho1_trace(mu: Partition, k: int, table: SchubertTable) -> QPoly:
     return unpack(total, shift, digits, bound, "rho1 trace", f"mu={mu}, degree {k}")
 
 
-def _dual_trace(lower: QPoly, length: int, at: str) -> QPoly:
-    """(-q)^length * lower(1/q): rho1's cell at degree top - k from its cell
-    ``lower`` at the same mu and degree k, named by ``at``, length being
-    len(partition_word(mu)) (``graded_character``).  A lower cell of
-    q-degree above length would give a Laurent polynomial, and raises
-    ``InvariantViolation``."""
-    if lower.degree > length:
+def _twist(c: QPoly, length: int, what: str, *args) -> QPoly:
+    """(-q)^length * c(1/q), the dual of rho1's ``what.format(*args)``
+    (module docstring): a generator's entry at length 1, a graded character
+    of a word of that length.  A c of q-degree above length would give a
+    Laurent polynomial, and raises ``InvariantViolation``; the message is
+    formatted only then, as the matrix twist runs once per distinct entry
+    of every derived matrix."""
+    if c.degree > length:
         raise InvariantViolation(
-            f"rho1 trace at {at} has q-degree {lower.degree} > {length}: no dual")
-    sign = -1 if length % 2 else 1
-    c = lower.c + (0,) * (length + 1 - len(lower.c))
-    return QPoly(sign * d for d in reversed(c))
+            f"rho1 {what.format(*args)} has q-degree {c.degree} > {length}: no dual")
+    padded = c.c + (0,) * (length + 1 - len(c.c))
+    return QPoly([-d for d in reversed(padded)] if length % 2 else padded[::-1])
 
 
 def weight_character(mu, k: int, n: int) -> CharacterValue:
@@ -787,16 +769,15 @@ def descent_pairs(n: int) -> list[tuple[int, Perm]]:
     return [(i, w) for i in range(1, n) for w in all_perms(n) if w[i - 1] > w[i]]
 
 
-class BCScan(Record):
-    """Full (b, c) ledger over all descent columns of S_n (``_ledger_rows``)."""
+class BCScan(Frozen):
+    """Full (b, c) ledger over all descent columns of S_n (``_ledger_rows``):
+    the rows (i, w, z, b, c) in ``entries``."""
 
     FIELDS = ("n", "entries", "structural_violations")
 
     def __init__(self, n: int, entries: list[tuple[int, Perm, Perm, int, int]],
                  structural_violations: list[str]):
-        self.n = n
-        self.entries = entries  # (i, w, z, b, c)
-        self.structural_violations = structural_violations
+        self._set(n, entries, structural_violations)
 
     def b_histogram(self) -> dict[int, int]:
         hist: dict[int, int] = {}

@@ -8,11 +8,12 @@ Schubert coefficients, and the expansion sweep on Z[q] coefficients
 packed into ints by q -> 2^B (Kronecker substitution; Harvey, *J. Symbolic
 Comput.* 44, 2009), decoded once at the end.  ``packed_class_sum`` sums
 packed coefficients times the integer monomial classes, and ``rep`` reads
-every matrix column that it does not derive by duality through it, the
-operators applied to the integer Schubert polynomial at q = 2^B.  One pair
-of functions does all packing, ``pack`` and ``unpack``; ``rep`` also uses
-them for its column reads and its graded-character cells.  Every decoded coordinate is a ``QPoly``, as is
-every coefficient of the table's Z[q] view.
+through it every matrix column that it does not derive by degree duality
+(proved in the ``rep`` module docstring), the operators applied to the
+integer Schubert polynomial at q = 2^B.  One pair of functions does all
+packing, ``pack`` and ``unpack``; ``rep`` also uses them for its column
+reads and its graded-character cells.  Every decoded coordinate is a
+``QPoly``, as is every coefficient of the table's Z[q] view.
 
 Every monomial of the table lies under the staircase, whose n! exponent
 vectors are the Lehmer codes of S_n.  The table's chain runs on their
@@ -35,8 +36,7 @@ Residue-class coordinates in the Schubert basis are read two independent ways:
   each built one variable at a time by Monk's rule
   (``x_action_on_schubert``) in integer arithmetic.  The representation
   layer reads every matrix column through this sum, except the columns of
-  rho1 and symq1 generators above the middle degree, which it derives by
-  duality.
+  rho1 and symq1 generators above the middle degree, which it derives.
 
 The divided-difference sweep is the oracle the Monk classes are tested
 against; it must not be rebuilt on ``monomial_class``, or a wrong Monk term

@@ -38,7 +38,7 @@ from .perm import (
     standard_tableaux_count,
 )
 from .polyring import MPoly, ONE_MINUS_Q, Q, QPoly, QP_ONE, QP_ZERO, is_i_symmetric
-from .records import Record
+from .records import Frozen
 from .rep import (
     coinvariant_traces_from_graded,
     descent_column_formula,
@@ -75,13 +75,14 @@ MONK_CROSS_CHECK_MAX_N = 4
 DIRECT_CROSS_CHECK_MAX_N = 4
 
 
-class SuiteResult(Record):
+class SuiteResult(Frozen):
+    """One suite's report: its fields are set once, and ``tally`` grows the
+    two lists in place."""
+
     FIELDS = ("name", "lines", "failures")
 
     def __init__(self, name: str, lines: list[str] | None = None, failures: list[str] | None = None):
-        self.name = name
-        self.lines = [] if lines is None else lines
-        self.failures = [] if failures is None else failures
+        self._set(name, [] if lines is None else lines, [] if failures is None else failures)
 
     @property
     def passed(self) -> bool:
@@ -365,21 +366,21 @@ def suite_knuth(n: int) -> SuiteResult:
 CHARACTER_COLUMNS = ("rho1", "rho2", "weights")
 
 
-def _character_degree(args) -> list[tuple[QPoly, ...]]:
-    n, columns, k = args
-    return [
-        tuple(
-            (weight_character(mu, k, n) if column == "weights"
-             else graded_character(column, mu, k, n)).value
-            for column in columns
-        )
-        for mu in partitions_of(n)
-    ]
-
-
-def _character_pair(args) -> list[list[tuple[QPoly, ...]]]:
+def _character_degrees(args) -> list[list[tuple[QPoly, ...]]]:
+    """One job of ``character_table``: the rows of the given degrees, each a
+    cell per mu, one value per requested column."""
     n, columns, degrees = args
-    return [_character_degree((n, columns, k)) for k in degrees]
+    return [
+        [
+            tuple(
+                (weight_character(mu, k, n) if column == "weights"
+                 else graded_character(column, mu, k, n)).value
+                for column in columns
+            )
+            for mu in partitions_of(n)
+        ]
+        for k in degrees
+    ]
 
 
 def character_table(
@@ -389,17 +390,18 @@ def character_table(
     two actions' graded characters and the weight sum) at every degree k and
     type mu, keyed ``(k, mu)`` in that order, one value per column.
 
-    Each dual pair of degrees {k, top - k} is one job for ``parallel_map``,
-    so a worker builds rho1's generator matrices only at the pair's lower
-    degree k: its rho1 cells at degree top - k are the twists of those at k
-    that it has just computed and memoized (``rep.graded_character``), and
-    rho2's cells read no matrix.  The pairs are handed out from the middle
-    degree down, largest first, and the rows are put back in degree
-    order."""
+    Each dual pair of degrees {k, top - k} is one job for ``parallel_map``
+    (``_character_degrees``), so a worker builds rho1's generator matrices
+    only at the pair's lower degree k: its rho1 cells at degree top - k are
+    the twists of those at k that it has just computed and memoized
+    (``rep.graded_character``; the ``rep`` module docstring proves the
+    duality), and rho2's cells read no matrix.  The pairs are handed out
+    from the middle degree down, largest first, and the rows are put back in
+    degree order."""
     top = n * (n - 1) // 2
     pairs = [(k,) if 2 * k == top else (k, top - k) for k in range(top // 2, -1, -1)]
     rows = {}
-    for pair, part in zip(pairs, parallel_map(_character_pair, [(n, columns, p) for p in pairs], jobs)):
+    for pair, part in zip(pairs, parallel_map(_character_degrees, [(n, columns, p) for p in pairs], jobs)):
         rows.update(zip(pair, part))
     return {(k, mu): cell for k in range(top + 1) for mu, cell in zip(partitions_of(n), rows[k])}
 
@@ -409,9 +411,10 @@ def suite_characters(n: int) -> SuiteResult:
     type; then the trace-equivalence certificate on the same rho1 column.
 
     rho1's cells above the middle degree are twists of its lower cells
-    (``rep.graded_character``), while rho2's and the weight sum's are
-    computed at every cell; so the first line sets a computed twin beside
-    every derived rho1 cell, and a wrong twist would fail it.
+    (``rep.graded_character``, proved in the ``rep`` module docstring),
+    while rho2's and the weight sum's are computed at every cell; so the
+    first line sets a computed twin beside every derived rho1 cell, and a
+    wrong twist would fail it.
 
     The certificate compares, at every (mu, k), rho1's quotient trace at T_mu
     (its graded character, the table's rho1 column) with rho2's coinvariant

@@ -187,6 +187,20 @@ class TestGeneratorMatrix:
                     assert generator_matrix(action, i, k, table).entries == \
                         word_matrix(action, (i,), k, table).entries, (action, i, k)
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_the_length_one_twist_is_the_entry_twist(self, n):
+        # Every distinct entry a0 + a1 q of a Monk-read rho1 generator, at every
+        # i and degree, twists to -a1 - a0 q, the entry twist written out on
+        # its coefficients.
+        table = build_schubert_table(n)
+        entries = {c for i in range(1, n) for k in range(table.max_degree + 1)
+                   for col in word_matrix("rho1", (i,), k, table).columns.values()
+                   for c in col.values()}
+        assert {QP_ONE, rep.MINUS_Q} <= entries
+        for c in entries:
+            a0, a1 = c.c + (0,) * (2 - len(c.c))
+            assert rep._twist(c, 1, "x") == QPoly((-a1, -a0)), c
+
     def test_a_cold_dual_request_reads_and_caches_both_degrees(self, monkeypatch):
         table = build_schubert_table(5)
         reads = record_word_matrix_reads(monkeypatch)
@@ -429,9 +443,9 @@ class TestCharacters:
 
     def test_the_twist_reverses_and_signs_the_lower_cell(self):
         # (-q)^3 (1 + 2/q) = -2q^2 - q^3: neither palindromic nor of even length.
-        assert rep._dual_trace(QPoly((1, 2)), 3, "x") == QPoly((0, 0, -2, -1))
-        assert rep._dual_trace(QPoly((1, 2)), 2, "x") == QPoly((0, 2, 1))
-        assert rep._dual_trace(QP_ZERO, 1, "x") == QP_ZERO
+        assert rep._twist(QPoly((1, 2)), 3, "x") == QPoly((0, 0, -2, -1))
+        assert rep._twist(QPoly((1, 2)), 2, "x") == QPoly((0, 2, 1))
+        assert rep._twist(QP_ZERO, 1, "x") == QP_ZERO
 
     def test_a_lower_cell_wider_than_the_word_has_no_dual(self, monkeypatch):
         empty_rep_caches(monkeypatch)
@@ -1023,7 +1037,7 @@ class TestWorkerCount:
 
         for k, built in [(2, 2), (4, 2)]:
             empty_rep_caches(monkeypatch)
-            row = verify._character_degree((4, verify.CHARACTER_COLUMNS, k))
+            [row] = verify._character_degrees((4, verify.CHARACTER_COLUMNS, (k,)))
             assert len(row) == len(partitions_of(4))
             assert all(len(set(values)) == 1 for values in row)
             assert set(rep._GEN_CACHE) == {(4, "rho1", i, built) for i in range(1, 4)}
@@ -1037,10 +1051,11 @@ class TestWorkerCount:
 
         empty_rep_caches(monkeypatch)
         reads = record_word_matrix_reads(monkeypatch)
-        rows = verify._character_pair((4, verify.CHARACTER_COLUMNS, (2, 4)))
-        assert rows == [verify._character_degree((4, verify.CHARACTER_COLUMNS, k)) for k in (2, 4)]
+        rows = verify._character_degrees((4, verify.CHARACTER_COLUMNS, (2, 4)))
         assert sorted(set(reads)) == [("rho1", 2)]
         assert set(rep._GEN_CACHE) == {(4, "rho1", i, 2) for i in range(1, 4)}
+        table = verify.character_table(4)
+        assert rows == [[table[(k, mu)] for mu in partitions_of(4)] for k in (2, 4)]
 
     def test_dual_pair_jobs_give_the_rows_in_degree_order(self, monkeypatch):
         from qschub import rep, verify
